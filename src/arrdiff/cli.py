@@ -46,7 +46,7 @@ def _load_arrangement(path: str) -> Arrangement:
     data = _read_json(path)
     try:
         return arrangement_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad arrangement in {path}: {exc}") from exc
 
 
@@ -58,7 +58,7 @@ def _load_operators(path: str) -> list[DiffOp]:
         data = [data]
     try:
         return [diffop_from_json(entry) for entry in data]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad operator file {path}: {exc}") from exc
 
 
@@ -229,7 +229,10 @@ def _cmd_product_basis(args) -> int:
 def _cmd_localize_basis(args) -> int:
     arr = _load_arrangement(args.arrangement)
     seed = _parse_indices(args.seed)
-    flat = flat_closure(arr, seed)
+    try:
+        flat = flat_closure(arr, seed)
+    except IndexError as exc:
+        raise InputError(str(exc)) from exc
     if args.basis:
         ops = _load_operators(args.basis)
     else:

@@ -19,8 +19,9 @@ from .graded import (FreenessReport, decide_free, graded_dimension,
                      operator_vector)
 from .linalg import RowBasis, invert, nullspace_basis, row_times_matrix
 from .membership import is_member, shi2_order2_members
-from .qpoly import Poly, exact_divide, monomial_exponents, variables
-from .saito import det_poly, saito_check, saito_counts, degree_sum_check
+from .qpoly import Poly, monomial_exponents, variables
+from .saito import (_point_constant, degree_sum_check, det_poly, saito_check,
+                    saito_counts)
 from .weyl import (DiffOp, block_product, change_variables, coefficient_matrix,
                    directional_power, embed, euler_operator)
 
@@ -144,7 +145,8 @@ def product_basis(bases_first: list[list[DiffOp]],
             lifted = embed(theta, total, 0)
             for eta in bases_second[top - i]:
                 out.append(block_product(lifted, embed(eta, total, dim_first)))
-    assert len(out) == saito_counts(total, top)[0]
+    if len(out) != saito_counts(total, top)[0]:
+        raise RuntimeError("product basis has the wrong operator count")
     return out
 
 
@@ -195,7 +197,6 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
     sub = localize(arr, flat)
     _, det_exponent = saito_counts(arr.dim, order)
     target = det_exponent * len(sub)
-    q_sub = sub.defining_polynomial()
     point = find_flat_point(arr, flat)
 
     components: list[list[tuple[int, DiffOp]]] = []
@@ -213,7 +214,6 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
                   for degree, groups in sorted(by_degree.items())]
         components.append(pieces)
 
-    qt = q_sub ** det_exponent
     min_rest = [0] * (len(components) + 1)
     max_rest = [0] * (len(components) + 1)
     for i in range(len(components) - 1, -1, -1):
@@ -225,12 +225,8 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
 
     def search(i: int, degree_sum: int) -> bool:
         if i == len(components):
-            det = det_poly(coefficient_matrix(selection))
-            quotient = exact_divide(det, qt)
-            if quotient is None:
-                return False
-            constant = quotient.constant_value()
-            return constant is not None and constant != 0
+            # the pieces are homogeneous members of degree sum t * |A_X|
+            return bool(_point_constant(selection, sub))
         for degree, piece in components[i]:
             total = degree_sum + degree
             if total + min_rest[i + 1] > target:
@@ -247,8 +243,8 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
         raise RuntimeError("component selection failed; transported basis "
                            "did not yield the expected determinant")
     result = list(selection)
-    verified = saito_check(result, sub)
-    assert verified
+    if not saito_check(result, sub):
+        raise RuntimeError("transported basis failed its re-verification")
     return result
 
 

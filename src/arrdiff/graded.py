@@ -216,7 +216,10 @@ def _generator_sweep(arr: Arrangement, order: int,
         representatives = tuple(op for op in piece.operators
                                 if span.add(operator_vector(op, degree)))
         # the old span is inside the graded piece, so ranks must line up
-        assert span.rank == piece.dimension
+        if span.rank != piece.dimension:
+            raise RuntimeError(f"generator span has rank {span.rank} in "
+                               f"degree {degree}, expected "
+                               f"{piece.dimension}")
         found.extend((degree, op) for op in representatives)
         yield GeneratorStep(degree, piece.dimension, len(representatives),
                             representatives)
@@ -479,7 +482,8 @@ def _product_basis_synthesis(arr, dec: Decomposition, order,
         bases = [[DiffOp.identity(factor.dim)]]
         for i in range(1, order + 1):
             basis = factor_reports[index][i - 1].basis
-            assert basis is not None
+            if basis is None:
+                raise RuntimeError("a FREE factor report carries no basis")
             bases.append(list(basis))
         return bases
 

@@ -1,9 +1,10 @@
 """Exact Gaussian elimination over the rationals.
 
-Dense rank, reduced row echelon form, nullspace bases, matrix inversion,
-and an incremental row-space tracker.  Everything works on lists of
-:class:`fractions.Fraction` and is fully deterministic: pivots are always
-the first nonzero entry scanning rows top-down and columns left-right.
+Dense rank, reduced row echelon form, determinants, nullspace bases,
+matrix inversion, and an incremental row-space tracker.  Everything works
+on lists of :class:`fractions.Fraction` and is fully deterministic: pivots
+are always the first nonzero entry scanning rows top-down and columns
+left-right.
 """
 
 from __future__ import annotations
@@ -94,6 +95,29 @@ def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[Matrix, list[i
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Exact determinant of a square matrix by Gaussian elimination."""
+    m = _copy(rows)
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        lead = m[c][c]
+        det *= lead
+        for i in range(c + 1, n):
+            factor = m[i][c] / lead
+            if factor:
+                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return det
 
 
 def nullspace_basis(rows: Iterable[Sequence[Fraction]],

@@ -13,6 +13,7 @@ order for exact division (the leading term is the maximum).
 
 from __future__ import annotations
 
+import heapq
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -429,22 +430,48 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
 
     Single-divisor reduction by leading terms: any term whose monomial is
     not divisible by the divisor's leading monomial certifies failure.
+    The remainder is one term dict updated in place, and its leading term
+    comes off a heap keyed by the term order.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     lq, cq = q.leading_term()
-    quotient = Poly.zero(p.dim)
-    remainder = p
-    while not remainder.is_zero():
-        lr, cr = remainder.leading_term()
+    tail = [(b, c) for b, c in q._terms.items() if b != lq]
+    remainder = dict(p._terms)
+    # negated keys make heapq's minimum the term order's maximum
+    heap = [_heap_key(a) for a in remainder]
+    heapq.heapify(heap)
+    quotient: dict[MultiIndex, Fraction] = {}
+    while remainder:
+        lr = heapq.heappop(heap)[-1]
+        cr = remainder.pop(lr, None)
+        if cr is None:  # a stale entry for a cancelled term
+            continue
         if not mi_divides(lq, lr):
             return None
-        t = Poly.monomial(p.dim, tuple(x - y for x, y in zip(lr, lq)), cr / cq)
-        quotient = quotient + t
-        remainder = remainder - t * q
-    return quotient
+        shift = tuple(x - y for x, y in zip(lr, lq))
+        factor = cr / cq
+        quotient[shift] = factor
+        # every new monomial is below lr, so popped terms never come back
+        for b, c in tail:
+            key = mi_add(shift, b)
+            old = remainder.get(key)
+            if old is None:
+                remainder[key] = -factor * c
+                heapq.heappush(heap, _heap_key(key))
+            else:
+                new = old - factor * c
+                if new:
+                    remainder[key] = new
+                else:
+                    del remainder[key]
+    return Poly._raw(p.dim, quotient)
+
+
+def _heap_key(a: MultiIndex) -> tuple[int, tuple[int, ...], MultiIndex]:
+    return (-sum(a), tuple(-x for x in a), a)
 
 
 # ---------------------------------------------------------------------------

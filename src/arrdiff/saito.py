@@ -4,8 +4,17 @@ A tuple of operators (one per degree-m derivative monomial) is a basis of
 the arrangement's operator module exactly when the determinant of its
 coefficient matrix is a nonzero constant multiple of Q^t, where Q is the
 defining polynomial and t counts the degree-(m-1) derivative monomials.
-The determinant of any member tuple is always divisible by Q^t, so the
-verdict reduces to exact division plus a constant check.
+
+Q^t divides the determinant of every member tuple.  When the members are
+nonzero and homogeneous of degrees d_i, the determinant is zero or
+homogeneous of degree sum(d_i), so if that sum equals t * |A| (the degree
+of Q^t) the determinant is c * Q^t for a rational c, and c is its value
+at any point off the arrangement divided by Q^t there.  Such tuples are
+certified from one determinant of rational numbers (the degree form of
+Saito's criterion).  Tuples with an inhomogeneous or zero operator, and
+homogeneous tuples of another degree sum (never a basis), keep the
+symbolic route: the polynomial determinant is expanded and divided
+exactly by Q^t, so that a refutation shows det / Q^t.
 """
 
 from __future__ import annotations
@@ -13,12 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from itertools import count
+from math import comb, prod
 from typing import Sequence
 
 from .arrangement import Arrangement
+from .linalg import determinant
 from .membership import MembershipWitness, is_member
-from .qpoly import Poly, exact_divide
+from .qpoly import Poly, exact_divide, monomial_exponents
 from .weyl import CoeffMatrix, DiffOp, coefficient_matrix
 
 
@@ -85,7 +96,9 @@ def _det_bareiss(rows: list[list[Poly]], dim: int) -> Poly:
             for j in range(k + 1, n):
                 numerator = rows[k][k] * rows[i][j] - rows[i][k] * rows[k][j]
                 quotient = exact_divide(numerator, previous)
-                assert quotient is not None  # fraction-free invariant
+                if quotient is None:
+                    raise RuntimeError("fraction-free elimination lost "
+                                       "exactness")
                 rows[i][j] = quotient
             rows[i][k] = Poly.zero(dim)
         previous = rows[k][k]
@@ -131,11 +144,42 @@ class SaitoResult:
         return out
 
 
+def _point_constant(ops: Sequence[DiffOp],
+                    arr: Arrangement) -> Fraction | None:
+    """The c with det M = c * Q^t for a degree-matched member tuple.
+
+    Returns None unless every operator is nonzero and homogeneous and the
+    degrees sum to t * |A|; then det M = c * Q^t (see the module notes)
+    and c = det M(p) / Q(p)^t at the first point p = (1, s, s^2, ...),
+    s = 1, 2, ..., off every hyperplane.  Membership is not checked here.
+    """
+    order = ops[0].order
+    if any((op.dim, op.order) != (arr.dim, order) for op in ops):
+        raise ValueError("operators must share dimension and order")
+    _, exponent = saito_counts(arr.dim, order)
+    degrees = [op.homogeneous_degree() for op in ops]
+    if None in degrees or sum(degrees) != exponent * len(arr):
+        return None
+    for s in count(1):
+        # each form is a nonzero polynomial in s of degree < dim, so
+        # only finitely many s are skipped
+        point = [s ** i for i in range(arr.dim)]
+        values = [form.evaluate(point) for form in arr.forms]
+        if all(values):
+            break
+    exponents = monomial_exponents(arr.dim, order)
+    rows = [[op.coefficient(a).evaluate(point) for a in exponents]
+            for op in ops]  # the transpose of M(p), with the same determinant
+    return determinant(rows) / prod(values) ** exponent
+
+
 def saito_check(ops: Sequence[DiffOp], arr: Arrangement) -> SaitoResult:
     """Decide whether a full tuple of operators is a module basis.
 
     Verifies membership of every operator, then tests whether the
-    determinant of the coefficient matrix is a nonzero constant times Q^t.
+    determinant of the coefficient matrix is a nonzero constant times Q^t:
+    at one point for degree-matched homogeneous tuples, otherwise by
+    expanding the determinant and dividing it exactly by Q^t.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -148,39 +192,43 @@ def saito_check(ops: Sequence[DiffOp], arr: Arrangement) -> SaitoResult:
         if not result:
             return SaitoResult(SaitoVerdict.NOT_MEMBERS,
                                failing_operator=i, witness=result.witness)
-    determinant = det_poly(coefficient_matrix(ops))
+    constant = _point_constant(ops, arr)
+    if constant == 0:
+        zero = Poly.zero(arr.dim)
+        return SaitoResult(SaitoVerdict.NOT_PROPORTIONAL,
+                           determinant=zero, det_over_qt=zero)
     qt = arr.defining_polynomial() ** exponent
-    quotient = exact_divide(determinant, qt)
+    if constant is not None:
+        return SaitoResult(SaitoVerdict.BASIS, constant=constant,
+                           determinant=constant * qt,
+                           det_over_qt=Poly.constant(arr.dim, constant))
+    det = det_poly(coefficient_matrix(ops))
+    quotient = exact_divide(det, qt)
     if quotient is not None:
         constant = quotient.constant_value()
         if constant:
             return SaitoResult(SaitoVerdict.BASIS, constant=constant,
-                               determinant=determinant, det_over_qt=quotient)
+                               determinant=det, det_over_qt=quotient)
     return SaitoResult(SaitoVerdict.NOT_PROPORTIONAL,
-                       determinant=determinant, det_over_qt=quotient)
+                       determinant=det, det_over_qt=quotient)
 
 
 def degree_sum_check(ops: Sequence[DiffOp], arr: Arrangement) -> bool:
     """Basis test for member tuples via degrees instead of divisibility.
 
     For homogeneous members, independence (nonzero determinant) plus
-    degree sum equal to t * |A| is equivalent to being a basis.
-    Membership is a precondition and is not re-verified here.
+    degree sum equal to t * |A| is equivalent to being a basis; the
+    determinant is read at one point.  Membership is a precondition and is
+    not re-verified here.
     """
     if not ops:
         raise ValueError("need at least one operator")
-    order = ops[0].order
-    rank, exponent = saito_counts(arr.dim, order)
+    rank, _ = saito_counts(arr.dim, ops[0].order)
     if len(ops) != rank:
         raise ValueError(f"need exactly {rank} operators, got {len(ops)}")
-    degrees = []
     for op in ops:
         if op.is_zero():
             return False  # dependent tuple
-        degree = op.homogeneous_degree()
-        if degree is None:
+        if op.homogeneous_degree() is None:
             raise ValueError("operators must be homogeneous")
-        degrees.append(degree)
-    if det_poly(coefficient_matrix(ops)).is_zero():
-        return False
-    return sum(degrees) == exponent * len(arr)
+    return bool(_point_constant(ops, arr))

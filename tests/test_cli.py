@@ -176,6 +176,31 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_localize_basis_index_out_of_range_exits_two(capsys, tmp_path):
+    shi = write_json(tmp_path / "shi2.json", make_shi(2).to_json())
+    code, out, err = run_cli(capsys, "localize-basis", "-a", shi, "-m", "1",
+                             "--seed", "9")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "out of range" in err
+
+
+def test_zero_denominator_in_a_form_exits_two(capsys, tmp_path):
+    arr = write_json(tmp_path / "a.json",
+                     {"dim": 2, "forms": [["1", "0"], ["1/0", "1"]]})
+    code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    ops = write_json(tmp_path / "ops.json",
+                     {"dim": 2, "order": 1,
+                      "terms": [{"a": [1, 0], "coef": [[[1, 0], "1/0"]]}]})
+    code, out, err = run_cli(capsys, "check-member", "-a",
+                             write_json(tmp_path / "r.json", RANK2_JSON),
+                             "-o", ops)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_threads_flag_accepted(capsys, tmp_path):
     arr = write_json(tmp_path / "a.json", RANK2_JSON)
     code, out, _ = run_cli(capsys, "--threads", "4", "decide", "-a", arr,

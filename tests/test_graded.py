@@ -274,3 +274,20 @@ def test_decide_localization_filter_holm_q1():
         report = decide_free(arr, order)
         assert report.verdict == NOT_FREE
         assert report.certificate["reason"] == "localization-not-free"
+
+
+def test_decide_braid4_order2_free():
+    report = decide_free(make_named("braid", 4), 2)
+    assert report.verdict == FREE
+    assert report.exponents == (0, 1, 2, 2, 3, 3, 3, 3, 3, 4)
+
+
+def test_decide_hidden_product_order2_free():
+    # x, y, x+y times the boolean arrangement on (x2, x3), then the
+    # coordinate changes x1 -> x1 + x2 and x3 -> x3 + x0 hide the product
+    arr = arr_of(4, ["1", "0", "0", "0"], ["0", "1", "1", "0"],
+                 ["1", "1", "1", "0"], ["0", "0", "1", "0"],
+                 ["1", "0", "0", "1"])
+    report = decide_free(arr, 2)
+    assert report.verdict == FREE
+    assert report.exponents == (1, 1, 2, 2, 2, 2, 2, 2, 3, 3)

@@ -6,13 +6,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from arrdiff.arrangement import Arrangement, make_shi
+from arrdiff.arrangement import Arrangement, arrangement_from_json, make_shi
+from arrdiff.construct import basis_rank_two
+from arrdiff.graded import decide_free
+from arrdiff.linalg import determinant, row_times_matrix
 from arrdiff.membership import shi2_order2_members
 from arrdiff.qpoly import Poly, exact_divide, variables
-from arrdiff.saito import (SaitoVerdict, degree_sum_check, det_poly,
-                           saito_check, saito_counts)
-from arrdiff.weyl import DiffOp, coefficient_matrix, euler_operator
+from arrdiff.saito import (SaitoResult, SaitoVerdict, _point_constant,
+                           degree_sum_check, det_poly, saito_check,
+                           saito_counts)
+from arrdiff.weyl import (DiffOp, change_variables, coefficient_matrix,
+                          euler_operator)
 from tests.test_membership import arr_of, random_poly
 
 RANK2 = arr_of(2, "x", "y", "x+y")
@@ -164,3 +171,94 @@ def test_member_determinants_divisible_by_qt_sample():
         ops = _random_member_pool(rng, RANK2, 2, 3)
         det = det_poly(coefficient_matrix(ops))
         assert exact_divide(det, q ** 2) is not None
+
+
+# ---------------------------------------------------------------------------
+# the point certificate against the symbolic determinant
+
+def symbolic_saito(ops, arr):
+    """The criterion by expanding det M and dividing it exactly by Q^t."""
+    _, exponent = saito_counts(arr.dim, ops[0].order)
+    det = det_poly(coefficient_matrix(ops))
+    quotient = exact_divide(det, arr.defining_polynomial() ** exponent)
+    constant = None if quotient is None else quotient.constant_value()
+    if constant:
+        return SaitoResult(SaitoVerdict.BASIS, constant=constant,
+                           determinant=det, det_over_qt=quotient)
+    return SaitoResult(SaitoVerdict.NOT_PROPORTIONAL, determinant=det,
+                       det_over_qt=quotient)
+
+
+def golden_bases():
+    yield rank2_triple(), RANK2
+    for order in (1, 2, 3):
+        yield [DiffOp.single(1, (order,), Poly.variable(1, 0))], \
+            arr_of(1, "x1")
+    yield ([DiffOp.single(2, a, Poly.one(2))
+            for a in ((2, 0), (1, 1), (0, 2))], Arrangement(2, ()))
+    generic = arr_of(3, "x", "y", "z", "x+y+z")
+    for arr, order in ((RANK2, 0), (RANK2, 1), (RANK2, 2),
+                       (arr_of(2, "x", "y"), 3), (make_shi(2), 1),
+                       (generic, 2)):
+        yield list(decide_free(arr, order).basis), arr
+
+
+def test_point_certificate_matches_symbolic_on_golden_bases():
+    for ops, arr in golden_bases():
+        assert _point_constant(ops, arr) is not None
+        result = saito_check(ops, arr)
+        assert result.verdict is SaitoVerdict.BASIS
+        assert result.to_json() == symbolic_saito(ops, arr).to_json()
+    # the refutation takes the symbolic route and shows det / Q^t
+    shi = make_shi(2)
+    members = shi2_order2_members()
+    assert _point_constant(members, shi) is None
+    assert saito_check(members, shi).to_json() \
+        == symbolic_saito(members, shi).to_json()
+
+
+LINES = [(0, 1)] + [(1, s) for s in range(-3, 4)] + [(2, -1), (2, 3), (3, 1)]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_point_certificate_matches_symbolic_on_random_bases(data):
+    forms = data.draw(st.lists(st.sampled_from(LINES), min_size=1,
+                               max_size=5, unique=True))
+    order = data.draw(st.integers(1, 4))
+    change = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=2,
+                                         max_size=2), min_size=2, max_size=2))
+    change = [[Fraction(c) for c in row] for row in change]
+    assume(determinant(change) != 0)
+    ops = basis_rank_two(arrangement_from_json(
+        {"dim": 2, "forms": [[str(c) for c in form] for form in forms]}),
+        order)
+    # y = R x turns the line a.y = 0 into (a R).x = 0
+    arr = arrangement_from_json({"dim": 2, "forms": [
+        [str(c) for c in row_times_matrix([Fraction(a) for a in form],
+                                          change)]
+        for form in forms]})
+    ops = [change_variables(op, change) for op in ops]
+
+    variant = data.draw(st.sampled_from(["basis", "duplicate", "times-form",
+                                         "combined"]))
+    i = data.draw(st.integers(0, len(ops) - 1))
+    j = data.draw(st.integers(0, len(ops) - 2))
+    j += j >= i  # a second index, different from i
+    if variant == "duplicate":
+        ops[j] = ops[i]
+    elif variant == "times-form":
+        ops[i] = arr.forms[0].to_poly() * ops[i]
+    elif variant == "combined":
+        ops[i] = ops[i] + ops[j]
+
+    result = saito_check(ops, arr)
+    assert result.to_json() == symbolic_saito(ops, arr).to_json()
+    if variant == "basis":
+        assert _point_constant(ops, arr) is not None
+        assert result.verdict is SaitoVerdict.BASIS
+    elif variant == "duplicate":
+        assert result.verdict is SaitoVerdict.NOT_PROPORTIONAL
+        assert result.determinant.is_zero() and result.det_over_qt.is_zero()
+    elif variant == "times-form":
+        assert result.verdict is SaitoVerdict.NOT_PROPORTIONAL
