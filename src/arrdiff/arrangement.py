@@ -231,7 +231,8 @@ def decompose(arr: Arrangement) -> Decomposition:
         if i in basis_set:
             continue
         coeffs = solve_in_row_space(basis_vectors, vectors[i])
-        assert coeffs is not None  # the basis spans every normal
+        if coeffs is None:
+            raise RuntimeError("the matroid basis does not span a normal")
         for j, c in zip(basis_indices, coeffs):
             if c:
                 union(i, j)
@@ -251,7 +252,8 @@ def decompose(arr: Arrangement) -> Decomposition:
             if block_basis.add(vectors[i]):
                 new_rows.append(list(vectors[i]))
         blocks.append((start, len(new_rows) - start))
-    assert len(new_rows) == rank  # component ranks are additive
+    if len(new_rows) != rank:
+        raise RuntimeError("component ranks do not add up to the rank")
 
     extension = RowBasis(dim)
     for row in new_rows:
@@ -262,14 +264,16 @@ def decompose(arr: Arrangement) -> Decomposition:
             new_rows.append(unit)
     change = new_rows
     inverse = invert(change)
-    assert inverse is not None
+    if inverse is None:
+        raise RuntimeError("adapted coordinates are not invertible")
 
     factors = []
     for component, (start, size) in zip(components, blocks):
         local_forms = []
         for i in component:
             coords = row_times_matrix(vectors[i], inverse)
-            assert not any(coords[:start]) and not any(coords[start + size:])
+            if any(coords[:start]) or any(coords[start + size:]):
+                raise RuntimeError("a form leaves its component's block")
             local_forms.append(LinearForm(coords[start:start + size]))
         factors.append(Factor(Arrangement(size, local_forms),
                               tuple(range(start, start + size))))

@@ -51,12 +51,14 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
         k = 1 if alpha[0] else 0
         change = [alpha, [Fraction(1 if j == k else 0) for j in range(2)]]
     inverse = invert(change)
-    assert inverse is not None
+    if inverse is None:
+        raise RuntimeError("rank-2 change of coordinates is singular")
 
     slopes: list[Fraction] = []
     for form in arr.forms[1:]:
         coords = row_times_matrix(list(form.coefficients), inverse)
-        assert coords[1]  # distinct lines keep a y component
+        if not coords[1]:
+            raise RuntimeError("a line lost its y component")
         slopes.append(coords[0] / coords[1])
 
     x, y = variables(2)
@@ -164,7 +166,8 @@ def find_flat_point(arr: Arrangement, flat: FlatRef) -> list[Fraction]:
             q_outside = q_outside * form.to_poly()
     directions = nullspace_basis([list(arr.forms[i].coefficients)
                                   for i in sorted(flat.generators)], arr.dim)
-    assert len(directions) == arr.dim - flat.rank
+    if len(directions) != arr.dim - flat.rank:
+        raise RuntimeError("flat directions do not match the flat's rank")
     for radius in range(51):
         shell = [c for c in iter_product(range(-radius, radius + 1),
                                          repeat=len(directions))

@@ -1,10 +1,13 @@
 """Exact Gaussian elimination over the rationals.
 
-Dense rank, reduced row echelon form, determinants, nullspace bases,
-matrix inversion, and an incremental row-space tracker.  Everything works
-on lists of :class:`fractions.Fraction` and is fully deterministic: pivots
-are always the first nonzero entry scanning rows top-down and columns
-left-right.
+One elimination routine, :class:`RowBasis`, keeps a row space as sparse
+rows (column -> nonzero :class:`fractions.Fraction`) that stay fully
+reduced: each row has a unit pivot, and no other row has an entry in a
+pivot column.  Nullspace bases, matrix inversion and row-space solving
+all read their answers off it.  The stored rows are the reduced row
+echelon form of what was inserted, which is unique, so results do not
+depend on insertion order.  Square determinants use their own dense
+elimination.  Inputs and outputs are dense sequences.
 """
 
 from __future__ import annotations
@@ -14,92 +17,71 @@ from typing import Iterable, Sequence
 
 Vector = list[Fraction]
 Matrix = list[Vector]
+SparseRow = dict[int, Fraction]
 
 
-def _copy(rows: Iterable[Sequence[Fraction]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _subtract(row: SparseRow, factor: Fraction, other: SparseRow) -> None:
+    """row -= factor * other, dropping the entries that become zero."""
+    for j, x in other.items():
+        value = row.get(j, 0) - factor * x
+        if value:
+            row[j] = value
+        else:
+            del row[j]
 
 
 class RowBasis:
-    """Incrementally maintained echelon basis of a growing row space.
+    """Incrementally maintained, fully reduced basis of a growing row space.
 
-    Rows are stored reduced against each other, each scaled to a unit
-    pivot, so membership and rank queries are exact and cheap.
+    Since every pivot column is cleared from every other row, reducing a
+    vector takes one pass over the pivot columns where it is nonzero:
+    subtracting a stored row never brings in another pivot column.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: dict[int, Vector] = {}  # pivot column -> reduced row
+        self._rows: dict[int, SparseRow] = {}  # pivot column -> reduced row
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def residual(self, vector: Sequence[Fraction]) -> Vector:
-        """Reduce a vector against the stored rows (returns a copy)."""
+    def _reduce(self, vector: Sequence[Fraction]) -> SparseRow:
         if len(vector) != self.ncols:
             raise ValueError("vector length mismatch")
-        vec = [Fraction(x) for x in vector]
-        for col, row in self._rows.items():
-            factor = vec[col]
-            if factor:
-                for j in range(col, self.ncols):
-                    vec[j] -= factor * row[j]
+        vec = {j: x if isinstance(x, Fraction) else Fraction(x)
+               for j, x in enumerate(vector) if x}
+        for col in [c for c in vec if c in self._rows]:
+            _subtract(vec, vec[col], self._rows[col])
         return vec
 
+    def residual(self, vector: Sequence[Fraction]) -> Vector:
+        """Reduce a vector against the stored rows (returns a copy)."""
+        vec = self._reduce(vector)
+        return [vec.get(j, Fraction(0)) for j in range(self.ncols)]
+
     def contains(self, vector: Sequence[Fraction]) -> bool:
-        return not any(self.residual(vector))
+        return not self._reduce(vector)
 
     def add(self, vector: Sequence[Fraction]) -> bool:
         """Insert a vector; True iff it enlarged the row space."""
-        vec = self.residual(vector)
-        pivot = next((j for j, x in enumerate(vec) if x), None)
-        if pivot is None:
+        vec = self._reduce(vector)
+        if not vec:
             return False
+        pivot = min(vec)
         lead = vec[pivot]
-        vec = [x / lead for x in vec]
+        if lead != 1:
+            vec = {j: x / lead for j, x in vec.items()}
         for row in self._rows.values():
-            factor = row[pivot]
-            if factor:
-                for j in range(pivot, self.ncols):
-                    row[j] -= factor * vec[j]
+            if pivot in row:
+                _subtract(row, row[pivot], vec)
         self._rows[pivot] = vec
         return True
 
 
-def rank_of(rows: Iterable[Sequence[Fraction]], ncols: int) -> int:
-    basis = RowBasis(ncols)
-    for row in rows:
-        basis.add(row)
-    return basis.rank
-
-
-def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    m = _copy(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square matrix by Gaussian elimination."""
-    m = _copy(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
@@ -120,6 +102,13 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
+def _row_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> RowBasis:
+    basis = RowBasis(ncols)
+    for row in rows:
+        basis.add(row)
+    return basis
+
+
 def nullspace_basis(rows: Iterable[Sequence[Fraction]],
                     ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right nullspace, one vector per free column.
@@ -127,18 +116,17 @@ def nullspace_basis(rows: Iterable[Sequence[Fraction]],
     Each basis vector carries a 1 in its free column, so the output is
     canonical for a fixed constraint matrix.
     """
-    reduced, pivots = rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
+    reduced = _row_basis(rows, ncols)._rows
+    vectors = {}
     for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -reduced[i][free]
-        basis.append(tuple(vec))
-    return basis
+        if free not in reduced:
+            vectors[free] = [Fraction(0)] * ncols
+            vectors[free][free] = Fraction(1)
+    for pivot, row in reduced.items():
+        for j, x in row.items():
+            if j != pivot:  # every other entry lies in a free column
+                vectors[j][pivot] = -x
+    return [tuple(vec) for vec in vectors.values()]
 
 
 def solve_in_row_space(basis_rows: Sequence[Sequence[Fraction]],
@@ -150,16 +138,15 @@ def solve_in_row_space(basis_rows: Sequence[Sequence[Fraction]],
     """
     if not basis_rows:
         return [] if not any(target) else None
-    ncols = len(target)
-    # transpose system: one equation per column, one unknown per basis row
-    augmented = [[Fraction(row[j]) for row in basis_rows] + [Fraction(target[j])]
-                 for j in range(ncols)]
-    reduced, pivots = rref(augmented, len(basis_rows) + 1)
-    if len(basis_rows) in pivots:  # pivot in the augmented column
+    k = len(basis_rows)
+    # transposed system: one equation per column, one unknown per basis row
+    reduced = _row_basis(([row[j] for row in basis_rows] + [target[j]]
+                          for j in range(len(target))), k + 1)._rows
+    if k in reduced:  # pivot in the augmented column
         return None
-    solution = [Fraction(0)] * len(basis_rows)
-    for i, pc in enumerate(pivots):
-        solution[pc] = reduced[i][len(basis_rows)]
+    solution = [Fraction(0)] * k
+    for pivot, row in reduced.items():
+        solution[pivot] = row.get(k, Fraction(0))
     return solution
 
 
@@ -168,19 +155,13 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix | None:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
-    m = [[Fraction(x) for x in row] +
-         [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    reduced, pivots = rref(m, 2 * n)
-    if pivots[:n] != list(range(n)):
+    # [M | I] reduces to [I | M^-1] exactly when M is invertible
+    reduced = _row_basis((list(row) + [1 if i == j else 0 for j in range(n)]
+                          for i, row in enumerate(rows)), 2 * n)._rows
+    if any(i not in reduced for i in range(n)):
         return None
-    return [row[n:] for row in reduced[:n]]
-
-
-def mat_vec(rows: Sequence[Sequence[Fraction]],
-            vector: Sequence[Fraction]) -> Vector:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vector)),
-                Fraction(0)) for row in rows]
+    return [[reduced[i].get(n + j, Fraction(0)) for j in range(n)]
+            for i in range(n)]
 
 
 def row_times_matrix(vector: Sequence[Fraction],

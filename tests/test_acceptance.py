@@ -2,16 +2,12 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.  Everything is exact; the only tolerances are wall-clock budgets.
-The long optional check is marked slow and excluded from the default run
-(`pytest -m slow` opts in).
 """
 
 from __future__ import annotations
 
 import random
 import time
-
-import pytest
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  make_named, make_shi, product)
@@ -248,9 +244,8 @@ def test_criterion_10d_weyl_relations():
         print(f"    relations on {checked} polynomials", end=" ")
 
 
-@pytest.mark.slow
 def test_criterion_11_shi2_order3_free():
-    with budget("11 (optional): Shi-2 is free at order 3", 600.0):
+    with budget("11: Shi-2 is free at order 3", 600.0):
         start = time.perf_counter()
         report = decide_free(make_shi(2), 3)
         elapsed = time.perf_counter() - start

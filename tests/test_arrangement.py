@@ -14,8 +14,9 @@ import pytest
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  decompose, flat_closure, is_generic,
                                  localize, make_named, make_shi, product)
-from arrdiff.linalg import rank_of, row_times_matrix
+from arrdiff.linalg import row_times_matrix
 from arrdiff.qpoly import LinearForm, Poly, variables
+from tests.test_linalg import rank_of
 
 
 def arr_of(dim, *texts):

@@ -1,25 +1,196 @@
-"""Exact linear algebra helpers."""
+"""Exact linear algebra helpers.
+
+The differential tests compare the sparse :class:`RowBasis` routines with
+a small dense Gauss-Jordan reference kept here.
+"""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from arrdiff.linalg import (RowBasis, invert, mat_vec, nullspace_basis,
-                            rank_of, row_times_matrix, rref,
-                            solve_in_row_space)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arrdiff.linalg import (RowBasis, invert, nullspace_basis,
+                            row_times_matrix, solve_in_row_space)
 
 
 def frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+# ---------------------------------------------------------------------------
+# dense reference
+
+def reference_rref(rows, ncols):
+    """Dense Gauss-Jordan; returns (nonzero reduced rows, pivot columns)."""
+    m = frac_rows(rows)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def rank_of(rows, ncols):
+    return len(reference_rref(rows, ncols)[1])
+
+
+def mat_vec(rows, vector):
+    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vector)),
+                Fraction(0)) for row in rows]
+
+
+def reference_nullspace(rows, ncols):
+    reduced, pivots = reference_rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def reference_invert(rows):
+    n = len(rows)
+    augmented = [list(row) + [1 if i == j else 0 for j in range(n)]
+                 for i, row in enumerate(rows)]
+    reduced, pivots = reference_rref(augmented, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced[:n]]
+
+
+def reference_solve(basis_rows, target):
+    k = len(basis_rows)
+    if not k:
+        return [] if not any(target) else None
+    augmented = [[row[j] for row in basis_rows] + [target[j]]
+                 for j in range(len(target))]
+    reduced, pivots = reference_rref(augmented, k + 1)
+    if k in pivots:
+        return None
+    solution = [Fraction(0)] * k
+    for row, pc in zip(reduced, pivots):
+        solution[pc] = row[k]
+    return solution
+
+
+# ---------------------------------------------------------------------------
+# sparse rational matrices with zero, duplicate and scaled rows
+
+NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
+    bool)
+ENTRIES = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), NONZERO)
+
+
+@st.composite
+def sparse_rows(draw, ncols, min_rows=0, max_rows=6):
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         min_size=min_rows, max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "scaled"]))
+        if kind == "zero" or not rows:
+            extra = [Fraction(0)] * ncols
+        else:
+            scale = Fraction(1) if kind == "duplicate" else draw(NONZERO)
+            extra = [scale * x for x in draw(st.sampled_from(rows))]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@st.composite
+def sparse_matrices(draw, max_cols=7):
+    ncols = draw(st.integers(1, max_cols))
+    return ncols, draw(sparse_rows(ncols))
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    n = draw(st.integers(0, max_n))
+    rows = draw(sparse_rows(n, min_rows=n, max_rows=n))[:n]
+    if draw(st.booleans()):  # a nonzero diagonal makes most of these regular
+        for i in range(n):
+            rows[i][i] += draw(NONZERO)
+    return rows
+
+
+@given(sparse_matrices())
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_dense_reference(case):
+    ncols, rows = case
+    assert nullspace_basis(rows, ncols) == reference_nullspace(rows, ncols)
+
+
+@given(square_matrices())
+@settings(max_examples=100, deadline=None)
+def test_invert_matches_dense_reference(rows):
+    assert invert(rows) == reference_invert(rows)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_solve_in_row_space_matches_dense_reference(data):
+    ncols, rows = data.draw(sparse_matrices())
+    independent = []
+    for row in rows:
+        if rank_of(independent + [row], ncols) > len(independent):
+            independent.append(row)
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(ENTRIES, min_size=len(independent),
+                                    max_size=len(independent)))
+        target = row_times_matrix(coeffs, independent) if independent \
+            else [Fraction(0)] * ncols
+    else:
+        target = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    assert solve_in_row_space(independent, target) \
+        == reference_solve(independent, target)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_row_basis_invariants_match_dense_reference(data):
+    ncols, rows = data.draw(sparse_matrices())
+    basis = RowBasis(ncols)
+    for row in rows:
+        before = basis.rank
+        assert basis.add(row) == (basis.rank == before + 1)
+    assert basis.rank == rank_of(rows, ncols)
+    for row in rows:
+        assert basis.contains(row)
+    if rows:
+        coeffs = data.draw(st.lists(ENTRIES, min_size=len(rows),
+                                    max_size=len(rows)))
+        assert basis.residual(row_times_matrix(coeffs, rows)) \
+            == [Fraction(0)] * ncols
+
+
+# ---------------------------------------------------------------------------
+# fixed cases
+
 def test_rank_and_rref():
     rows = frac_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert rank_of(rows, 3) == 2
-    reduced, pivots = rref(rows, 3)
-    assert pivots == [0, 1]
-    assert reduced == frac_rows([[1, 0, 1], [0, 1, 1]])
+    basis = RowBasis(3)
+    assert [basis.add(row) for row in rows] == [True, False, True]
+    assert basis.rank == 2
+    # the reduced rows are (1, 0, 1) and (0, 1, 1)
+    assert basis.residual(frac_rows([[5, 7, 0]])[0]) \
+        == frac_rows([[0, 0, -12]])[0]
+    assert nullspace_basis(rows, 3) == [tuple(frac_rows([[-1, -1, 1]])[0])]
 
 
 def test_nullspace_annihilates_and_counts():
