@@ -113,13 +113,16 @@ def flat_closure(arr: Arrangement, seed: Iterable[int]) -> FlatRef:
     return FlatRef(generators=members, rank=rank)
 
 
-def localize(arr: Arrangement, flat: FlatRef) -> Arrangement:
+def localize(arr: Arrangement, flat: FlatRef, *,
+             check: bool = True) -> Arrangement:
     """Subarrangement of the hyperplanes containing a flat.
 
     The ambient dimension is unchanged.  The flat must be closed in this
-    arrangement (i.e. produced by :func:`flat_closure` on it).
+    arrangement (i.e. produced by :func:`flat_closure` on it); that is
+    re-checked unless ``check`` is false, which is for a flat that
+    :func:`flat_closure` has just returned.
     """
-    if flat_closure(arr, flat.generators) != flat:
+    if check and flat_closure(arr, flat.generators) != flat:
         raise ValueError("flat is not closed in this arrangement")
     return Arrangement(arr.dim, [arr.forms[i] for i in sorted(flat.generators)])
 

@@ -415,9 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arrdiff",
         description="Exact computations with central hyperplane arrangements "
                     "and their modules of higher-order differential operators.")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads (accepted for compatibility; "
-                             "execution is currently sequential)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="emit a named arrangement as JSON")
@@ -507,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     try:
         return args.handler(args)
     except InputError as exc:

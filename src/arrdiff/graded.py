@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .arrangement import (Arrangement, Decomposition, decompose, flat_closure,
                           is_generic, localize)
-from .linalg import RowBasis, nullspace_basis
+from .linalg import Rational, RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
                     monomial_exponents, term_order_key)
 from .saito import saito_check, saito_counts
@@ -81,13 +81,42 @@ def _vector_to_operator(vec: Sequence[Fraction], dim: int, order: int,
     return DiffOp(dim, order, coeffs)
 
 
+def _reduction_table(coeffs: Sequence[Rational], pivot: int,
+                     mons: Sequence[MultiIndex]
+                     ) -> list[list[tuple[MultiIndex, Rational]]]:
+    """The terms of reduce(x^mu) modulo a form, for each mu in mons.
+
+    The form has the given coefficients and a unit coefficient at the
+    pivot.  Reduction substitutes r = -(the form without its pivot term)
+    for the pivot variable, so reduce(x^mu) = x^(mu with the pivot set to
+    0) * r^(mu_pivot); the powers of r are built once.
+    """
+    dim = len(coeffs)
+    r = {mi_unit(dim, j): -c for j, c in enumerate(coeffs)
+         if j != pivot and c}
+    powers: list[dict[MultiIndex, Rational]] = [{(0,) * dim: 1}]
+    for _ in range(max((mu[pivot] for mu in mons), default=0)):
+        power: dict[MultiIndex, Rational] = {}
+        for e, c in powers[-1].items():
+            for f, rc in r.items():
+                key = mi_add(e, f)
+                power[key] = power.get(key, 0) + c * rc
+        powers.append({e: c for e, c in power.items() if c})
+    table = []
+    for mu in mons:
+        base = mu[:pivot] + (0,) + mu[pivot + 1:]
+        table.append([(mi_add(base, e), c)
+                      for e, c in powers[mu[pivot]].items()])
+    return table
+
+
 def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     """Compute one graded piece by exact nullspace extraction.
 
     Unknowns are the coefficients of each polynomial entry (one degree-d
     monomial each); every (hyperplane, degree-(m-1) exponent) pair
     contributes the linear equations that make the image polynomial vanish
-    modulo the hyperplane's form.
+    modulo the hyperplane's form.  Each equation is a sparse row.
     """
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be nonnegative")
@@ -97,33 +126,32 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     ncols = len(omega) * len(mons)
     omega_index = {a: i for i, a in enumerate(omega)}
 
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Rational]] = []
     for form in arr.forms:
-        reduced = {mu: list(form.reduce(Poly.monomial(dim, mu)).terms())
-                   for mu in mons}
+        # integral coefficients as ints keep integral forms off Fraction
+        # arithmetic; the rows have the same values either way
+        coeffs = [c.numerator if c.denominator == 1 else c
+                  for c in form.coefficients]
+        reduced = _reduction_table(coeffs, form.pivot, mons)
         for b in monomial_exponents(dim, order - 1):
             # image of form * x^b: only the entries at exponents b + e_j
             # act, each through the scalar coefficient * (b + e_j)!
-            cells: dict[MultiIndex, dict[int, Fraction]] = {}
-            for j, c in enumerate(form.coefficients):
+            cells: dict[MultiIndex, dict[int, Rational]] = {}
+            for j, c in enumerate(coeffs):
                 if not c:
                     continue
                 a = mi_add(b, mi_unit(dim, j))
                 scale = c * mi_factorial(a)
                 base = omega_index[a] * len(mons)
-                for mi, mu in enumerate(mons):
-                    for nu, rc in reduced[mu]:
+                for mi, terms in enumerate(reduced):
+                    col = base + mi
+                    for nu, rc in terms:
                         cell = cells.setdefault(nu, {})
-                        cell[base + mi] = cell.get(base + mi,
-                                                   Fraction(0)) + scale * rc
+                        cell[col] = cell.get(col, 0) + scale * rc
             for nu in sorted(cells, key=term_order_key, reverse=True):
-                entries = cells[nu]
-                if not any(entries.values()):
-                    continue
-                row = [Fraction(0)] * ncols
-                for col, value in entries.items():
-                    row[col] = value
-                rows.append(row)
+                row = {col: x for col, x in cells[nu].items() if x}
+                if row:
+                    rows.append(row)
 
     basis = nullspace_basis(rows, ncols)
     ops = tuple(_vector_to_operator(vec, dim, order, degree) for vec in basis)
@@ -519,7 +547,7 @@ def _localization_filter(arr: Arrangement, order: int,
             if flat.generators in seen or len(flat.generators) == n:
                 continue
             seen.add(flat.generators)
-            sub = localize(arr, flat)
+            sub = localize(arr, flat, check=False)
             status, detail = _quick_free_status(sub, order)
             if status is False:
                 return {

@@ -1,33 +1,55 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact Gaussian elimination over the rationals, run on integers.
 
 One elimination routine, :class:`RowBasis`, keeps a row space as sparse
-rows (column -> nonzero :class:`fractions.Fraction`) that stay fully
-reduced: each row has a unit pivot, and no other row has an entry in a
-pivot column.  Nullspace bases, matrix inversion and row-space solving
-all read their answers off it.  The stored rows are the reduced row
-echelon form of what was inserted, which is unique, so results do not
-depend on insertion order.  Square determinants use their own dense
-elimination.  Inputs and outputs are dense sequences.
+integer rows (column -> nonzero ``int``) that stay fully reduced: no row
+has an entry in another row's pivot column.  It is fraction-free (Bareiss,
+Math. Comp. 22, 1968): an incoming rational vector has its denominators
+cleared once, rows are combined by integer cross-multiplication, and each
+stored row is divided by the gcd of its entries and has a positive pivot.
+A stored row is thus the unique primitive positive multiple of the
+corresponding row of the reduced row echelon form of what was inserted,
+so results do not depend on insertion order.  Nullspace bases, matrix
+inversion and row-space solving read their answers off the stored rows,
+dividing by the pivot only there, so they are the exact rational answers.
+Square determinants use their own dense elimination.  Vectors go in as
+dense sequences or as sparse dicts from column to rational; results come
+out as dense sequences of :class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
+Rational = int | Fraction
 Vector = list[Fraction]
 Matrix = list[Vector]
-SparseRow = dict[int, Fraction]
+SparseRow = dict[int, Rational]
+IntRow = dict[int, int]
 
 
-def _subtract(row: SparseRow, factor: Fraction, other: SparseRow) -> None:
-    """row -= factor * other, dropping the entries that become zero."""
+def _combine(row: IntRow, a: int, b: int, other: IntRow) -> None:
+    """row = a * row - b * other, dropping the entries that become zero."""
+    if a != 1:
+        for j in row:
+            row[j] *= a
     for j, x in other.items():
-        value = row.get(j, 0) - factor * x
+        value = row.get(j, 0) - b * x
         if value:
             row[j] = value
         else:
             del row[j]
+
+
+def _make_primitive(row: IntRow, pivot: int) -> None:
+    """Divide a row by the gcd of its entries, making its pivot positive."""
+    g = gcd(*row.values())
+    if row[pivot] < 0:
+        g = -g
+    if g != 1:
+        for j in row:
+            row[j] //= g
 
 
 class RowBasis:
@@ -35,46 +57,61 @@ class RowBasis:
 
     Since every pivot column is cleared from every other row, reducing a
     vector takes one pass over the pivot columns where it is nonzero:
-    subtracting a stored row never brings in another pivot column.
+    combining with a stored row never brings in another pivot column.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self._rows: dict[int, SparseRow] = {}  # pivot column -> reduced row
+        self._rows: dict[int, IntRow] = {}  # pivot column -> primitive row
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vector: Sequence[Fraction]) -> SparseRow:
-        if len(vector) != self.ncols:
-            raise ValueError("vector length mismatch")
-        vec = {j: x if isinstance(x, Fraction) else Fraction(x)
-               for j, x in enumerate(vector) if x}
+    def _reduce(self, vector: Sequence[Rational] | SparseRow
+                ) -> tuple[IntRow, int]:
+        """(w, s) with w / s the vector reduced against the stored rows."""
+        if isinstance(vector, dict):
+            entries = [(j, x) for j, x in vector.items() if x]
+            if any(not 0 <= j < self.ncols for j, _ in entries):
+                raise ValueError("column index out of range")
+        else:
+            if len(vector) != self.ncols:
+                raise ValueError("vector length mismatch")
+            entries = [(j, x) for j, x in enumerate(vector) if x]
+        scale = lcm(*(x.denominator for _, x in entries))
+        vec = {j: x.numerator * (scale // x.denominator) for j, x in entries}
         for col in [c for c in vec if c in self._rows]:
-            _subtract(vec, vec[col], self._rows[col])
-        return vec
+            row = self._rows[col]
+            p, x = row[col], vec[col]
+            g = gcd(p, x)
+            _combine(vec, p // g, x // g, row)
+            scale *= p // g
+        return vec, scale
 
-    def residual(self, vector: Sequence[Fraction]) -> Vector:
+    def residual(self, vector: Sequence[Rational] | SparseRow) -> Vector:
         """Reduce a vector against the stored rows (returns a copy)."""
-        vec = self._reduce(vector)
-        return [vec.get(j, Fraction(0)) for j in range(self.ncols)]
+        vec, scale = self._reduce(vector)
+        return [Fraction(vec[j], scale) if j in vec else Fraction(0)
+                for j in range(self.ncols)]
 
-    def contains(self, vector: Sequence[Fraction]) -> bool:
-        return not self._reduce(vector)
+    def contains(self, vector: Sequence[Rational] | SparseRow) -> bool:
+        return not self._reduce(vector)[0]
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
+    def add(self, vector: Sequence[Rational] | SparseRow) -> bool:
         """Insert a vector; True iff it enlarged the row space."""
-        vec = self._reduce(vector)
+        vec, _ = self._reduce(vector)
         if not vec:
             return False
         pivot = min(vec)
-        lead = vec[pivot]
-        if lead != 1:
-            vec = {j: x / lead for j, x in vec.items()}
-        for row in self._rows.values():
+        _make_primitive(vec, pivot)
+        p = vec[pivot]
+        for col, row in self._rows.items():
             if pivot in row:
-                _subtract(row, row[pivot], vec)
+                x = row[pivot]
+                g = gcd(p, x)
+                _combine(row, p // g, x // g, vec)
+                _make_primitive(row, col)
         self._rows[pivot] = vec
         return True
 
@@ -102,14 +139,15 @@ def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     return det
 
 
-def _row_basis(rows: Iterable[Sequence[Fraction]], ncols: int) -> RowBasis:
+def _row_basis(rows: Iterable[Sequence[Rational] | SparseRow],
+               ncols: int) -> RowBasis:
     basis = RowBasis(ncols)
     for row in rows:
         basis.add(row)
     return basis
 
 
-def nullspace_basis(rows: Iterable[Sequence[Fraction]],
+def nullspace_basis(rows: Iterable[Sequence[Rational] | SparseRow],
                     ncols: int) -> list[tuple[Fraction, ...]]:
     """Basis of the right nullspace, one vector per free column.
 
@@ -123,9 +161,10 @@ def nullspace_basis(rows: Iterable[Sequence[Fraction]],
             vectors[free] = [Fraction(0)] * ncols
             vectors[free][free] = Fraction(1)
     for pivot, row in reduced.items():
+        p = row[pivot]
         for j, x in row.items():
             if j != pivot:  # every other entry lies in a free column
-                vectors[j][pivot] = -x
+                vectors[j][pivot] = Fraction(-x, p)
     return [tuple(vec) for vec in vectors.values()]
 
 
@@ -146,7 +185,7 @@ def solve_in_row_space(basis_rows: Sequence[Sequence[Fraction]],
         return None
     solution = [Fraction(0)] * k
     for pivot, row in reduced.items():
-        solution[pivot] = row.get(k, Fraction(0))
+        solution[pivot] = Fraction(row.get(k, 0), row[pivot])
     return solution
 
 
@@ -160,8 +199,8 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix | None:
                           for i, row in enumerate(rows)), 2 * n)._rows
     if any(i not in reduced for i in range(n)):
         return None
-    return [[reduced[i].get(n + j, Fraction(0)) for j in range(n)]
-            for i in range(n)]
+    return [[Fraction(reduced[i].get(n + j, 0), reduced[i][i])
+             for j in range(n)] for i in range(n)]
 
 
 def row_times_matrix(vector: Sequence[Fraction],

@@ -112,13 +112,37 @@ class SaitoVerdict(Enum):
     NOT_MEMBERS = "not-members"
 
 
+class _Deferred:
+    """Dataclass field that may be given a zero-argument function instead
+    of its value; the first read calls the function and keeps the value."""
+
+    def __set_name__(self, owner, name):
+        self._key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the field's default
+        value = obj.__dict__[self._key]
+        if callable(value):
+            value = obj.__dict__[self._key] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self._key] = value
+
+
 @dataclass(frozen=True)
 class SaitoResult:
-    """Outcome of the basis check, with enough data to audit it."""
+    """Outcome of the basis check, with enough data to audit it.
+
+    A basis certified at one point gets its determinant c * Q^t only when
+    ``determinant`` is read (or serialized): expanding Q^t can cost more
+    than the certificate itself.
+    """
 
     verdict: SaitoVerdict
     constant: Fraction | None = None
-    determinant: Poly | None = None
+    determinant: Poly | None = _Deferred()
     det_over_qt: Poly | None = None
     failing_operator: int | None = None
     witness: MembershipWitness | None = None
@@ -192,18 +216,21 @@ def saito_check(ops: Sequence[DiffOp], arr: Arrangement) -> SaitoResult:
         if not result:
             return SaitoResult(SaitoVerdict.NOT_MEMBERS,
                                failing_operator=i, witness=result.witness)
+
+    def qt() -> Poly:
+        return arr.defining_polynomial() ** exponent
+
     constant = _point_constant(ops, arr)
     if constant == 0:
         zero = Poly.zero(arr.dim)
         return SaitoResult(SaitoVerdict.NOT_PROPORTIONAL,
                            determinant=zero, det_over_qt=zero)
-    qt = arr.defining_polynomial() ** exponent
     if constant is not None:
         return SaitoResult(SaitoVerdict.BASIS, constant=constant,
-                           determinant=constant * qt,
+                           determinant=lambda: constant * qt(),
                            det_over_qt=Poly.constant(arr.dim, constant))
     det = det_poly(coefficient_matrix(ops))
-    quotient = exact_divide(det, qt)
+    quotient = exact_divide(det, qt())
     if quotient is not None:
         constant = quotient.constant_value()
         if constant:

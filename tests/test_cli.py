@@ -201,13 +201,6 @@ def test_zero_denominator_in_a_form_exits_two(capsys, tmp_path):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_threads_flag_accepted(capsys, tmp_path):
-    arr = write_json(tmp_path / "a.json", RANK2_JSON)
-    code, out, _ = run_cli(capsys, "--threads", "4", "decide", "-a", arr,
-                           "-m", "1")
-    assert code == 0 and json.loads(out)["verdict"] == "FREE"
-
-
 def test_json_outputs_reparse_to_equal_values(capsys, tmp_path):
     arr_path = write_json(tmp_path / "a.json", make_shi(2).to_json())
     code, out, _ = run_cli(capsys, "gen", "shi", "2")

@@ -7,15 +7,22 @@ constraints through the operator action, without the solver's indexing.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from arrdiff.arrangement import Arrangement, arrangement_from_json, make_named, make_shi
 from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, decide_free,
                             graded_dimension, minimal_generators,
                             operator_vector, vanishing_quick_checks)
 from arrdiff.linalg import RowBasis, nullspace_basis
 from arrdiff.membership import is_member
-from arrdiff.qpoly import Poly, monomial_exponents, variables
+from arrdiff.qpoly import (LinearForm, Poly, mi_add, mi_factorial, mi_unit,
+                           monomial_exponents, term_order_key, variables)
 from arrdiff.saito import saito_check, saito_counts
 from arrdiff.weyl import DiffOp, euler_operator
+from tests.test_linalg import reference_nullspace
 
 
 def arr_of(dim, *texts):
@@ -42,6 +49,60 @@ def oracle_graded_dimension(arr, order, degree):
             for nu in monomials:
                 rows.append([img.coefficient(nu) for img in images])
     return len(nullspace_basis(rows, len(candidates)))
+
+
+def reference_graded_vectors(arr, order, degree):
+    """The graded piece as coefficient vectors, by the direct construction.
+
+    Reduces every monomial with ``form.reduce``, builds dense constraint
+    rows and solves them with the dense Gauss-Jordan reference.
+    """
+    dim = arr.dim
+    omega = monomial_exponents(dim, order)
+    mons = monomial_exponents(dim, degree)
+    ncols = len(omega) * len(mons)
+    omega_index = {a: i for i, a in enumerate(omega)}
+    rows = []
+    for form in arr.forms:
+        reduced = {mu: list(form.reduce(Poly.monomial(dim, mu)).terms())
+                   for mu in mons}
+        for b in monomial_exponents(dim, order - 1):
+            cells = {}
+            for j, c in enumerate(form.coefficients):
+                if not c:
+                    continue
+                a = mi_add(b, mi_unit(dim, j))
+                base = omega_index[a] * len(mons)
+                for mi, mu in enumerate(mons):
+                    for nu, rc in reduced[mu]:
+                        cell = cells.setdefault(nu, [Fraction(0)] * ncols)
+                        cell[base + mi] += c * mi_factorial(a) * rc
+            rows += [cells[nu] for nu in sorted(cells, key=term_order_key,
+                                                reverse=True)
+                     if any(cells[nu])]
+    return reference_nullspace(rows, ncols)
+
+
+@st.composite
+def small_arrangements(draw):
+    """Up to 5 distinct forms in dim 2-3; their normalised coefficients
+    have denominators whenever the first nonzero entry is not +-1."""
+    dim = draw(st.integers(2, 3))
+    vectors = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any),
+        min_size=1, max_size=5))
+    forms = list(dict.fromkeys(LinearForm(v) for v in vectors))
+    return Arrangement(dim, forms)
+
+
+@given(small_arrangements(), st.integers(0, 2), st.integers(0, 3))
+@example(Arrangement(3, [LinearForm([2, 3, 0]), LinearForm([0, 5, 7]),
+                         LinearForm([3, 0, 1])]), 2, 3)
+@settings(max_examples=60, deadline=None)
+def test_graded_dimension_matches_dense_reference(arr, order, degree):
+    piece = graded_dimension(arr, order, degree)
+    assert [tuple(operator_vector(op, degree)) for op in piece.operators] \
+        == reference_graded_vectors(arr, order, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -291,3 +352,18 @@ def test_decide_hidden_product_order2_free():
     report = decide_free(arr, 2)
     assert report.verdict == FREE
     assert report.exponents == (1, 1, 2, 2, 2, 2, 2, 2, 3, 3)
+
+
+def test_decide_shi2_invariant_under_rescaling():
+    # x1 -> 2 x1, x2 -> 3 x2: the normalised forms get denominators
+    scaled = Arrangement(3, [LinearForm([2 * c[0], 3 * c[1], c[2]])
+                             for c in (f.coefficients
+                                       for f in make_shi(2).forms)])
+    assert any(c.denominator > 1 for f in scaled.forms
+               for c in f.coefficients)
+    for order in (2, 3):
+        plain, rescaled = decide_free(make_shi(2), order), \
+            decide_free(scaled, order)
+        assert (rescaled.verdict, rescaled.exponents,
+                rescaled.degrees_examined) \
+            == (plain.verdict, plain.exponents, plain.degrees_examined)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -96,11 +97,18 @@ def reference_solve(basis_rows, target):
 NONZERO = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(
     bool)
 ENTRIES = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), NONZERO)
+# large numerators and denominators, so that clearing denominators (lcm)
+# and making rows primitive (gcd) have real work to do
+LARGE = st.one_of(
+    st.just(Fraction(10 ** 20, 7)), st.just(Fraction(-7, 10 ** 20 + 3)),
+    st.fractions(min_value=-10 ** 20, max_value=10 ** 20,
+                 max_denominator=10 ** 20).filter(bool))
+WIDE_ENTRIES = st.one_of(ENTRIES, LARGE)
 
 
 @st.composite
-def sparse_rows(draw, ncols, min_rows=0, max_rows=6):
-    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+def sparse_rows(draw, ncols, min_rows=0, max_rows=6, entries=ENTRIES):
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                          min_size=min_rows, max_size=max_rows))
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["zero", "duplicate", "scaled"]))
@@ -114,9 +122,23 @@ def sparse_rows(draw, ncols, min_rows=0, max_rows=6):
 
 
 @st.composite
-def sparse_matrices(draw, max_cols=7):
+def sparse_matrices(draw, max_cols=7, entries=ENTRIES):
     ncols = draw(st.integers(1, max_cols))
-    return ncols, draw(sparse_rows(ncols))
+    return ncols, draw(sparse_rows(ncols, entries=entries))
+
+
+def as_dict(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def reference_residual(rows, ncols, vector):
+    """The vector less, for each pivot, its entry there times that row."""
+    reduced, pivots = reference_rref(rows, ncols)
+    out = [Fraction(x) for x in vector]
+    for row, pc in zip(reduced, pivots):
+        factor = out[pc]
+        out = [x - factor * y for x, y in zip(out, row)]
+    return out
 
 
 @st.composite
@@ -164,19 +186,28 @@ def test_solve_in_row_space_matches_dense_reference(data):
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_row_basis_invariants_match_dense_reference(data):
-    ncols, rows = data.draw(sparse_matrices())
-    basis = RowBasis(ncols)
+    ncols, rows = data.draw(sparse_matrices(entries=WIDE_ENTRIES))
+    basis, sparse = RowBasis(ncols), RowBasis(ncols)
     for row in rows:
         before = basis.rank
-        assert basis.add(row) == (basis.rank == before + 1)
-    assert basis.rank == rank_of(rows, ncols)
+        added = basis.add(row)
+        assert added == (basis.rank == before + 1)
+        assert sparse.add(as_dict(row)) == added
+    assert basis.rank == sparse.rank == rank_of(rows, ncols)
     for row in rows:
-        assert basis.contains(row)
+        assert basis.contains(row) and sparse.contains(as_dict(row))
     if rows:
         coeffs = data.draw(st.lists(ENTRIES, min_size=len(rows),
                                     max_size=len(rows)))
         assert basis.residual(row_times_matrix(coeffs, rows)) \
             == [Fraction(0)] * ncols
+    probe = data.draw(st.lists(WIDE_ENTRIES, min_size=ncols,
+                               max_size=ncols))
+    assert basis.residual(probe) == sparse.residual(as_dict(probe)) \
+        == reference_residual(rows, ncols, probe)
+    assert nullspace_basis(rows, ncols) \
+        == nullspace_basis([as_dict(row) for row in rows], ncols) \
+        == reference_nullspace(rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +222,10 @@ def test_rank_and_rref():
     assert basis.residual(frac_rows([[5, 7, 0]])[0]) \
         == frac_rows([[0, 0, -12]])[0]
     assert nullspace_basis(rows, 3) == [tuple(frac_rows([[-1, -1, 1]])[0])]
+    with pytest.raises(ValueError):
+        basis.add({3: 1})
+    with pytest.raises(ValueError):
+        basis.add([1, 2])
 
 
 def test_nullspace_annihilates_and_counts():

@@ -108,6 +108,23 @@ def test_saito_check_golden():
     assert abs(result.constant) == 2
 
 
+def test_point_certificate_expands_qt_only_when_read(monkeypatch):
+    expansions = []
+    original = Arrangement.defining_polynomial
+
+    def counted(self):
+        expansions.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Arrangement, "defining_polynomial", counted)
+    result = saito_check(rank2_triple(), RANK2)
+    assert result.verdict is SaitoVerdict.BASIS and not expansions
+    q2 = original(RANK2) ** 2
+    assert result.determinant == result.constant * q2
+    assert result.to_json()["determinant"] == (result.constant * q2).to_json()
+    assert len(expansions) == 1
+
+
 def test_saito_check_shi2_not_proportional():
     shi = make_shi(2)
     result = saito_check(shi2_order2_members(), shi)
