@@ -12,7 +12,7 @@ from .graded import (FREE, NOT_FREE, UNDECIDED, FreenessReport, GeneratorStep,
                      graded_dimension, minimal_generators, operator_vector,
                      vanishing_quick_checks)
 from .membership import (MembershipResult, MembershipWitness, is_member,
-                         is_member_bruteforce, shi2_order2_members)
+                         shi2_order2_members)
 from .qpoly import (LinearForm, Poly, as_fraction, exact_divide,
                     format_fraction, format_poly, monomial_exponents,
                     parse_linear_form, poly_from_json, variables)

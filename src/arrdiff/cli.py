@@ -46,7 +46,8 @@ def _load_arrangement(path: str) -> Arrangement:
     data = _read_json(path)
     try:
         return arrangement_from_json(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise InputError(f"bad arrangement in {path}: {exc}") from exc
 
 
@@ -58,7 +59,8 @@ def _load_operators(path: str) -> list[DiffOp]:
         data = [data]
     try:
         return [diffop_from_json(entry) for entry in data]
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise InputError(f"bad operator file {path}: {exc}") from exc
 
 

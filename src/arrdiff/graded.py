@@ -2,11 +2,16 @@
 
 Fixing an order m and a coefficient degree d, membership of an operator
 is a rational linear condition on the coefficients of its polynomial
-entries: for each hyperplane and each degree-(m-1) monomial the image
-polynomial must vanish after reduction modulo the hyperplane's form.
-Solving that system exactly gives the graded piece as a vector space;
-stacking graded pieces degree by degree gives minimal generator counts,
-and a degree-bounded sweep of those counts decides freeness outright:
+entries: for each hyperplane and each degree-(m-1) exponent b, the
+coefficient at d^b of the commutator with the hyperplane's form (the
+criterion of :mod:`arrdiff.membership`; the rows use b! times it, the
+image of form * x^b) must vanish after reduction modulo the form.  The
+rows come from one table per form and degree: the reductions of the
+degree-d monomials by the form's reduction kernel
+(:meth:`arrdiff.qpoly.LinearForm.reducer`).  Solving that system exactly
+gives the graded piece as a vector space; stacking graded pieces degree
+by degree gives minimal generator counts, and a degree-bounded sweep of
+those counts decides freeness outright:
 
 * if the arrangement is free, every basis degree is bounded by t * |A|
   (degrees are nonnegative and sum to t * |A|), so all s = rank minimal
@@ -81,35 +86,6 @@ def _vector_to_operator(vec: Sequence[Fraction], dim: int, order: int,
     return DiffOp(dim, order, coeffs)
 
 
-def _reduction_table(coeffs: Sequence[Rational], pivot: int,
-                     mons: Sequence[MultiIndex]
-                     ) -> list[list[tuple[MultiIndex, Rational]]]:
-    """The terms of reduce(x^mu) modulo a form, for each mu in mons.
-
-    The form has the given coefficients and a unit coefficient at the
-    pivot.  Reduction substitutes r = -(the form without its pivot term)
-    for the pivot variable, so reduce(x^mu) = x^(mu with the pivot set to
-    0) * r^(mu_pivot); the powers of r are built once.
-    """
-    dim = len(coeffs)
-    r = {mi_unit(dim, j): -c for j, c in enumerate(coeffs)
-         if j != pivot and c}
-    powers: list[dict[MultiIndex, Rational]] = [{(0,) * dim: 1}]
-    for _ in range(max((mu[pivot] for mu in mons), default=0)):
-        power: dict[MultiIndex, Rational] = {}
-        for e, c in powers[-1].items():
-            for f, rc in r.items():
-                key = mi_add(e, f)
-                power[key] = power.get(key, 0) + c * rc
-        powers.append({e: c for e, c in power.items() if c})
-    table = []
-    for mu in mons:
-        base = mu[:pivot] + (0,) + mu[pivot + 1:]
-        table.append([(mi_add(base, e), c)
-                      for e, c in powers[mu[pivot]].items()])
-    return table
-
-
 def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     """Compute one graded piece by exact nullspace extraction.
 
@@ -132,7 +108,9 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
         # arithmetic; the rows have the same values either way
         coeffs = [c.numerator if c.denominator == 1 else c
                   for c in form.coefficients]
-        reduced = _reduction_table(coeffs, form.pivot, mons)
+        # the terms of reduce(x^mu) modulo the form, for each mu in mons
+        reduce = form.reducer()
+        reduced = [reduce([(mu, 1)]).items() for mu in mons]
         for b in monomial_exponents(dim, order - 1):
             # image of form * x^b: only the entries at exponents b + e_j
             # act, each through the scalar coefficient * (b + e_j)!
@@ -541,9 +519,18 @@ def _localization_filter(arr: Arrangement, order: int,
     if n == 0:
         return None
     seen: set[frozenset[int]] = set()
+    # pair of hyperplanes -> the rank-2 flat it spans; a seed of two or
+    # more hyperplanes inside a seen rank-2 flat closes to that flat
+    lines: dict[tuple[int, ...], frozenset[int]] = {}
     for size in range(1, min(seed_limit, n) + 1):
         for seed in combinations(range(n), size):
+            line = lines.get(seed[:2])
+            if line is not None and line.issuperset(seed):
+                continue
             flat = flat_closure(arr, seed)
+            if flat.rank == 2:
+                lines.update((pair, flat.generators) for pair in
+                             combinations(sorted(flat.generators), 2))
             if flat.generators in seen or len(flat.generators) == n:
                 continue
             seen.add(flat.generators)

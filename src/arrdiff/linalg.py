@@ -203,9 +203,13 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix | None:
              for j in range(n)] for i in range(n)]
 
 
-def row_times_matrix(vector: Sequence[Fraction],
-                     rows: Sequence[Sequence[Fraction]]) -> Vector:
-    ncols = len(rows[0])
-    return [sum((Fraction(vector[i]) * Fraction(rows[i][j])
-                 for i in range(len(rows))), Fraction(0))
-            for j in range(ncols)]
+def row_times_matrix(vector: Sequence[Rational],
+                     rows: Sequence[Sequence[Rational]]) -> Vector:
+    """The product vector * rows, as Fractions; zero entries are skipped."""
+    if len(vector) != len(rows):
+        raise ValueError("vector length must equal the number of rows")
+    out = [Fraction(0)] * len(rows[0])
+    for x, row in zip(vector, rows):
+        if x:
+            out = [acc + x * y if y else acc for acc, y in zip(out, row)]
+    return out

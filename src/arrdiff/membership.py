@@ -1,11 +1,14 @@
 """Deciding whether an operator preserves an arrangement's ideal.
 
-An order-m operator preserves the principal ideal of the defining
-polynomial exactly when, for every hyperplane H and every monomial x^b of
-degree m-1, the image of alpha_H * x^b is again divisible by alpha_H.
-That finite grid of divisibility checks is the workhorse here; a
-truncated brute-force scan of the defining property is kept alongside as
-an independent oracle for testing.
+An order-m operator theta preserves the principal ideal of the defining
+polynomial exactly when it preserves alpha_H * S for every hyperplane H.
+Since theta(alpha * f) = alpha * theta(f) + [theta, alpha](f), that holds
+exactly when every coefficient of the order-(m-1) commutator
+[theta, alpha_H] is divisible by alpha_H.  The coefficient at d^b
+(|b| = m-1) is g_b = sum_j alpha_j * (b_j + 1) * c_(b + e_j), where c_a is
+theta's coefficient at d^a, and theta(alpha * x^b) = b! * g_b, so this is
+the grid of divisibility checks "the image of alpha_H * x^b lies in
+alpha_H * S" taken over every H and every degree-(m-1) monomial x^b.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arrangement import Arrangement
-from .qpoly import (LinearForm, MultiIndex, Poly, exact_divide,
-                    monomial_exponents, monomials_up_to, variables)
+from .qpoly import (LinearForm, MultiIndex, Poly, monomial_exponents,
+                    variables)
 from .weyl import DiffOp, directional_power, euler_operator
 
 
@@ -41,42 +44,31 @@ def is_member(op: DiffOp, arr: Arrangement) -> MembershipResult:
     """Check membership via the finite per-hyperplane criterion.
 
     Order-0 operators are multiplications by polynomials and always
-    preserve the ideal.  On failure the witness is the lexicographically
-    first violating (hyperplane, exponent) cell together with the
-    non-divisible image polynomial.
+    preserve the ideal.  Cells (hyperplane, exponent b) are checked in
+    lexicographic order by reducing g_b modulo the form; on failure the
+    witness is the first violating cell together with the non-divisible
+    image of alpha_H * x^b.
     """
     if op.dim != arr.dim:
         raise ValueError(f"dimension mismatch: {op.dim} vs {arr.dim}")
     if op.order == 0:
         return MembershipResult(True)
+    coefficients = {a: tuple(p.terms()) for a, p in op.terms()}
     for index, form in enumerate(arr.forms):
-        alpha = form.to_poly()
+        reduce = form.reducer()
+        alphas = [(j, c.numerator if c.denominator == 1 else c)
+                  for j, c in enumerate(form.coefficients) if c]
         for b in monomial_exponents(arr.dim, op.order - 1):
-            image = op.apply(alpha * Poly.monomial(arr.dim, b))
-            if not form.divides(image):
+            g = []
+            for j, c in alphas:
+                scale = c * (b[j] + 1)
+                a = b[:j] + (b[j] + 1,) + b[j + 1:]
+                g += [(mu, scale * x) for mu, x in coefficients.get(a, ())]
+            if reduce(g):
+                image = op.apply(form.to_poly() * Poly.monomial(arr.dim, b))
                 return MembershipResult(False, MembershipWitness(
                     index, form, b, image))
     return MembershipResult(True)
-
-
-def is_member_bruteforce(op: DiffOp, arr: Arrangement,
-                         degree_bound: int) -> bool:
-    """Truncated scan of the defining property, for use as a test oracle.
-
-    Checks that the image of Q*x^c is divisible by Q for every monomial
-    x^c of degree at most the bound.  This under-approximates the real
-    membership condition and exists only to cross-check :func:`is_member`.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    q = arr.defining_polynomial()
-    for c in monomials_up_to(arr.dim, degree_bound):
-        image = op.apply(q * Poly.monomial(arr.dim, c))
-        if image.is_zero():
-            continue
-        if exact_divide(image, q) is None:
-            return False
-    return True
 
 
 def shi2_order2_members() -> list[DiffOp]:

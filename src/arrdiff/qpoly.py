@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 MultiIndex = tuple[int, ...]
 Rational = Union[int, Fraction, str]
@@ -96,12 +96,6 @@ def monomial_exponents(dim: int, degree: int) -> tuple[MultiIndex, ...]:
         for rest in monomial_exponents(dim - 1, degree - first):
             out.append((first,) + rest)
     return tuple(out)
-
-
-def monomials_up_to(dim: int, bound: int) -> Iterator[MultiIndex]:
-    """All exponent tuples of total degree <= bound, degree by degree."""
-    for d in range(bound + 1):
-        yield from monomial_exponents(dim, d)
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +379,17 @@ class Poly:
         return [[list(a), format_fraction(c)] for a, c in self.terms()]
 
 
+def exponent_from_json(data: Iterable) -> MultiIndex:
+    """Parse an exponent list; every entry must be a nonnegative int."""
+    exponent = tuple(data)
+    if not all(type(e) is int and e >= 0 for e in exponent):
+        raise ValueError(f"bad exponent {list(exponent)!r}")
+    return exponent
+
+
 def poly_from_json(data: Iterable, dim: int) -> Poly:
     """Parse the [[exponents, "p/q"], ...] serialization."""
-    return Poly(dim, [(tuple(entry[0]), as_fraction(entry[1]))
+    return Poly(dim, [(exponent_from_json(entry[0]), as_fraction(entry[1]))
                       for entry in data])
 
 
@@ -521,21 +523,65 @@ class LinearForm:
         return sum((c * as_fraction(v) for c, v in zip(self._coeffs, point)),
                    Fraction(0))
 
-    def reduce(self, p: Poly) -> Poly:
-        """Image of p modulo this form, via pivot-variable substitution.
+    def reducer(self) -> Callable[[Iterable[tuple[MultiIndex, Rational]]],
+                                  dict[MultiIndex, Rational]]:
+        """The reduction kernel: maps the terms of p to those of p mod this form.
 
-        Substitutes the pivot variable by the affine-linear expression that
-        solves the form to zero; the result is zero exactly when the form
-        divides p.
+        Reduction substitutes r = -(the form without its pivot term) for
+        the pivot variable, so a term c * x^mu goes to c * x^(mu with the
+        pivot exponent set to 0) * r^(mu_pivot); the result is empty exactly
+        when the form divides p.  Terms may repeat an exponent.  The powers
+        of r that the terms ask for are kept as long as the returned
+        function lives, and only those (intermediate powers are dropped, so
+        one high power costs only its own size); integral form
+        coefficients are used as ints, so integral input stays off
+        Fraction arithmetic.
+        """
+        dim = self.dim
+        pivot = self.pivot
+        r = [(mi_unit(dim, j), -(c.numerator if c.denominator == 1 else c))
+             for j, c in enumerate(self._coeffs) if j != pivot and c]
+        powers: dict[int, dict[MultiIndex, Rational]] = {0: {(0,) * dim: 1}}
+
+        def power(k: int) -> dict[MultiIndex, Rational]:
+            # r^k from the highest stored power below k
+            below = max(j for j in powers if j < k)
+            current = powers[below]
+            for _ in range(k - below):
+                step: dict[MultiIndex, Rational] = {}
+                for e, c in current.items():
+                    for f, rc in r:
+                        key = mi_add(e, f)
+                        step[key] = step.get(key, 0) + c * rc
+                current = step
+            powers[k] = current
+            return current
+
+        def reduce(terms: Iterable[tuple[MultiIndex, Rational]]
+                   ) -> dict[MultiIndex, Rational]:
+            out: dict[MultiIndex, Rational] = {}
+            for mu, c in terms:
+                k = mu[pivot]
+                base = mu[:pivot] + (0,) + mu[pivot + 1:]
+                for e, pc in (powers[k] if k in powers else power(k)).items():
+                    key = mi_add(base, e)
+                    value = out.get(key, 0) + c * pc
+                    if value:
+                        out[key] = value
+                    else:
+                        out.pop(key, None)
+            return out
+
+        return reduce
+
+    def reduce(self, p: Poly) -> Poly:
+        """Image of p modulo this form (see :meth:`reducer`).
+
+        The result is zero exactly when the form divides p.
         """
         if p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
-        pivot = self.pivot
-        replacement = Poly(self.dim,
-                           {mi_unit(self.dim, j): -c
-                            for j, c in enumerate(self._coeffs)
-                            if j != pivot and c})
-        return p.substitute_variable(pivot, replacement)
+        return Poly._raw(self.dim, self.reducer()(p._terms.items()))
 
     def divides(self, p: Poly) -> bool:
         """True iff p lies in the principal ideal generated by this form."""

@@ -17,8 +17,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import invert
 from .qpoly import (LinearForm, MultiIndex, Poly, Rational, as_fraction,
-                    format_poly, mi_add, mi_degree, mi_factorial,
-                    monomial_exponents, poly_from_json, term_order_key)
+                    exponent_from_json, format_poly, mi_add, mi_degree,
+                    mi_factorial, monomial_exponents, poly_from_json,
+                    term_order_key)
 
 
 class DiffOp:
@@ -200,7 +201,8 @@ def diffop_from_json(data: dict) -> DiffOp:
     dim = int(data["dim"])
     order = int(data["order"])
     return DiffOp(dim, order,
-                  [(tuple(term["a"]), poly_from_json(term["coef"], dim))
+                  [(exponent_from_json(term["a"]),
+                    poly_from_json(term["coef"], dim))
                    for term in data["terms"]])
 
 

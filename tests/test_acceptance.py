@@ -15,12 +15,13 @@ from arrdiff.construct import basis_rank_two, product_basis
 from arrdiff.graded import (FREE, NOT_FREE, decide_free, graded_dimension,
                             minimal_generators, operator_vector)
 from arrdiff.linalg import RowBasis
-from arrdiff.membership import is_member, is_member_bruteforce, shi2_order2_members
+from arrdiff.membership import is_member, shi2_order2_members
 from arrdiff.qpoly import LinearForm, Poly, exact_divide, variables
 from arrdiff.saito import det_poly, saito_check, saito_counts
 from arrdiff.weyl import DiffOp, coefficient_matrix, euler_operator
 from tests.test_membership import (_random_member_pool,
-                                   _random_operator_pool, random_poly)
+                                   _random_operator_pool,
+                                   is_member_bruteforce, random_poly)
 
 
 def arr_of(dim, *texts):

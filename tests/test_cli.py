@@ -5,12 +5,21 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from math import comb
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arrdiff.arrangement import arrangement_from_json, make_shi
 from arrdiff.cli import main
 from arrdiff.construct import basis_rank_two
 from arrdiff.membership import shi2_order2_members
+from arrdiff.qpoly import monomial_exponents
 from arrdiff.weyl import diffop_from_json
+from tests.test_qpoly import form_strategy
 
 
 def run_cli(capsys, *argv):
@@ -207,3 +216,95 @@ def test_json_outputs_reparse_to_equal_values(capsys, tmp_path):
     assert arrangement_from_json(json.loads(out)) == make_shi(2)
     for op in shi2_order2_members():
         assert diffop_from_json(json.loads(json.dumps(op.to_json()))) == op
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the subcommands that read operators
+
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.floats(-2, 4, allow_nan=False),
+    st.sampled_from(["", "1", "-1/2", "1/0", "x", "x+y", "x1-x2", "2 z"]),
+    st.text(max_size=4))
+_KEYS = st.sampled_from(["dim", "forms", "order", "terms", "a", "coef",
+                         "operators"]) | st.text(max_size=3)
+_JSON = st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                     | st.dictionaries(_KEYS, kids, max_size=4),
+                     max_leaves=20)
+_COEFFS = st.sampled_from(["1", "-1", "2", "1/2", "-3/2"])
+
+
+def _paths(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _fuzzed(draw, valid):
+    """A valid document with up to two of its values replaced by arbitrary
+    JSON (the whole document among them)."""
+    doc = draw(valid)
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        junk = draw(_JSON)
+        if not path:
+            doc = junk
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = junk
+    return doc
+
+
+@st.composite
+def _operator(draw, dim, order):
+    exponents = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    terms = draw(st.lists(st.fixed_dictionaries({
+        "a": st.sampled_from(monomial_exponents(dim, order)).map(list),
+        "coef": st.lists(st.tuples(exponents, _COEFFS).map(list), max_size=3),
+    }), max_size=3))
+    return {"dim": dim, "order": order, "terms": terms}
+
+
+@st.composite
+def _documents(draw):
+    """(arrangement, operator file, subcommand) as one valid input, fuzzed."""
+    dim = draw(st.integers(1, 3))
+    forms = draw(st.lists(form_strategy(dim), max_size=4))
+    arrangement = {"dim": dim,
+                   "forms": [f.to_json() for f in dict.fromkeys(forms)]}
+    command = draw(st.sampled_from(["check-member", "saito"]))
+    order = draw(st.integers(0, 3))
+    count = 1 if command == "check-member" else comb(dim + order - 1, order)
+    operators = [draw(_operator(dim, order)) for _ in range(count)]
+    if draw(st.booleans()):
+        operators = {"operators": operators}
+    elif count == 1 and draw(st.booleans()):
+        operators = operators[0]
+    return (draw(_fuzzed(st.just(arrangement))),
+            draw(_fuzzed(st.just(operators))), command)
+
+
+@given(_documents())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_operator_commands_exit_cleanly(documents):
+    arrangement, operators, command = documents
+    flag = "-o" if command == "check-member" else "-b"
+    with tempfile.TemporaryDirectory() as tmp:
+        arr = Path(tmp) / "arr.json"
+        ops = Path(tmp) / "ops.json"
+        arr.write_text(json.dumps(arrangement), encoding="utf-8")
+        ops.write_text(json.dumps(operators), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "-a", str(arr), flag, str(ops)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1

@@ -8,13 +8,16 @@ constraints through the operator action, without the solver's indexing.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arrdiff.arrangement import Arrangement, arrangement_from_json, make_named, make_shi
-from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, decide_free,
-                            graded_dimension, minimal_generators,
+from arrdiff.arrangement import (Arrangement, arrangement_from_json,
+                                 flat_closure, localize, make_named, make_shi)
+from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, _localization_filter,
+                            decide_free, graded_dimension, minimal_generators,
                             operator_vector, vanishing_quick_checks)
 from arrdiff.linalg import RowBasis, nullspace_basis
 from arrdiff.membership import is_member
@@ -335,6 +338,38 @@ def test_decide_localization_filter_holm_q1():
         report = decide_free(arr, order)
         assert report.verdict == NOT_FREE
         assert report.certificate["reason"] == "localization-not-free"
+
+
+@given(st.integers(3, 4).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).filter(any),
+    min_size=1, max_size=8)), st.integers(1, 3))
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+          [1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1]], 3)
+@settings(max_examples=60, deadline=None)
+def test_localization_filter_tries_every_flat_in_seed_order(vectors,
+                                                            seed_limit):
+    """Skipping seeds inside a seen rank-2 flat tries the same flats, in
+    the order closing every seed gives, so certificates cannot change."""
+    arr = Arrangement(len(vectors[0]),
+                      dict.fromkeys(LinearForm(v) for v in vectors))
+    n = len(arr)
+    expected = []
+    for size in range(1, min(seed_limit, n) + 1):
+        for seed in combinations(range(n), size):
+            flat = flat_closure(arr, seed)
+            if flat.generators not in expected and len(flat.generators) < n:
+                expected.append(flat.generators)
+    tried = []
+
+    def record(sub_arr, flat, **kwargs):
+        tried.append(flat.generators)
+        return localize(sub_arr, flat, **kwargs)
+
+    with patch("arrdiff.graded.localize", record), \
+            patch("arrdiff.graded._quick_free_status",
+                  lambda sub, order: (None, {})):
+        assert _localization_filter(arr, 1, seed_limit) is None
+    assert tried == expected
 
 
 def test_decide_braid4_order2_free():

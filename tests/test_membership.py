@@ -1,15 +1,67 @@
-"""Membership criterion, brute-force oracle, and the explicit Shi-2 members."""
+"""Membership criterion, its apply-based reference and brute-force oracle,
+and the explicit Shi-2 members."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from arrdiff.arrangement import Arrangement, arrangement_from_json, make_shi
-from arrdiff.membership import (is_member, is_member_bruteforce,
-                                shi2_order2_members)
-from arrdiff.qpoly import LinearForm, Poly, monomial_exponents, variables
+from arrdiff.membership import (MembershipResult, MembershipWitness,
+                                is_member, shi2_order2_members)
+from arrdiff.qpoly import (LinearForm, Poly, exact_divide, monomial_exponents,
+                           variables)
 from arrdiff.weyl import DiffOp, euler_operator
+from tests.test_qpoly import form_strategy, poly_strategy
+
+
+# ---------------------------------------------------------------------------
+# reference implementations the library is checked against
+
+def is_member_reference(op: DiffOp, arr: Arrangement) -> MembershipResult:
+    """The grid criterion by applying the operator to alpha_H * x^b for
+    every hyperplane H and every degree-(m-1) exponent b."""
+    if op.dim != arr.dim:
+        raise ValueError(f"dimension mismatch: {op.dim} vs {arr.dim}")
+    if op.order == 0:
+        return MembershipResult(True)
+    for index, form in enumerate(arr.forms):
+        alpha = form.to_poly()
+        for b in monomial_exponents(arr.dim, op.order - 1):
+            image = op.apply(alpha * Poly.monomial(arr.dim, b))
+            if not form.divides(image):
+                return MembershipResult(False, MembershipWitness(
+                    index, form, b, image))
+    return MembershipResult(True)
+
+
+def monomials_up_to(dim: int, bound: int):
+    """All exponent tuples of total degree <= bound, degree by degree."""
+    for d in range(bound + 1):
+        yield from monomial_exponents(dim, d)
+
+
+def is_member_bruteforce(op: DiffOp, arr: Arrangement,
+                         degree_bound: int) -> bool:
+    """Truncated scan of the defining property, an independent oracle.
+
+    Checks that the image of Q*x^c is divisible by Q for every monomial
+    x^c of degree at most the bound.  This under-approximates the real
+    membership condition and exists only to cross-check :func:`is_member`.
+    """
+    if degree_bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    q = arr.defining_polynomial()
+    for c in monomials_up_to(arr.dim, degree_bound):
+        image = op.apply(q * Poly.monomial(arr.dim, c))
+        if image.is_zero():
+            continue
+        if exact_divide(image, q) is None:
+            return False
+    return True
 
 
 def arr_of(dim, *texts):
@@ -132,6 +184,67 @@ def test_oracle_agreement_sample():
                 assert direct == brute
                 checked += 1
     assert checked >= 60
+
+
+@st.composite
+def arrangements_with_denominators(draw, dim):
+    forms = draw(st.lists(form_strategy(dim), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        forms.insert(0, LinearForm([2, 3] + [0] * (dim - 2)))
+    return Arrangement(dim, dict.fromkeys(forms))
+
+
+@st.composite
+def operators_for(draw, arr, order):
+    """Arbitrary operators (inhomogeneous, zero, repeated and cancelling
+    coefficients), members built from Q d^a and Euler multiples, and
+    members plus one stray term, which fail at varying hyperplanes."""
+    dim = arr.dim
+    omega = monomial_exponents(dim, order)
+    coeff = poly_strategy(dim, max_degree=3, max_terms=3)
+    kind = draw(st.sampled_from(["arbitrary", "member", "near-member"]))
+    if kind == "arbitrary":
+        entries = draw(st.lists(st.tuples(st.sampled_from(omega), coeff),
+                                max_size=4))
+        if entries and draw(st.booleans()):  # one polynomial twice
+            entries.append((draw(st.sampled_from(omega)), entries[0][1]))
+        if entries and draw(st.booleans()):  # cancels to a zero entry
+            entries.append((entries[0][0], -entries[0][1]))
+        return DiffOp(dim, order, entries)
+    if order == 0:
+        op = DiffOp(dim, 0, [(omega[0], draw(coeff))])
+    else:
+        q = arr.defining_polynomial()
+        # Euler multiples are the members that need the exact (b_j + 1)
+        generators = [euler_operator(dim, order)] * len(omega)
+        generators += [DiffOp.single(dim, a, q) for a in omega]
+        picks = draw(st.lists(st.sampled_from(generators), min_size=1,
+                              max_size=2))
+        op = DiffOp.zero(dim, order)
+        for gen in picks:
+            factor = draw(poly_strategy(dim, max_degree=1, max_terms=2)
+                          .filter(bool))
+            op = op + factor * gen
+    if kind == "near-member":
+        # a stray term divisible by the first k forms fails at a later one
+        stray = draw(coeff)
+        for form in arr.forms[:draw(st.integers(0, len(arr) - 1))]:
+            stray = stray * form.to_poly()
+        op = op + DiffOp(dim, order, [(draw(st.sampled_from(omega)), stray)])
+    return op
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_member_matches_reference(data):
+    dim = data.draw(st.integers(2, 4))
+    order = data.draw(st.integers(0, 3))
+    arr = data.draw(arrangements_with_denominators(dim))
+    op = data.draw(operators_for(arr, order))
+    result = is_member(op, arr)
+    expected = is_member_reference(op, arr)
+    assert result.member == expected.member
+    assert result.witness == expected.witness
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrdiff.qpoly import (LinearForm, Poly, exact_divide, format_fraction,
-                           format_poly, monomial_exponents, parse_linear_form,
-                           poly_from_json, variables)
+                           format_poly, mi_unit, monomial_exponents,
+                           parse_linear_form, poly_from_json, variables)
 
 
 def poly_strategy(dim: int, max_degree: int = 3, max_terms: int = 4):
@@ -22,6 +22,12 @@ def poly_strategy(dim: int, max_degree: int = 3, max_terms: int = 4):
 
 def nonzero_poly(dim: int):
     return poly_strategy(dim).filter(lambda p: not p.is_zero())
+
+
+def form_strategy(dim: int):
+    """Nonzero forms whose normalised coefficients have denominators."""
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.tuples(*[coeff] * dim).filter(any).map(LinearForm)
 
 
 def small_exponent(dim: int):
@@ -73,6 +79,15 @@ def test_divides_linear_shi2_determinant_factor():
     _, y, z = variables(3)
     q = make_shi(2).defining_polynomial()
     assert LinearForm([0, 1, -1]).divides(4 * (y - z) * q ** 3)
+
+
+def test_reduce_golden_with_denominators():
+    x, y, z = variables(3)
+    form = LinearForm([2, 3, 0])  # normalised to x + 3/2 y
+    assert form.reduce(x) == Fraction(-3, 2) * y
+    assert form.reduce(x * x * z + y) == Fraction(9, 4) * y * y * z + y
+    assert form.reduce(2 * x + 3 * y).is_zero()
+    assert form.reducer()([((1, 0, 0), 2), ((0, 1, 0), 3)]) == {}
 
 
 def test_exact_divide_golden():
@@ -199,3 +214,24 @@ def test_partials_commute_and_compose(data):
         == p.partial_derivative(ab)
     assert p.partial_derivative(b).partial_derivative(a) \
         == p.partial_derivative(ab)
+
+
+@given(st.data())
+@settings(max_examples=50)
+def test_reduce_matches_pivot_substitution(data):
+    dim = data.draw(st.integers(1, 4))
+    form = data.draw(form_strategy(dim))
+    p = data.draw(poly_strategy(dim, max_degree=4, max_terms=6))
+    pivot = form.pivot
+    r = Poly(dim, {mi_unit(dim, j): -c for j, c in enumerate(form.coefficients)
+                   if j != pivot and c})
+    expected = p.substitute_variable(pivot, r)
+    reduced = form.reduce(p)
+    assert reduced == expected
+    assert all(type(c) is Fraction and mu[pivot] == 0
+               for mu, c in reduced.terms())
+    # the kernel sums the terms it is given, repeated exponents included
+    terms = list(p.terms())
+    kernel = form.reducer()
+    assert Poly(dim, kernel(terms + terms).items()) == 2 * expected
+    assert kernel(terms + [(mu, -c) for mu, c in terms]) == {}
