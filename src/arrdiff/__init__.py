@@ -8,19 +8,18 @@ from .construct import (Shi2Certificate, basis_rank_two, find_flat_point,
                         localize_basis, product_basis,
                         shi2_nonfreeness_certificate)
 from .graded import (FREE, NOT_FREE, UNDECIDED, FreenessReport, GeneratorStep,
-                     GradedBasis, VanishingChecks, decide_free,
-                     graded_dimension, minimal_generators, operator_vector,
-                     vanishing_quick_checks)
+                     GradedBasis, decide_free, graded_dimension,
+                     minimal_generators, operator_vector)
 from .membership import (MembershipResult, MembershipWitness, is_member,
                          shi2_order2_members)
 from .qpoly import (LinearForm, Poly, as_fraction, exact_divide,
                     format_fraction, format_poly, monomial_exponents,
                     parse_linear_form, poly_from_json, variables)
-from .saito import (SaitoResult, SaitoVerdict, degree_sum_check, det_poly,
+from .saito import (SaitoResult, SaitoVerdict, det_poly, point_constant,
                     saito_check, saito_counts)
 from .weyl import (CoeffMatrix, DiffOp, block_product, change_variables,
                    coefficient_matrix, diffop_from_json, directional_power,
-                   embed, euler_operator, split_by_bidegree)
+                   embed, euler_operator)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -72,7 +72,9 @@ class Arrangement:
 def arrangement_from_json(data: dict) -> Arrangement:
     """Parse {"dim": n, "forms": [...]}; each form is a coefficient list
     of "p/q" strings or a textual linear form like "x1-x2"."""
-    dim = int(data["dim"])
+    dim = data["dim"]
+    if type(dim) is not int:
+        raise ValueError(f"dim must be a JSON integer, got {dim!r}")
     forms = []
     for entry in data["forms"]:
         if isinstance(entry, str):

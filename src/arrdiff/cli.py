@@ -12,12 +12,12 @@ import argparse
 import json
 import sys
 
-from .arrangement import (Arrangement, arrangement_from_json, flat_closure,
-                          localize, make_named, product)
+from .arrangement import (Arrangement, FlatRef, arrangement_from_json,
+                          flat_closure, localize, make_named, make_shi, product)
 from .construct import (basis_rank_two, localize_basis, product_basis,
                         shi2_nonfreeness_certificate)
 from .graded import FREE, NOT_FREE, decide_free, graded_dimension
-from .membership import is_member, shi2_order2_members
+from .membership import is_member
 from .qpoly import Poly, variables
 from .saito import det_poly, saito_check
 from .weyl import DiffOp, coefficient_matrix, diffop_from_json, euler_operator
@@ -78,6 +78,17 @@ def _parse_indices(text: str) -> list[int]:
         return [int(piece) for piece in text.split(",") if piece != ""]
     except ValueError as exc:
         raise InputError(f"bad index list {text!r}") from exc
+
+
+def _flat_at_seed(arr: Arrangement, text: str) -> tuple[FlatRef, dict]:
+    """The flat closing a --seed index list, and its JSON description."""
+    seed = _parse_indices(text)
+    try:
+        flat = flat_closure(arr, seed)
+    except IndexError as exc:
+        raise InputError(str(exc)) from exc
+    return flat, {"seed": sorted(set(seed)),
+                  "generators": sorted(flat.generators), "rank": flat.rank}
 
 
 def _parse_degree_range(text: str) -> tuple[int, int]:
@@ -166,16 +177,9 @@ def _cmd_product(args) -> int:
 
 def _cmd_localize(args) -> int:
     arr = _load_arrangement(args.arrangement)
-    seed = _parse_indices(args.seed)
-    try:
-        flat = flat_closure(arr, seed)
-    except IndexError as exc:
-        raise InputError(str(exc)) from exc
-    sub = localize(arr, flat)
-    payload = sub.to_json()
-    payload["flat"] = {"seed": sorted(set(seed)),
-                       "generators": sorted(flat.generators),
-                       "rank": flat.rank}
+    flat, described = _flat_at_seed(arr, args.seed)
+    payload = localize(arr, flat).to_json()
+    payload["flat"] = described
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -209,6 +213,8 @@ def _per_order_bases(arr: Arrangement, top: int) -> list[list[DiffOp]] | None:
 def _cmd_product_basis(args) -> int:
     first = _load_arrangement(args.first)
     second = _load_arrangement(args.second)
+    if args.order < 0:
+        raise InputError("order must be nonnegative")
     bases_first = _per_order_bases(first, args.order)
     bases_second = _per_order_bases(second, args.order)
     if bases_first is None or bases_second is None:
@@ -230,11 +236,7 @@ def _cmd_product_basis(args) -> int:
 
 def _cmd_localize_basis(args) -> int:
     arr = _load_arrangement(args.arrangement)
-    seed = _parse_indices(args.seed)
-    try:
-        flat = flat_closure(arr, seed)
-    except IndexError as exc:
-        raise InputError(str(exc)) from exc
+    flat, described = _flat_at_seed(arr, args.seed)
     if args.basis:
         ops = _load_operators(args.basis)
     else:
@@ -252,9 +254,7 @@ def _cmd_localize_basis(args) -> int:
     result = saito_check(transported, sub)
     _emit({
         "order": transported[0].order,
-        "flat": {"seed": sorted(set(seed)),
-                 "generators": sorted(flat.generators),
-                 "rank": flat.rank},
+        "flat": described,
         "arrangement": sub.to_json(),
         "degrees": sorted(op.homogeneous_degree() for op in transported),
         "operators": [op.to_json() for op in transported],
@@ -274,6 +274,9 @@ def _cmd_shi2_cert(args) -> int:
 
 def _suite_checks():
     x, y = variables(2)
+    shi2 = shi2_nonfreeness_certificate()
+    shi2_dims = shi2.graded_dimensions
+    shi2_m2 = shi2.decision.verdict
     rank2 = arrangement_from_json(
         {"dim": 2, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
 
@@ -286,35 +289,7 @@ def _suite_checks():
         ok = det in (2 * q2, -2 * q2)
         return ok, "det equals +/- 2*Q^2"
 
-    def golden_det_shi2():
-        from .arrangement import make_shi
-        arr = make_shi(2)
-        ops = shi2_order2_members()
-        det = det_poly(coefficient_matrix(ops))
-        _, yy, zz = variables(3)
-        expected = 4 * (yy - zz) * arr.defining_polynomial() ** 3
-        ok = det in (expected, -expected)
-        return ok, "det equals +/- 4*(y-z)*Q^3"
-
-    def shi2_members():
-        from .arrangement import make_shi
-        arr = make_shi(2)
-        ok = all(is_member(op, arr) for op in shi2_order2_members())
-        return ok, "all six explicit operators are members"
-
-    def shi2_graded():
-        from .arrangement import make_shi
-        arr = make_shi(2)
-        dims = tuple(graded_dimension(arr, 2, d).dimension for d in range(4))
-        return dims == (0, 0, 1, 3), f"graded dimensions {dims}"
-
-    def shi2_decide_m2():
-        from .arrangement import make_shi
-        report = decide_free(make_shi(2), 2)
-        return report.verdict == NOT_FREE, f"verdict {report.verdict}"
-
     def shi2_decide_m1():
-        from .arrangement import make_shi
         report = decide_free(make_shi(2), 1)
         ok = (report.verdict == FREE
               and sum(report.exponents) == 7)
@@ -381,10 +356,14 @@ def _suite_checks():
 
     return [
         ("golden-det-rank2", golden_det_rank2),
-        ("golden-det-shi2", golden_det_shi2),
-        ("shi2-members", shi2_members),
-        ("shi2-graded-dims", shi2_graded),
-        ("shi2-decide-m2", shi2_decide_m2),
+        ("golden-det-shi2", lambda: (shi2.determinant_matches,
+                                     "det equals +/- 4*(y-z)*Q^3")),
+        ("shi2-members", lambda: (all(shi2.memberships),
+                                  "all six explicit operators are members")),
+        ("shi2-graded-dims", lambda: (shi2_dims == (0, 0, 1, 3),
+                                      f"graded dimensions {shi2_dims}")),
+        ("shi2-decide-m2", lambda: (shi2_m2 == NOT_FREE,
+                                    f"verdict {shi2_m2}")),
         ("shi2-decide-m1", shi2_decide_m1),
         ("generic-formula", generic_formula),
         ("product-exponents", product_exponents),

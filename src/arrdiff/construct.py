@@ -4,8 +4,9 @@ Three ways to produce verified bases without a generator sweep: the
 explicit family for rank-2 arrangements (every 2-dimensional arrangement
 is free at every order), products of factor bases for decomposable
 arrangements, and transport of a basis to a localization by translating
-towards the flat and extracting homogeneous components.  Everything is
-re-verified with the determinant criterion before being returned.
+towards the flat and extracting homogeneous components.  The rank-2
+family is verified by ``point_constant`` (its operators are members by
+construction), transported bases by the full ``saito_check``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .graded import (FreenessReport, decide_free, graded_dimension,
 from .linalg import RowBasis, invert, nullspace_basis, row_times_matrix
 from .membership import is_member, shi2_order2_members
 from .qpoly import Poly, monomial_exponents, variables
-from .saito import (_point_constant, degree_sum_check, det_poly, saito_check,
-                    saito_counts)
+from .saito import det_poly, point_constant, saito_check, saito_counts
 from .weyl import (DiffOp, block_product, change_variables, coefficient_matrix,
                    directional_power, embed, euler_operator)
 
@@ -36,7 +36,7 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
     (few hyperplanes are missing) or by Q times a completion of the power
     symbols to a full symbol-space basis (order at least the size).  The
     result is transported back to the input coordinates and verified by
-    the degree-sum criterion before being returned.
+    ``point_constant`` before being returned.
     """
     if arr.dim != 2:
         raise ValueError("this construction is specific to dimension 2")
@@ -62,7 +62,7 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
         slopes.append(coords[0] / coords[1])
 
     x, y = variables(2)
-    lines = [x] + [a * x + y for a in slopes]
+    lines = ([x] if n else []) + [a * x + y for a in slopes]
     q = Poly.one(2)
     for line in lines:
         q = q * line
@@ -112,8 +112,8 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
                     ops.append(q * DiffOp.single(2, a))
 
     transported = [change_variables(op, change) for op in ops]
-    if not degree_sum_check(transported, arr):
-        raise RuntimeError("rank-2 construction failed its degree-sum check")
+    if not point_constant(transported, arr):
+        raise RuntimeError("rank-2 construction failed its determinant check")
     return transported
 
 
@@ -229,7 +229,7 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
     def search(i: int, degree_sum: int) -> bool:
         if i == len(components):
             # the pieces are homogeneous members of degree sum t * |A_X|
-            return bool(_point_constant(selection, sub))
+            return bool(point_constant(selection, sub))
         for degree, piece in components[i]:
             total = degree_sum + degree
             if total + min_rest[i + 1] > target:

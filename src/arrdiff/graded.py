@@ -136,57 +136,6 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     return GradedBasis(degree, ops)
 
 
-@dataclass(frozen=True)
-class VanishingChecks:
-    """Closed-form vanishing of the lowest graded pieces.
-
-    Applicable only when the arrangement contains every coordinate
-    hyperplane; ``None`` fields mean the rule did not apply.
-    """
-
-    deg0_applicable: bool
-    deg0_zero: bool | None
-    deg1_applicable: bool
-    deg1_zero: bool | None
-
-
-def vanishing_quick_checks(arr: Arrangement, order: int) -> VanishingChecks:
-    """Degree-0 and degree-1 vanishing rules for coordinate-containing
-    arrangements.
-
-    With all coordinate hyperplanes present, the degree-0 piece is always
-    zero (order >= 1).  For order >= 2 the degree-1 piece vanishes exactly
-    when every variable appears with nonzero coefficient in some
-    non-coordinate hyperplane; otherwise x_i d_i^m survives for a missing
-    variable i.
-    """
-    if order < 1:
-        raise ValueError("the vanishing rules need order >= 1")
-    dim = arr.dim
-    coordinate_indices = set()
-    for i, form in enumerate(arr.forms):
-        coeffs = form.coefficients
-        nonzero = [j for j, c in enumerate(coeffs) if c]
-        if len(nonzero) == 1:
-            coordinate_indices.add(nonzero[0])
-    applicable = coordinate_indices == set(range(dim))
-    if not applicable:
-        return VanishingChecks(False, None, False, None)
-    deg1_applicable = order >= 2
-    deg1_zero = None
-    if deg1_applicable:
-        deg1_zero = True
-        for i in range(dim):
-            covered = any(
-                form.coefficients[i]
-                and sum(1 for c in form.coefficients if c) > 1
-                for form in arr.forms)
-            if not covered:
-                deg1_zero = False
-                break
-    return VanishingChecks(True, True, deg1_applicable, deg1_zero)
-
-
 # ---------------------------------------------------------------------------
 # minimal generators
 
@@ -283,8 +232,7 @@ class FreenessReport:
 
 
 def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
-                fast_filters: bool = True,
-                localization_seed_limit: int = 3) -> FreenessReport:
+                fast_filters: bool = True) -> FreenessReport:
     """Decide whether the order-m operator module is free.
 
     Optional fast filters (closed-form formulas on products, generic
@@ -309,8 +257,7 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
                               tuple(records), tuple(audit))
 
     if fast_filters and order >= 1:
-        filtered = _fast_filters(arr, order, localization_seed_limit, audit,
-                                 report)
+        filtered = _fast_filters(arr, order, audit, report)
         if filtered is not None:
             return filtered
 
@@ -371,6 +318,9 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
 # ---------------------------------------------------------------------------
 # fast filters
 
+_SEED_LIMIT = 3  # the largest seed the localization filter closes
+
+
 def _quick_factor_status(arr: Arrangement, order: int) -> bool | None:
     """Closed-form freeness for an essential factor, or None if unknown.
 
@@ -415,7 +365,7 @@ def _quick_free_status(arr: Arrangement, order: int) -> tuple[bool | None, dict]
     return None, {}
 
 
-def _fast_filters(arr, order, seed_limit, audit, report):
+def _fast_filters(arr, order, audit, report):
     # closed-form formula for generic arrangements
     if is_generic(arr):
         threshold = len(arr) - arr.dim + 1
@@ -441,8 +391,7 @@ def _fast_filters(arr, order, seed_limit, audit, report):
         for fi, factor in enumerate(dec.factors):
             per_order = []
             for i in range(1, order + 1):
-                sub = decide_free(factor.arrangement, i,
-                                  localization_seed_limit=seed_limit)
+                sub = decide_free(factor.arrangement, i)
                 if sub.verdict == NOT_FREE:
                     audit.append(f"filter: factor {fi} is not free at order {i}")
                     return report(NOT_FREE, {
@@ -470,7 +419,7 @@ def _fast_filters(arr, order, seed_limit, audit, report):
                 }, exponents=exponents, basis=basis)
 
     # localization spot checks
-    certificate = _localization_filter(arr, order, seed_limit)
+    certificate = _localization_filter(arr, order)
     if certificate is not None:
         audit.append("filter: a localization is not free, so the "
                      "arrangement is not free")
@@ -512,8 +461,7 @@ def _product_basis_synthesis(arr, dec: Decomposition, order,
     return transported, result.constant, exponents
 
 
-def _localization_filter(arr: Arrangement, order: int,
-                         seed_limit: int) -> dict | None:
+def _localization_filter(arr: Arrangement, order: int) -> dict | None:
     """Look for a proper localization that is provably not free."""
     n = len(arr)
     if n == 0:
@@ -522,7 +470,7 @@ def _localization_filter(arr: Arrangement, order: int,
     # pair of hyperplanes -> the rank-2 flat it spans; a seed of two or
     # more hyperplanes inside a seen rank-2 flat closes to that flat
     lines: dict[tuple[int, ...], frozenset[int]] = {}
-    for size in range(1, min(seed_limit, n) + 1):
+    for size in range(1, min(_SEED_LIMIT, n) + 1):
         for seed in combinations(range(n), size):
             line = lines.get(seed[:2])
             if line is not None and line.issuperset(seed):

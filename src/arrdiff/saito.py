@@ -5,16 +5,17 @@ the arrangement's operator module exactly when the determinant of its
 coefficient matrix is a nonzero constant multiple of Q^t, where Q is the
 defining polynomial and t counts the degree-(m-1) derivative monomials.
 
-Q^t divides the determinant of every member tuple.  When the members are
-nonzero and homogeneous of degrees d_i, the determinant is zero or
-homogeneous of degree sum(d_i), so if that sum equals t * |A| (the degree
-of Q^t) the determinant is c * Q^t for a rational c, and c is its value
-at any point off the arrangement divided by Q^t there.  Such tuples are
-certified from one determinant of rational numbers (the degree form of
-Saito's criterion).  Tuples with an inhomogeneous or zero operator, and
-homogeneous tuples of another degree sum (never a basis), keep the
-symbolic route: the polynomial determinant is expanded and divided
-exactly by Q^t, so that a refutation shows det / Q^t.
+:func:`saito_check` is the one full check: membership of every operator,
+then one of two routes.  Q^t divides the determinant of every member
+tuple, and for nonzero homogeneous members of degrees d_i the determinant
+is zero or homogeneous of degree sum(d_i).  If that sum is t * |A| (the
+degree of Q^t), the determinant is c * Q^t, and the point route reads c
+from one determinant of rational numbers at a point off the arrangement
+(:func:`point_constant`, which gives c without checking membership).
+Every other tuple (an inhomogeneous or zero operator, or another degree
+sum, never a basis) takes the symbolic route: :func:`det_poly` expands
+the determinant, which is divided exactly by Q^t, so that a refutation
+shows det / Q^t.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def saito_counts(dim: int, order: int) -> tuple[int, int]:
 def det_poly(matrix: CoeffMatrix | Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square polynomial matrix.
 
-    Small matrices are expanded by cofactors; larger ones use fraction-free
-    elimination, where every division by the previous pivot is exact over
-    the polynomial ring.  Pivoting always takes the first row with a
-    nonzero entry, so the result (including its sign) is reproducible.
+    Fraction-free (Bareiss) elimination: every division by the previous
+    pivot is exact over the polynomial ring.  Pivoting always takes the
+    first row with a nonzero entry, so the result (including its sign) is
+    reproducible.
     """
     rows = [list(r) for r in (matrix.rows() if isinstance(matrix, CoeffMatrix)
                               else matrix)]
@@ -61,27 +62,6 @@ def det_poly(matrix: CoeffMatrix | Sequence[Sequence[Poly]]) -> Poly:
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("matrix must be square and nonempty")
     dim = rows[0][0].dim
-    if n <= 4:
-        return _det_cofactor(rows, dim)
-    return _det_bareiss(rows, dim)
-
-
-def _det_cofactor(rows: list[list[Poly]], dim: int) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = Poly.zero(dim)
-    for j, entry in enumerate(rows[0]):
-        if entry.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = entry * _det_cofactor(minor, dim)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _det_bareiss(rows: list[list[Poly]], dim: int) -> Poly:
-    n = len(rows)
     sign = 1
     previous = Poly.one(dim)
     for k in range(n - 1):
@@ -168,19 +148,24 @@ class SaitoResult:
         return out
 
 
-def _point_constant(ops: Sequence[DiffOp],
-                    arr: Arrangement) -> Fraction | None:
+def point_constant(ops: Sequence[DiffOp],
+                   arr: Arrangement) -> Fraction | None:
     """The c with det M = c * Q^t for a degree-matched member tuple.
 
     Returns None unless every operator is nonzero and homogeneous and the
     degrees sum to t * |A|; then det M = c * Q^t (see the module notes)
     and c = det M(p) / Q(p)^t at the first point p = (1, s, s^2, ...),
-    s = 1, 2, ..., off every hyperplane.  Membership is not checked here.
+    s = 1, 2, ..., off every hyperplane.  Membership is not checked here;
+    :func:`saito_check` is the full criterion.
     """
+    if not ops:
+        raise ValueError("need at least one operator")
     order = ops[0].order
     if any((op.dim, op.order) != (arr.dim, order) for op in ops):
         raise ValueError("operators must share dimension and order")
-    _, exponent = saito_counts(arr.dim, order)
+    rank, exponent = saito_counts(arr.dim, order)
+    if len(ops) != rank:
+        raise ValueError(f"need exactly {rank} operators, got {len(ops)}")
     degrees = [op.homogeneous_degree() for op in ops]
     if None in degrees or sum(degrees) != exponent * len(arr):
         return None
@@ -220,7 +205,7 @@ def saito_check(ops: Sequence[DiffOp], arr: Arrangement) -> SaitoResult:
     def qt() -> Poly:
         return arr.defining_polynomial() ** exponent
 
-    constant = _point_constant(ops, arr)
+    constant = point_constant(ops, arr)
     if constant == 0:
         zero = Poly.zero(arr.dim)
         return SaitoResult(SaitoVerdict.NOT_PROPORTIONAL,
@@ -239,23 +224,3 @@ def saito_check(ops: Sequence[DiffOp], arr: Arrangement) -> SaitoResult:
     return SaitoResult(SaitoVerdict.NOT_PROPORTIONAL,
                        determinant=det, det_over_qt=quotient)
 
-
-def degree_sum_check(ops: Sequence[DiffOp], arr: Arrangement) -> bool:
-    """Basis test for member tuples via degrees instead of divisibility.
-
-    For homogeneous members, independence (nonzero determinant) plus
-    degree sum equal to t * |A| is equivalent to being a basis; the
-    determinant is read at one point.  Membership is a precondition and is
-    not re-verified here.
-    """
-    if not ops:
-        raise ValueError("need at least one operator")
-    rank, _ = saito_counts(arr.dim, ops[0].order)
-    if len(ops) != rank:
-        raise ValueError(f"need exactly {rank} operators, got {len(ops)}")
-    for op in ops:
-        if op.is_zero():
-            return False  # dependent tuple
-        if op.homogeneous_degree() is None:
-            raise ValueError("operators must be homogeneous")
-    return bool(_point_constant(ops, arr))

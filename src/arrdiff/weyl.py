@@ -198,8 +198,10 @@ class DiffOp:
 
 
 def diffop_from_json(data: dict) -> DiffOp:
-    dim = int(data["dim"])
-    order = int(data["order"])
+    dim, order = data["dim"], data["order"]
+    if type(dim) is not int or type(order) is not int:
+        raise ValueError(f"dim and order must be JSON integers, got "
+                         f"{dim!r} and {order!r}")
     return DiffOp(dim, order,
                   [(exponent_from_json(term["a"]),
                     poly_from_json(term["coef"], dim))
@@ -282,21 +284,6 @@ def coefficient_matrix(ops: Sequence[DiffOp]) -> CoeffMatrix:
         inv_fact = Fraction(1, mi_factorial(a))
         entries.append(tuple(op.apply(monomial) * inv_fact for op in ops))
     return CoeffMatrix(dim, order, exponents, tuple(entries))
-
-
-def split_by_bidegree(op: DiffOp, dim_first: int, dim_second: int) -> list[DiffOp]:
-    """Split an operator by total derivative order in the leading block.
-
-    Returns m+1 operators (some possibly zero) whose sum is the input;
-    component i collects the terms with derivative order i in the first
-    dim_first variables.
-    """
-    if dim_first + dim_second != op.dim or dim_first < 0 or dim_second < 0:
-        raise ValueError("block sizes must partition the dimension")
-    buckets: list[dict[MultiIndex, Poly]] = [{} for _ in range(op.order + 1)]
-    for a, p in op.terms():
-        buckets[mi_degree(a[:dim_first])][a] = p
-    return [DiffOp(op.dim, op.order, bucket) for bucket in buckets]
 
 
 def embed(op: DiffOp, total_dim: int, offset: int) -> DiffOp:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
@@ -171,6 +172,36 @@ def test_paper_suite_deterministic(capsys):
     assert "FAIL" not in out1
 
 
+PAPER_SUITE_STDOUT = "\n".join([
+    "PASS  golden-det-rank2        det equals +/- 2*Q^2",
+    "PASS  golden-det-shi2         det equals +/- 4*(y-z)*Q^3",
+    "PASS  shi2-members            all six explicit operators are members",
+    "PASS  shi2-graded-dims        graded dimensions (0, 0, 1, 3)",
+    "PASS  shi2-decide-m2          verdict NOT_FREE",
+    "PASS  shi2-decide-m1          verdict FREE, exponents (1, 3, 3)",
+    "PASS  generic-formula         m=1 NOT_FREE, m=2 FREE",
+    "PASS  product-exponents       exponents [0, 1, 2, 2, 2, 2]",
+    "PASS  rank2-family            saito and degree sums for n=2..4, m=1..3",
+    "PASS  localization-pipeline   both orders refuted through localization",
+    "PASS  euler-membership        order-2 Euler operator is a member",
+    "PASS  displayed-divisibility  explicit images divide per hyperplane",
+    "12/12 checks passed",
+]) + "\n"
+
+
+def test_paper_suite_golden_output(capsys):
+    code, out, err = run_cli(capsys, "paper-suite")
+    assert (code, out, err) == (0, PAPER_SUITE_STDOUT, "")
+
+
+def test_shi2_cert_golden_digest(capsys):
+    code, out, err = run_cli(capsys, "shi2-cert")
+    assert code == 0 and err == ""
+    assert len(out.encode()) == 18312
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "95bbd344fd4560a9732a1a7a99ab30c5b78c439fff4ebc44e7576dae7614a598")
+
+
 def test_invalid_inputs_exit_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decide", "-a", "/nonexistent.json",
                            "-m", "1")
@@ -183,6 +214,35 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
                        {"dim": 2, "forms": [["1", "0"], ["2", "0"]]})
     code, _, _ = run_cli(capsys, "decide", "-a", dupes, "-m", "1")
     assert code == 2
+
+
+def test_non_integer_dim_or_order_exits_two(capsys, tmp_path):
+    # int() would read 2.7 as 2 and true or 1.5 as 1, and answer
+    for value in (2.7, True, 1.5):
+        dim = int(value)
+        unit = [["1"] + ["0"] * (dim - 1)]
+        arr = write_json(tmp_path / "arr.json", {"dim": dim, "forms": unit})
+        bad_arr = write_json(tmp_path / "bad.json",
+                             {"dim": value, "forms": unit})
+        bad_dim = write_json(tmp_path / "op1.json",
+                             {"dim": value, "order": 1, "terms": []})
+        bad_order = write_json(tmp_path / "op2.json",
+                               {"dim": dim, "order": value, "terms": []})
+        for argv in (("decide", "-a", bad_arr, "-m", "1"),
+                     ("check-member", "-a", arr, "-o", bad_dim),
+                     ("check-member", "-a", arr, "-o", bad_order)):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_product_basis_negative_order_exits_two(capsys, tmp_path):
+    first = write_json(tmp_path / "a.json", RANK2_JSON)
+    second = write_json(tmp_path / "b.json", {"dim": 1, "forms": []})
+    code, out, err = run_cli(capsys, "product-basis", "-a", first,
+                             "-b", second, "-m", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_localize_basis_index_out_of_range_exits_two(capsys, tmp_path):
@@ -271,12 +331,18 @@ def _operator(draw, dim, order):
 
 
 @st.composite
-def _documents(draw):
-    """(arrangement, operator file, subcommand) as one valid input, fuzzed."""
+def _arrangement(draw):
+    """(dim, a valid arrangement document)."""
     dim = draw(st.integers(1, 3))
     forms = draw(st.lists(form_strategy(dim), max_size=4))
-    arrangement = {"dim": dim,
-                   "forms": [f.to_json() for f in dict.fromkeys(forms)]}
+    return dim, {"dim": dim,
+                 "forms": [f.to_json() for f in dict.fromkeys(forms)]}
+
+
+@st.composite
+def _documents(draw):
+    """(arrangement, operator file, subcommand) as one valid input, fuzzed."""
+    dim, arrangement = draw(_arrangement())
     command = draw(st.sampled_from(["check-member", "saito"]))
     order = draw(st.integers(0, 3))
     count = 1 if command == "check-member" else comb(dim + order - 1, order)
@@ -289,22 +355,44 @@ def _documents(draw):
             draw(_fuzzed(st.just(operators))), command)
 
 
+def assert_exits_cleanly(argv, files):
+    """Run the CLI with each (flag, document) pair written to a file; the
+    exit code is one of the documented ones, with no traceback, and exit 2
+    prints exactly one error line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        for i, (flag, document) in enumerate(files):
+            path = Path(tmp) / f"{i}.json"
+            path.write_text(json.dumps(document), encoding="utf-8")
+            argv += [flag, str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1
+
+
 @given(_documents())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzz_operator_commands_exit_cleanly(documents):
     arrangement, operators, command = documents
     flag = "-o" if command == "check-member" else "-b"
-    with tempfile.TemporaryDirectory() as tmp:
-        arr = Path(tmp) / "arr.json"
-        ops = Path(tmp) / "ops.json"
-        arr.write_text(json.dumps(arrangement), encoding="utf-8")
-        ops.write_text(json.dumps(operators), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main([command, "-a", str(arr), flag, str(ops)])
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith("error:")
-        assert len(err.getvalue().splitlines()) == 1
+    assert_exits_cleanly([command], [("-a", arrangement), (flag, operators)])
+
+
+ARRANGEMENT_COMMANDS = [["decide", "-m", "1"],
+                        ["graded-dim", "-m", "1", "-d", "0..2"],
+                        ["localize", "--seed", "0"],
+                        ["basis-l2", "-m", "1"]]
+
+
+@given(_fuzzed(_arrangement().map(lambda pair: pair[1])),
+       st.sampled_from(ARRANGEMENT_COMMANDS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_arrangement_commands_exit_cleanly(arrangement, argv):
+    assert_exits_cleanly(argv, [("-a", arrangement)])

@@ -13,7 +13,8 @@ from arrdiff.construct import (basis_rank_two, find_flat_point,
                                shi2_nonfreeness_certificate)
 from arrdiff.graded import FREE, NOT_FREE, decide_free
 from arrdiff.qpoly import Poly, variables
-from arrdiff.saito import SaitoVerdict, degree_sum_check, saito_check, saito_counts
+from arrdiff.saito import (SaitoVerdict, point_constant, saito_check,
+                           saito_counts)
 from arrdiff.weyl import DiffOp, euler_operator
 
 
@@ -66,7 +67,16 @@ def test_rank2_handles_unnormalized_coordinates():
     for order in (1, 2, 3):
         ops = basis_rank_two(arr, order)
         assert saito_check(ops, arr)
-        assert degree_sum_check(ops, arr)
+        assert point_constant(ops, arr)
+
+
+def test_rank2_empty_arrangement():
+    # no hyperplanes: the constant-coefficient symbols are a basis
+    empty = Arrangement(2, ())
+    for order in (1, 2, 3):
+        ops = basis_rank_two(empty, order)
+        assert saito_check(ops, empty)
+        assert all(op.homogeneous_degree() == 0 for op in ops)
 
 
 def test_rank2_rejects_bad_input():

@@ -18,7 +18,7 @@ from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  flat_closure, localize, make_named, make_shi)
 from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, _localization_filter,
                             decide_free, graded_dimension, minimal_generators,
-                            operator_vector, vanishing_quick_checks)
+                            operator_vector)
 from arrdiff.linalg import RowBasis, nullspace_basis
 from arrdiff.membership import is_member
 from arrdiff.qpoly import (LinearForm, Poly, mi_add, mi_factorial, mi_unit,
@@ -184,29 +184,30 @@ def test_euler_operator_in_its_graded_piece():
 
 
 # ---------------------------------------------------------------------------
-# vanishing quick checks
+# vanishing of the lowest graded pieces
 
 def test_vanishing_checks_golden():
+    # with every coordinate hyperplane present the degree-0 piece is zero;
+    # at order >= 2 the degree-1 piece vanishes exactly when every variable
+    # also appears in a non-coordinate hyperplane
     full = arr_of(3, "x", "y", "z", "x-y", "x-z", "y-z", "x-y-z")
-    checks = vanishing_quick_checks(full, 2)
-    assert checks.deg0_applicable and checks.deg0_zero
-    assert checks.deg1_applicable and checks.deg1_zero
     assert graded_dimension(full, 2, 0).dimension == 0
     assert graded_dimension(full, 2, 1).dimension == 0
 
     partial = arr_of(3, "x", "y", "z", "x-y")
-    checks = vanishing_quick_checks(partial, 2)
-    assert checks.deg1_applicable and checks.deg1_zero is False
+    assert graded_dimension(partial, 2, 0).dimension == 0
     # the surviving degree-1 operator is z * d_z^m
     piece = graded_dimension(partial, 2, 1)
     assert piece.dimension >= 1
     z = variables(3)[2]
     survivor = DiffOp.single(3, (0, 0, 2), z)
     assert is_member(survivor, partial)
+    assert survivor in piece.operators
 
+    # without the hyperplane z = 0, d_z^2 survives in degree 0
     missing = arr_of(3, "x", "y", "x-y")
-    checks = vanishing_quick_checks(missing, 2)
-    assert not checks.deg0_applicable and checks.deg0_zero is None
+    constant = DiffOp.single(3, (0, 0, 2), Poly.one(3))
+    assert constant in graded_dimension(missing, 2, 0).operators
 
 
 def test_vanishing_checks_irreducible_consequence():
@@ -366,9 +367,10 @@ def test_localization_filter_tries_every_flat_in_seed_order(vectors,
         return localize(sub_arr, flat, **kwargs)
 
     with patch("arrdiff.graded.localize", record), \
+            patch("arrdiff.graded._SEED_LIMIT", seed_limit), \
             patch("arrdiff.graded._quick_free_status",
                   lambda sub, order: (None, {})):
-        assert _localization_filter(arr, 1, seed_limit) is None
+        assert _localization_filter(arr, 1) is None
     assert tried == expected
 
 

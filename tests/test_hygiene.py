@@ -1,0 +1,36 @@
+"""Source-level rules for the library modules, checked with ast."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "arrdiff"
+
+
+def modules():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths, SRC
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in paths]
+
+
+def test_no_assert_statements():
+    # python -O strips asserts, so soundness checks must raise instead
+    found = [f"{name}:{node.lineno}" for name, tree in modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_private_imports_across_modules():
+    found = []
+    for name, tree in modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            internal = node.level > 0 or (node.module or "").split(".")[0] \
+                == "arrdiff"
+            found += [f"{name}:{node.lineno} {alias.name}"
+                      for alias in node.names
+                      if internal and alias.name.startswith("_")]
+    assert found == []

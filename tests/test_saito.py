@@ -15,9 +15,8 @@ from arrdiff.graded import decide_free
 from arrdiff.linalg import determinant, row_times_matrix
 from arrdiff.membership import shi2_order2_members
 from arrdiff.qpoly import Poly, exact_divide, variables
-from arrdiff.saito import (SaitoResult, SaitoVerdict, _point_constant,
-                           degree_sum_check, det_poly, saito_check,
-                           saito_counts)
+from arrdiff.saito import (SaitoResult, SaitoVerdict, det_poly, point_constant,
+                           saito_check, saito_counts)
 from arrdiff.weyl import (DiffOp, change_variables, coefficient_matrix,
                           euler_operator)
 from tests.test_membership import arr_of, random_poly
@@ -91,15 +90,28 @@ def test_det_multilinear_and_alternating_random():
         assert det_poly(doubled).is_zero()
 
 
+def cofactor_det(rows):
+    """Reference determinant: Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = Poly.zero(rows[0][0].dim)
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = entry * cofactor_det(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def test_bareiss_matches_cofactor_on_larger_matrices():
     rng = random.Random(17)
-    from arrdiff.saito import _det_bareiss, _det_cofactor
-    for _ in range(5):
-        rows = [[random_poly(rng, 2, rng.randint(0, 1), terms=2)
-                 for _ in range(5)] for _ in range(5)]
-        bareiss = _det_bareiss([list(r) for r in rows], 2)
-        cofactor = _det_cofactor([list(r) for r in rows], 2)
-        assert bareiss == cofactor
+    for n in range(1, 6):
+        for _ in range(4):
+            rows = [[random_poly(rng, 2, rng.randint(0, 1), terms=2)
+                     for _ in range(n)] for _ in range(n)]
+            for k in range(n - 1):  # zero pivots force row swaps
+                if rng.random() < 0.4:
+                    rows[k][k] = Poly.zero(2)
+            assert det_poly([list(r) for r in rows]) == cofactor_det(rows)
 
 
 def test_saito_check_golden():
@@ -156,28 +168,39 @@ def test_saito_check_wrong_count():
         saito_check(rank2_triple()[:2], RANK2)
 
 
-def test_degree_sum_check_golden():
-    assert degree_sum_check(rank2_triple(), RANK2)
+def test_point_constant_golden():
+    assert abs(point_constant(rank2_triple(), RANK2)) == 2
     shi = make_shi(2)
     # degrees 2+4+4+4+4+4 = 22 != 21 = t * |A|
-    assert not degree_sum_check(shi2_order2_members(), shi)
+    assert point_constant(shi2_order2_members(), shi) is None
     empty = Arrangement(2, ())
     symbols = [DiffOp.single(2, a, Poly.one(2))
                for a in ((2, 0), (1, 1), (0, 2))]
-    assert degree_sum_check(symbols, empty)
+    assert point_constant(symbols, empty) == 1
+    # a dependent degree-matched tuple has constant 0
+    theta = rank2_triple()[1]
+    assert point_constant([euler_operator(2, 2), theta, theta], RANK2) == 0
 
 
-def test_degree_sum_check_rejects_inhomogeneous():
+def test_point_constant_off_the_degree_form():
     x, y = variables(2)
+    _, theta_1, theta_2 = rank2_triple()
     mixed = DiffOp.single(2, (2, 0), x + x * y)
+    assert point_constant([mixed, theta_1, theta_2], RANK2) is None
+    assert point_constant([DiffOp.zero(2, 2), theta_1, theta_2], RANK2) \
+        is None
     with pytest.raises(ValueError):
-        degree_sum_check([mixed, rank2_triple()[1], rank2_triple()[2]], RANK2)
+        point_constant([], RANK2)
+    with pytest.raises(ValueError):
+        point_constant([theta_1, theta_2], RANK2)
+    with pytest.raises(ValueError):
+        point_constant([euler_operator(2, 1), theta_1, theta_2], RANK2)
 
 
 def test_basis_implies_degree_sum():
     # one direction of the degree criterion, on a verified basis
-    assert saito_check(rank2_triple(), RANK2)
-    assert degree_sum_check(rank2_triple(), RANK2)
+    result = saito_check(rank2_triple(), RANK2)
+    assert result and point_constant(rank2_triple(), RANK2) == result.constant
 
 
 def test_member_determinants_divisible_by_qt_sample():
@@ -222,14 +245,14 @@ def golden_bases():
 
 def test_point_certificate_matches_symbolic_on_golden_bases():
     for ops, arr in golden_bases():
-        assert _point_constant(ops, arr) is not None
+        assert point_constant(ops, arr) is not None
         result = saito_check(ops, arr)
         assert result.verdict is SaitoVerdict.BASIS
         assert result.to_json() == symbolic_saito(ops, arr).to_json()
     # the refutation takes the symbolic route and shows det / Q^t
     shi = make_shi(2)
     members = shi2_order2_members()
-    assert _point_constant(members, shi) is None
+    assert point_constant(members, shi) is None
     assert saito_check(members, shi).to_json() \
         == symbolic_saito(members, shi).to_json()
 
@@ -272,7 +295,7 @@ def test_point_certificate_matches_symbolic_on_random_bases(data):
     result = saito_check(ops, arr)
     assert result.to_json() == symbolic_saito(ops, arr).to_json()
     if variant == "basis":
-        assert _point_constant(ops, arr) is not None
+        assert point_constant(ops, arr) is not None
         assert result.verdict is SaitoVerdict.BASIS
     elif variant == "duplicate":
         assert result.verdict is SaitoVerdict.NOT_PROPORTIONAL

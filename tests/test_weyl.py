@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from arrdiff.qpoly import LinearForm, Poly, monomial_exponents, variables
 from arrdiff.weyl import (DiffOp, block_product, change_variables,
                           coefficient_matrix, diffop_from_json, embed,
-                          euler_operator, split_by_bidegree)
+                          euler_operator)
 from tests.test_qpoly import poly_strategy
 
 
@@ -178,30 +178,6 @@ def test_matrix_entries_reconstruct_operator(data):
 
 # ---------------------------------------------------------------------------
 # block structure and transport
-
-def test_split_by_bidegree():
-    op = DiffOp.single(3, (1, 0, 1), Poly.one(3))
-    parts = split_by_bidegree(op, 2, 1)
-    assert [not p.is_zero() for p in parts] == [False, True, False]
-    euler = euler_operator(3, 2)
-    parts = split_by_bidegree(euler, 2, 1)
-    assert [p.is_zero() for p in parts] == [False, False, False]
-    total = DiffOp.zero(3, 2)
-    for part in parts:
-        total = total + part
-    assert total == euler
-
-
-@given(st.data())
-@settings(max_examples=30)
-def test_split_partitions_terms(data):
-    op = data.draw(op_strategy(3, 2))
-    parts = split_by_bidegree(op, 1, 2)
-    total = DiffOp.zero(3, 2)
-    for part in parts:
-        total = total + part
-    assert total == op
-
 
 def test_embed_and_block_product():
     x, y = variables(2)
