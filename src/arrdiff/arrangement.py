@@ -115,16 +115,13 @@ def flat_closure(arr: Arrangement, seed: Iterable[int]) -> FlatRef:
     return FlatRef(generators=members, rank=rank)
 
 
-def localize(arr: Arrangement, flat: FlatRef, *,
-             check: bool = True) -> Arrangement:
+def localize(arr: Arrangement, flat: FlatRef) -> Arrangement:
     """Subarrangement of the hyperplanes containing a flat.
 
     The ambient dimension is unchanged.  The flat must be closed in this
-    arrangement (i.e. produced by :func:`flat_closure` on it); that is
-    re-checked unless ``check`` is false, which is for a flat that
-    :func:`flat_closure` has just returned.
+    arrangement (i.e. produced by :func:`flat_closure` on it).
     """
-    if check and flat_closure(arr, flat.generators) != flat:
+    if flat_closure(arr, flat.generators) != flat:
         raise ValueError("flat is not closed in this arrangement")
     return Arrangement(arr.dim, [arr.forms[i] for i in sorted(flat.generators)])
 
@@ -180,14 +177,6 @@ class Decomposition:
     basis_change: tuple[tuple[Fraction, ...], ...]
     rank: int
     hyperplane_components: tuple[tuple[int, ...], ...]
-
-    @property
-    def is_irreducible(self) -> bool:
-        """True when the arrangement admits no proper product splitting."""
-        dim = len(self.basis_change)
-        if dim == 1:
-            return True
-        return len(self.factors) == 1 and self.rank == dim
 
 
 def decompose(arr: Arrangement) -> Decomposition:

@@ -19,6 +19,8 @@ those counts decides freeness outright:
   them as a basis;
 * conversely an overflow past s generators, a failed determinant check at
   exactly s, or fewer than s generators by the bound each refute freeness.
+
+Three fast filters (see :func:`decide_free`) may answer before the sweep.
 """
 
 from __future__ import annotations
@@ -235,12 +237,21 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
                 fast_filters: bool = True) -> FreenessReport:
     """Decide whether the order-m operator module is free.
 
-    Optional fast filters (closed-form formulas on products, generic
-    arrangements, and localizations) may refute freeness early or supply a
-    verified product basis; the generator sweep up to t * |A| is complete
-    on its own.  ``max_degree`` overrides the sweep bound; any verdict the
-    sweep reaches is sound for any bound, but an exhausted sweep below
-    t * |A| reports UNDECIDED rather than claiming a generator deficit.
+    Optional fast filters apply three rules before the sweep:
+
+    * generic formula: a generic arrangement is free exactly from order
+      |A| - dim + 1 on, so a lower order is refuted;
+    * product recursion: a product is free at order m exactly when every
+      factor is free at every order 1..m, decided recursively; a non-free
+      factor refutes, and all-free factors give a verified product basis;
+    * generic rank-3 localization: every localization of a free
+      arrangement is free, so a proper localization that is a generic
+      rank-3 arrangement times an empty one (not free at order 1) refutes.
+
+    The generator sweep up to t * |A| is complete on its own.
+    ``max_degree`` overrides the sweep bound; any verdict the sweep
+    reaches is sound for any bound, but an exhausted sweep below t * |A|
+    reports UNDECIDED rather than claiming a generator deficit.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -318,53 +329,6 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
 # ---------------------------------------------------------------------------
 # fast filters
 
-_SEED_LIMIT = 3  # the largest seed the localization filter closes
-
-
-def _quick_factor_status(arr: Arrangement, order: int) -> bool | None:
-    """Closed-form freeness for an essential factor, or None if unknown.
-
-    Arrangements of rank at most 2 are free for every order; generic
-    arrangements are free exactly from order |A| - dim + 1 on.
-    """
-    if arr.dim <= 2:
-        return True
-    if is_generic(arr):
-        return order >= len(arr) - arr.dim + 1
-    return None
-
-
-def _quick_free_status(arr: Arrangement, order: int) -> tuple[bool | None, dict]:
-    """Freeness by decomposition plus closed-form factor rules only.
-
-    A product is free for order m exactly when every factor is free for
-    every order 1..m, so one definitely-non-free factor refutes and
-    all-free factors confirm; anything else is unknown.
-    """
-    dec = decompose(arr)
-    essential = [f for f in dec.factors if len(f.arrangement) > 0]
-    if dec.is_irreducible:
-        status = _quick_factor_status(arr, order)
-        return status, {"factors": 1, "rule": "irreducible"}
-    confirmed = True
-    for factor in essential:
-        for i in range(1, order + 1):
-            status = _quick_factor_status(factor.arrangement, i)
-            if status is False:
-                return False, {
-                    "rule": "product-factor-not-free",
-                    "factor_forms": [str(f) for f in factor.arrangement.forms],
-                    "factor_dim": factor.arrangement.dim,
-                    "factor_size": len(factor.arrangement),
-                    "failing_order": i,
-                }
-            if status is None:
-                confirmed = False
-    if confirmed:
-        return True, {"rule": "all-factors-free"}
-    return None, {}
-
-
 def _fast_filters(arr, order, audit, report):
     # closed-form formula for generic arrangements
     if is_generic(arr):
@@ -407,7 +371,7 @@ def _fast_filters(arr, order, audit, report):
                     conclusive = False
                 per_order.append(sub)
             factor_reports.append(per_order)
-        if conclusive and order >= 1:
+        if conclusive:
             synthesized = _product_basis_synthesis(arr, dec, order,
                                                    factor_reports, audit)
             if synthesized is not None:
@@ -418,8 +382,8 @@ def _fast_filters(arr, order, audit, report):
                     "via": "product-decomposition",
                 }, exponents=exponents, basis=basis)
 
-    # localization spot checks
-    certificate = _localization_filter(arr, order)
+    # a generic rank-3 localization refutes
+    certificate = _localization_filter(arr)
     if certificate is not None:
         audit.append("filter: a localization is not free, so the "
                      "arrangement is not free")
@@ -461,36 +425,50 @@ def _product_basis_synthesis(arr, dec: Decomposition, order,
     return transported, result.constant, exponents
 
 
-def _localization_filter(arr: Arrangement, order: int) -> dict | None:
-    """Look for a proper localization that is provably not free."""
+def _localization_filter(arr: Arrangement) -> dict | None:
+    """Look for a proper localization that is provably not free.
+
+    Every localization of a free arrangement is free, and a product is
+    free exactly when each factor is free at every order up to m.  A
+    localization of rank at most 2 is free, and one of rank 3 is a
+    generic arrangement times an empty one, which is not free at order 1,
+    exactly when it has at least four hyperplanes and no three of them
+    share a rank-2 flat.  Flats are tried in the order of their first
+    non-collinear hyperplane triple.
+    """
     n = len(arr)
-    if n == 0:
-        return None
-    seen: set[frozenset[int]] = set()
-    # pair of hyperplanes -> the rank-2 flat it spans; a seed of two or
-    # more hyperplanes inside a seen rank-2 flat closes to that flat
-    lines: dict[tuple[int, ...], frozenset[int]] = {}
-    for size in range(1, min(_SEED_LIMIT, n) + 1):
-        for seed in combinations(range(n), size):
-            line = lines.get(seed[:2])
-            if line is not None and line.issuperset(seed):
-                continue
-            flat = flat_closure(arr, seed)
-            if flat.rank == 2:
-                lines.update((pair, flat.generators) for pair in
-                             combinations(sorted(flat.generators), 2))
-            if flat.generators in seen or len(flat.generators) == n:
-                continue
-            seen.add(flat.generators)
-            sub = localize(arr, flat, check=False)
-            status, detail = _quick_free_status(sub, order)
-            if status is False:
-                return {
-                    "kind": "fast_filter",
-                    "reason": "localization-not-free",
-                    "flat": sorted(flat.generators),
-                    "flat_rank": flat.rank,
-                    "localization_size": len(sub),
-                    "detail": detail,
-                }
+    # pair -> hyperplane count of the rank-2 flat it spans; a triple
+    # inside a closed flat spans that flat or a line, so none is closed twice
+    line_size: dict[tuple[int, ...], int] = {}
+    covered: set[tuple[int, ...]] = set()
+    for pair in combinations(range(n), 2):
+        if pair not in line_size:
+            line = sorted(flat_closure(arr, pair).generators)
+            line_size.update(dict.fromkeys(combinations(line, 2), len(line)))
+            covered.update(combinations(line, 3))
+    for triple in combinations(range(n), 3):
+        if triple in covered:
+            continue
+        flat = flat_closure(arr, triple)
+        members = sorted(flat.generators)
+        covered.update(combinations(members, 3))
+        if len(members) < 4 or len(members) == n or any(
+                line_size[pair] > 2 for pair in combinations(members, 2)):
+            continue
+        sub = localize(arr, flat)
+        factor = decompose(sub).factors[0].arrangement
+        return {
+            "kind": "fast_filter",
+            "reason": "localization-not-free",
+            "flat": members,
+            "flat_rank": flat.rank,
+            "localization_size": len(sub),
+            "detail": {
+                "rule": "product-factor-not-free",
+                "factor_forms": [str(f) for f in factor.forms],
+                "factor_dim": factor.dim,
+                "factor_size": len(factor),
+                "failing_order": 1,
+            },
+        }
     return None

@@ -148,6 +148,23 @@ class SaitoResult:
         return out
 
 
+def _tuple_shape(ops: Sequence[DiffOp], arr: Arrangement) -> tuple[int, int]:
+    """(order, det exponent) of a candidate basis tuple.
+
+    Raises ValueError unless the operators share the arrangement's
+    dimension and one order, and there are exactly rank of them.
+    """
+    if not ops:
+        raise ValueError("need at least one operator")
+    order = ops[0].order
+    if any((op.dim, op.order) != (arr.dim, order) for op in ops):
+        raise ValueError("operators must share dimension and order")
+    rank, exponent = saito_counts(arr.dim, order)
+    if len(ops) != rank:
+        raise ValueError(f"need exactly {rank} operators, got {len(ops)}")
+    return order, exponent
+
+
 def point_constant(ops: Sequence[DiffOp],
                    arr: Arrangement) -> Fraction | None:
     """The c with det M = c * Q^t for a degree-matched member tuple.
@@ -158,14 +175,7 @@ def point_constant(ops: Sequence[DiffOp],
     s = 1, 2, ..., off every hyperplane.  Membership is not checked here;
     :func:`saito_check` is the full criterion.
     """
-    if not ops:
-        raise ValueError("need at least one operator")
-    order = ops[0].order
-    if any((op.dim, op.order) != (arr.dim, order) for op in ops):
-        raise ValueError("operators must share dimension and order")
-    rank, exponent = saito_counts(arr.dim, order)
-    if len(ops) != rank:
-        raise ValueError(f"need exactly {rank} operators, got {len(ops)}")
+    order, exponent = _tuple_shape(ops, arr)
     degrees = [op.homogeneous_degree() for op in ops]
     if None in degrees or sum(degrees) != exponent * len(arr):
         return None
@@ -188,14 +198,11 @@ def saito_check(ops: Sequence[DiffOp], arr: Arrangement) -> SaitoResult:
     Verifies membership of every operator, then tests whether the
     determinant of the coefficient matrix is a nonzero constant times Q^t:
     at one point for degree-matched homogeneous tuples, otherwise by
-    expanding the determinant and dividing it exactly by Q^t.
+    expanding the determinant and dividing it exactly by Q^t.  A tuple
+    of mixed dimension or order, or of the wrong size, raises ValueError
+    before any membership test.
     """
-    if not ops:
-        raise ValueError("need at least one operator")
-    order = ops[0].order
-    rank, exponent = saito_counts(arr.dim, order)
-    if len(ops) != rank:
-        raise ValueError(f"need exactly {rank} operators, got {len(ops)}")
+    _, exponent = _tuple_shape(ops, arr)
     for i, op in enumerate(ops):
         result = is_member(op, arr)
         if not result:

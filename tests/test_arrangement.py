@@ -191,13 +191,13 @@ def test_decompose_splits_off_line():
     sizes = sorted((len(f.arrangement), f.arrangement.dim)
                    for f in dec.factors)
     assert sizes == [(1, 1), (3, 2)]
-    assert not dec.is_irreducible
+    assert len(dec.factors) == 2 and dec.rank == 3
 
 
 def test_decompose_shi2_irreducible():
     arr = make_shi(2)
     dec = decompose(arr)
-    assert dec.is_irreducible
+    assert len(dec.factors) == 1 and dec.rank == arr.dim
     assert {frozenset(c) for c in dec.hyperplane_components} \
         == oracle_components(arr)
 
@@ -205,8 +205,7 @@ def test_decompose_shi2_irreducible():
 def test_decompose_rank_deficient_generic():
     arr = arr_of(4, "x1", "x2", "x3", "x1+x2+x3")
     dec = decompose(arr)
-    assert dec.rank == 3 and not dec.is_irreducible
-    assert len(dec.factors) == 2
+    assert dec.rank == 3 and len(dec.factors) == 2
     essential = dec.factors[0].arrangement
     assert essential.dim == 3 and len(essential) == 4
     assert is_generic(essential)
@@ -249,5 +248,6 @@ def test_decompose_factors_reassemble_via_basis_change():
 def test_empty_arrangement_decomposition():
     dec = decompose(Arrangement(3, ()))
     assert len(dec.factors) == 1 and dec.rank == 0
-    assert not dec.is_irreducible
-    assert decompose(Arrangement(1, ())).is_irreducible
+    line = decompose(Arrangement(1, ()))
+    assert len(line.factors) == 1 and line.rank == 0
+    assert line.factors[0].arrangement.dim == 1

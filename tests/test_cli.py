@@ -14,13 +14,14 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arrdiff.arrangement import arrangement_from_json, make_shi
+from arrdiff.arrangement import arrangement_from_json, make_named, make_shi
 from arrdiff.cli import main
 from arrdiff.construct import basis_rank_two
 from arrdiff.membership import shi2_order2_members
 from arrdiff.qpoly import monomial_exponents
 from arrdiff.weyl import diffop_from_json
 from tests.test_qpoly import form_strategy
+from tests.test_saito import mixed_order_tuples
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,16 @@ def test_saito_golden(capsys, tmp_path):
                        [op.to_json() for op in ops[:2]])
     code, _, err = run_cli(capsys, "saito", "-a", arr, "-b", short)
     assert code == 2 and "error" in err
+
+
+def test_saito_mixed_orders_exit_two(capsys, tmp_path):
+    arr = write_json(tmp_path / "a.json", RANK2_JSON)
+    for ops in mixed_order_tuples():
+        basis = write_json(tmp_path / "ops.json",
+                           [op.to_json() for op in ops])
+        code, out, err = run_cli(capsys, "saito", "-a", arr, "-b", basis)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_check_member(capsys, tmp_path):
@@ -200,6 +211,45 @@ def test_shi2_cert_golden_digest(capsys):
     assert len(out.encode()) == 18312
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "95bbd344fd4560a9732a1a7a99ab30c5b78c439fff4ebc44e7576dae7614a598")
+
+
+def holm_q1_decide_json(order, rank, det_exponent, degree_bound):
+    return {
+        "verdict": "NOT_FREE",
+        "order": order,
+        "rank": rank,
+        "det_exponent": det_exponent,
+        "degree_bound": degree_bound,
+        "exponents": None,
+        "basis": None,
+        "certificate": {
+            "kind": "fast_filter",
+            "reason": "localization-not-free",
+            "flat": [0, 1, 2, 4],
+            "flat_rank": 3,
+            "localization_size": 4,
+            "detail": {
+                "rule": "product-factor-not-free",
+                "factor_forms": ["x1", "x2", "x3", "x1 + x2 + x3"],
+                "factor_dim": 3,
+                "factor_size": 4,
+                "failing_order": 1,
+            },
+        },
+        "degrees_examined": [],
+        "audit": ["filter: a localization is not free, so the "
+                  "arrangement is not free"],
+    }
+
+
+def test_decide_holm_q1_golden_output(capsys, tmp_path):
+    arr = write_json(tmp_path / "holm.json",
+                     make_named("holm-q1").to_json())
+    for order, counts in ((1, (4, 1, 6)), (2, (10, 4, 24))):
+        code, out, err = run_cli(capsys, "decide", "-a", arr,
+                                 "-m", str(order))
+        expected = json.dumps(holm_q1_decide_json(order, *counts), indent=2)
+        assert (code, out, err) == (1, expected + "\n", "")
 
 
 def test_invalid_inputs_exit_two(capsys, tmp_path):

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
-                                 flat_closure, localize, make_named, make_shi)
+                                 decompose, flat_closure, is_generic,
+                                 localize, make_named, make_shi)
 from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, _localization_filter,
                             decide_free, graded_dimension, minimal_generators,
                             operator_vector)
@@ -213,8 +213,8 @@ def test_vanishing_checks_golden():
 def test_vanishing_checks_irreducible_consequence():
     # irreducible + coordinate hyperplanes: degrees 0 and 1 both vanish
     shi = make_shi(2)
-    from arrdiff.arrangement import decompose
-    assert decompose(shi).is_irreducible
+    dec = decompose(shi)
+    assert len(dec.factors) == 1 and dec.rank == shi.dim
     for order in (2, 3):
         assert graded_dimension(shi, order, 0).dimension == 0
         assert graded_dimension(shi, order, 1).dimension == 0
@@ -341,37 +341,96 @@ def test_decide_localization_filter_holm_q1():
         assert report.certificate["reason"] == "localization-not-free"
 
 
-@given(st.integers(3, 4).flatmap(lambda dim: st.lists(
-    st.lists(st.integers(-1, 1), min_size=dim, max_size=dim).filter(any),
-    min_size=1, max_size=8)), st.integers(1, 3))
-@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
-          [1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1]], 3)
-@settings(max_examples=60, deadline=None)
-def test_localization_filter_tries_every_flat_in_seed_order(vectors,
-                                                            seed_limit):
-    """Skipping seeds inside a seen rank-2 flat tries the same flats, in
-    the order closing every seed gives, so certificates cannot change."""
-    arr = Arrangement(len(vectors[0]),
-                      dict.fromkeys(LinearForm(v) for v in vectors))
+def reference_localization_filter(arr):
+    """The localization rule by brute force: localize at every unseen
+    proper flat closing a seed of at most three hyperplanes, in seed
+    order, and refute at the first generic essential factor."""
     n = len(arr)
-    expected = []
-    for size in range(1, min(seed_limit, n) + 1):
+    seen = set()
+    for size in (1, 2, 3):
         for seed in combinations(range(n), size):
             flat = flat_closure(arr, seed)
-            if flat.generators not in expected and len(flat.generators) < n:
-                expected.append(flat.generators)
-    tried = []
+            if flat.generators in seen or len(flat.generators) == n:
+                continue
+            seen.add(flat.generators)
+            sub = localize(arr, flat)
+            for factor in decompose(sub).factors:
+                if is_generic(factor.arrangement):
+                    return {
+                        "kind": "fast_filter",
+                        "reason": "localization-not-free",
+                        "flat": sorted(flat.generators),
+                        "flat_rank": flat.rank,
+                        "localization_size": len(sub),
+                        "detail": {
+                            "rule": "product-factor-not-free",
+                            "factor_forms": [str(f) for f in
+                                             factor.arrangement.forms],
+                            "factor_dim": factor.arrangement.dim,
+                            "factor_size": len(factor.arrangement),
+                            "failing_order": 1,
+                        },
+                    }
+    return None
 
-    def record(sub_arr, flat, **kwargs):
-        tried.append(flat.generators)
-        return localize(sub_arr, flat, **kwargs)
 
-    with patch("arrdiff.graded.localize", record), \
-            patch("arrdiff.graded._SEED_LIMIT", seed_limit), \
-            patch("arrdiff.graded._quick_free_status",
-                  lambda sub, order: (None, {})):
-        assert _localization_filter(arr, 1) is None
-    assert tried == expected
+def integer_vectors(arr):
+    return [[int(c) for c in f.coefficients] for f in arr.forms]
+
+
+def arrangement_of_vectors(vectors):
+    return Arrangement(len(vectors[0]),
+                       dict.fromkeys(LinearForm(v) for v in vectors))
+
+
+@given(st.integers(3, 5).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+    min_size=1, max_size=9)))
+@example(integer_vectors(make_named("holm-q1")))
+@example(integer_vectors(make_shi(3)))
+@example(integer_vectors(GENERIC3))  # a whole arrangement is no localization
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+          [1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1]])
+@settings(max_examples=100, deadline=None)
+def test_localization_filter_matches_brute_force(vectors):
+    """Only generic rank-3 localizations can refute, so the filter's
+    certificate equals the one from localizing at every small flat."""
+    arr = arrangement_of_vectors(vectors)
+    assert _localization_filter(arr) == reference_localization_filter(arr)
+
+
+def random_forms(dim, max_size):
+    return st.lists(st.lists(st.integers(-1, 1), min_size=dim,
+                             max_size=dim).filter(any),
+                    min_size=1, max_size=max_size)
+
+
+def assert_filters_match_sweep(vectors, order):
+    arr = arrangement_of_vectors(vectors)
+    filtered = decide_free(arr, order)
+    swept = decide_free(arr, order, fast_filters=False)
+    assert filtered.verdict == swept.verdict
+    if swept.verdict == FREE:
+        assert filtered.exponents == swept.exponents
+
+
+@given(random_forms(3, 6), st.integers(1, 2))
+@settings(max_examples=90, deadline=None)
+def test_fast_filters_match_sweep_dim3(vectors, order):
+    assert_filters_match_sweep(vectors, order)
+
+
+# four generic planes of the rank-3 subspace x4 = 0, so that the
+# localization at their flat refutes unless a further form breaks it
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+                .filter(any), min_size=4, max_size=4)
+       .filter(lambda rows: is_generic(arrangement_of_vectors(rows))),
+       random_forms(4, 3))
+@example([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],
+         [[0, 0, 0, 1], [1, 1, 1, 1]])
+@settings(max_examples=90, deadline=None)
+def test_fast_filters_match_sweep_dim4(planes, vectors):
+    assert_filters_match_sweep([p + [0] for p in planes] + vectors, 1)
 
 
 def test_decide_braid4_order2_free():

@@ -168,6 +168,21 @@ def test_saito_check_wrong_count():
         saito_check(rank2_triple()[:2], RANK2)
 
 
+def mixed_order_tuples():
+    """Three operators of order 2 and 1 on RANK2: the first tuple holds a
+    non-member, the second only members."""
+    theta_2 = rank2_triple()[2]
+    return [[DiffOp.single(2, (2, 0), Poly.one(2)), euler_operator(2, 1),
+             euler_operator(2, 2)],
+            [euler_operator(2, 2), euler_operator(2, 1), theta_2]]
+
+
+def test_saito_check_rejects_mixed_orders_before_membership():
+    for ops in mixed_order_tuples():
+        with pytest.raises(ValueError, match="share dimension and order"):
+            saito_check(ops, RANK2)
+
+
 def test_point_constant_golden():
     assert abs(point_constant(rank2_triple(), RANK2)) == 2
     shi = make_shi(2)
