@@ -17,7 +17,7 @@ from .qpoly import (LinearForm, Poly, as_fraction, exact_divide,
                     parse_linear_form, poly_from_json, variables)
 from .saito import (SaitoResult, SaitoVerdict, det_poly, point_constant,
                     saito_check, saito_counts)
-from .weyl import (CoeffMatrix, DiffOp, block_product, change_variables,
+from .weyl import (DiffOp, block_product, change_variables,
                    coefficient_matrix, diffop_from_json, directional_power,
                    embed, euler_operator)
 

@@ -91,25 +91,14 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
             ops.append(cofactor(j + 1) * slope_power(a))
         if order >= n:
             # complete the power symbols to a basis of the order-m symbols
-            exponents = monomial_exponents(2, order)
-            index = {a: i for i, a in enumerate(exponents)}
-
-            def symbol_vector(op: DiffOp) -> list[Fraction]:
-                vec = [Fraction(0)] * len(exponents)
-                for a, p in op.terms():
-                    vec[index[a]] = p.constant_value()
-                return vec
-
-            span = RowBasis(len(exponents))
-            if n >= 1:
-                span.add(symbol_vector(dy_power))
-            for a in slopes:
-                span.add(symbol_vector(slope_power(a)))
-            for a in reversed(exponents):  # fill lowest x-powers first
-                unit = [Fraction(0)] * len(exponents)
-                unit[index[a]] = Fraction(1)
-                if span.add(unit):
-                    ops.append(q * DiffOp.single(2, a))
+            span = RowBasis(order + 1)
+            powers = [slope_power(a) for a in slopes]
+            for op in ([dy_power] if n else []) + powers:
+                span.add(operator_vector(op, 0))
+            for a in reversed(monomial_exponents(2, order)):  # low x first
+                unit = DiffOp.single(2, a)
+                if span.add(operator_vector(unit, 0)):
+                    ops.append(q * unit)
 
     transported = [change_variables(op, change) for op in ops]
     if not point_constant(transported, arr):
@@ -156,14 +145,12 @@ def find_flat_point(arr: Arrangement, flat: FlatRef) -> list[Fraction]:
     """An exact rational point on the flat avoiding all other hyperplanes.
 
     Enumerates integer combinations of a nullspace basis of the flat's
-    forms by increasing max-norm and returns the first point where the
-    product of the non-containing forms does not vanish.
+    forms by increasing max-norm and returns the first point where no
+    non-containing form vanishes.
     """
-    sub = localize(arr, flat)
-    q_outside = Poly.one(arr.dim)
-    for i, form in enumerate(arr.forms):
-        if i not in flat.generators:
-            q_outside = q_outside * form.to_poly()
+    localize(arr, flat)  # rejects a flat that is not closed
+    outside = [form for i, form in enumerate(arr.forms)
+               if i not in flat.generators]
     directions = nullspace_basis([list(arr.forms[i].coefficients)
                                   for i in sorted(flat.generators)], arr.dim)
     if len(directions) != arr.dim - flat.rank:
@@ -175,7 +162,7 @@ def find_flat_point(arr: Arrangement, flat: FlatRef) -> list[Fraction]:
         for combo in shell:
             point = [sum((Fraction(c) * d[j] for c, d in zip(combo, directions)),
                          Fraction(0)) for j in range(arr.dim)]
-            if q_outside.evaluate(point):
+            if all(form.evaluate(point) for form in outside):
                 return point
     raise RuntimeError("no suitable point found on the flat")  # unreachable
 
@@ -201,12 +188,13 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
     _, det_exponent = saito_counts(arr.dim, order)
     target = det_exponent * len(sub)
     point = find_flat_point(arr, flat)
+    shift = [x + Poly.constant(arr.dim, w)
+             for x, w in zip(variables(arr.dim), point)]
 
     components: list[list[tuple[int, DiffOp]]] = []
     for op in ops:
         shifted = DiffOp(op.dim, op.order,
-                         {a: p.substitute_affine(point)
-                          for a, p in op.terms()})
+                         {a: p.substitute(shift) for a, p in op.terms()})
         by_degree: dict[int, dict] = {}
         for a, p in shifted.terms():
             for mu, c in p.terms():

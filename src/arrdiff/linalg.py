@@ -10,10 +10,11 @@ A stored row is thus the unique primitive positive multiple of the
 corresponding row of the reduced row echelon form of what was inserted,
 so results do not depend on insertion order.  Nullspace bases, matrix
 inversion and row-space solving read their answers off the stored rows,
-dividing by the pivot only there, so they are the exact rational answers.
-Square determinants use their own dense elimination.  Vectors go in as
-dense sequences or as sparse dicts from column to rational; results come
-out as dense sequences of :class:`fractions.Fraction`.
+dividing by the pivot only there, so they are the exact rational answers;
+determinants read theirs off the residuals of the rows as they go in.
+Vectors go in as dense sequences or as sparse dicts from column to
+rational; results come out as dense sequences of
+:class:`fractions.Fraction`.
 """
 
 from __future__ import annotations
@@ -116,26 +117,31 @@ class RowBasis:
         return True
 
 
-def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square matrix by Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(row) != n for row in m):
+def determinant(rows: Sequence[Sequence[Rational]]) -> Fraction:
+    """Exact determinant of a square matrix.
+
+    Each row is reduced against the rows before it and then inserted.  A
+    residual differs from its row by a combination of earlier rows and is
+    zero in every earlier pivot column, so with the columns taken in pivot
+    order the residuals form a triangular matrix: the determinant is the
+    product of their pivot entries, signed by the parity of that order.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("matrix must be square")
+    basis = RowBasis(n)
     det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
+    pivots: list[int] = []
+    for row in rows:
+        vec, scale = basis._reduce(row)
+        if not vec:
             return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
+        pivot = min(vec)
+        det *= Fraction(vec[pivot], scale)
+        if sum(earlier > pivot for earlier in pivots) % 2:
             det = -det
-        lead = m[c][c]
-        det *= lead
-        for i in range(c + 1, n):
-            factor = m[i][c] / lead
-            if factor:
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+        pivots.append(pivot)
+        basis.add(vec)
     return det
 
 

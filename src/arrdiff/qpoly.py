@@ -25,10 +25,13 @@ Rational = Union[int, Fraction, str]
 
 
 def as_fraction(value: Rational) -> Fraction:
-    """Coerce an int, Fraction, or "p/q" string to an exact rational."""
+    """Coerce an int, Fraction, or "p/q" string to an exact rational.
+
+    A bool is rejected: a JSON ``true`` is not a number.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -301,56 +304,35 @@ class Poly:
                 out.pop(key, None)
         return Poly._raw(self.dim, out)
 
-    def substitute_variable(self, index: int, replacement: "Poly") -> "Poly":
-        """Replace one variable by a polynomial in the same variables."""
-        self._check_dim(replacement)
-        if not 0 <= index < self.dim:
-            raise IndexError(f"variable index {index} out of range")
-        buckets: dict[int, dict[MultiIndex, Fraction]] = {}
-        for a, c in self._terms.items():
-            stripped = tuple(0 if i == index else e for i, e in enumerate(a))
-            bucket = buckets.setdefault(a[index], {})
-            bucket[stripped] = bucket.get(stripped, Fraction(0)) + c
-        out = Poly.zero(self.dim)
-        power = Poly.one(self.dim)
-        for k in range(max(buckets, default=0) + 1):
-            if k:
-                power = power * replacement
-            if k in buckets:
-                out = out + Poly(self.dim, buckets[k]) * power
-        return out
+    def substitute(self, images: Sequence["Poly"]) -> "Poly":
+        """Replace every variable x_i by images[i] at once, exactly.
 
-    def substitute_affine(self, shift: Sequence[Rational]) -> "Poly":
-        """Translate every variable: x_i -> x_i + shift_i, exactly."""
-        if len(shift) != self.dim:
-            raise ValueError("shift length must equal the dimension")
-        out = self
-        for i, w in enumerate(shift):
-            w = as_fraction(w)
-            if not w:
-                continue
-            replacement = Poly(self.dim, {mi_unit(self.dim, i): Fraction(1),
-                                          (0,) * self.dim: w})
-            out = out.substitute_variable(i, replacement)
-        return out
-
-    def substitute_linear(self, rows: Sequence[Sequence[Rational]]) -> "Poly":
-        """Simultaneously replace x_i by the linear form given by rows[i]."""
-        if len(rows) != self.dim or any(len(row) != self.dim for row in rows):
-            raise ValueError("replacement matrix must be square of the dimension")
-        forms = [Poly(self.dim, {mi_unit(self.dim, j): as_fraction(c)
-                                 for j, c in enumerate(row) if as_fraction(c)})
-                 for row in rows]
-        powers: list[list[Poly]] = [[Poly.one(self.dim)] for _ in forms]
-        out = Poly.zero(self.dim)
+        The powers of each image are built once per call, as the terms
+        ask for them, and every term's product of powers is summed into
+        one result.
+        """
+        if len(images) != self.dim:
+            raise ValueError("need one image per variable")
+        for image in images:
+            self._check_dim(image)
+        one = Poly.one(self.dim)
+        powers = [[one] for _ in images]  # powers[i][e] = images[i] ** e
+        out: dict[MultiIndex, Fraction] = {}
         for a, c in self._terms.items():
-            term = Poly.constant(self.dim, c)
+            product = one
             for i, e in enumerate(a):
-                while len(powers[i]) <= e:
-                    powers[i].append(powers[i][-1] * forms[i])
-                term = term * powers[i][e]
-            out = out + term
-        return out
+                if e:
+                    while len(powers[i]) <= e:
+                        powers[i].append(powers[i][-1] * images[i])
+                    product = (powers[i][e] if product is one
+                               else product * powers[i][e])
+            for key, value in product._terms.items():
+                s = out.get(key, Fraction(0)) + c * value
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+        return Poly._raw(self.dim, out)
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         """Evaluate at an exact rational point."""

@@ -31,7 +31,7 @@ from .arrangement import Arrangement
 from .linalg import determinant
 from .membership import MembershipWitness, is_member
 from .qpoly import Poly, exact_divide, monomial_exponents
-from .weyl import CoeffMatrix, DiffOp, coefficient_matrix
+from .weyl import DiffOp, coefficient_matrix
 
 
 def saito_counts(dim: int, order: int) -> tuple[int, int]:
@@ -48,7 +48,7 @@ def saito_counts(dim: int, order: int) -> tuple[int, int]:
     return rank, exponent
 
 
-def det_poly(matrix: CoeffMatrix | Sequence[Sequence[Poly]]) -> Poly:
+def det_poly(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square polynomial matrix.
 
     Fraction-free (Bareiss) elimination: every division by the previous
@@ -56,8 +56,7 @@ def det_poly(matrix: CoeffMatrix | Sequence[Sequence[Poly]]) -> Poly:
     first row with a nonzero entry, so the result (including its sign) is
     reproducible.
     """
-    rows = [list(r) for r in (matrix.rows() if isinstance(matrix, CoeffMatrix)
-                              else matrix)]
+    rows = [list(r) for r in matrix]
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("matrix must be square and nonempty")

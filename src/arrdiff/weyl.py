@@ -2,15 +2,13 @@
 
 An order-m operator is a finite sum of polynomial coefficients times
 order-m partial-derivative monomials.  Operators act on polynomials
-exactly, form a module over the polynomial ring, and support the two
-pieces of operator algebra the rest of the package needs: commutators
-with linear forms (which drop the order by one) and products of
-operators acting on disjoint variable blocks.
+exactly and form a module over the polynomial ring.  The constructions
+need two pieces of operator algebra: products of operators acting on
+disjoint variable blocks, and linear changes of coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence
@@ -245,29 +243,13 @@ def directional_power(direction: Sequence[Rational], order: int) -> DiffOp:
 # ---------------------------------------------------------------------------
 # coefficient matrices
 
-@dataclass(frozen=True)
-class CoeffMatrix:
-    """Square matrix with entry (a, i) equal to op_i applied to x^a / a!.
+def coefficient_matrix(ops: Sequence[DiffOp]
+                       ) -> tuple[tuple[Poly, ...], ...]:
+    """The square matrix with entry (a, i) equal to op_i applied to x^a / a!.
 
-    Rows are indexed by the canonical ordering of the degree-m exponents,
-    columns by the input operator order.
+    Row a is the a-th degree-m exponent in canonical order
+    (``monomial_exponents(dim, order)``), column i the i-th operator.
     """
-
-    dim: int
-    order: int
-    row_exponents: tuple[MultiIndex, ...]
-    entries: tuple[tuple[Poly, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.row_exponents)
-
-    def rows(self) -> tuple[tuple[Poly, ...], ...]:
-        return self.entries
-
-
-def coefficient_matrix(ops: Sequence[DiffOp]) -> CoeffMatrix:
-    """Assemble the coefficient matrix of a full tuple of operators."""
     if not ops:
         raise ValueError("need at least one operator")
     dim, order = ops[0].dim, ops[0].order
@@ -278,12 +260,9 @@ def coefficient_matrix(ops: Sequence[DiffOp]) -> CoeffMatrix:
     if len(ops) != len(exponents):
         raise ValueError(
             f"need exactly {len(exponents)} operators, got {len(ops)}")
-    entries = []
-    for a in exponents:
-        monomial = Poly.monomial(dim, a)
-        inv_fact = Fraction(1, mi_factorial(a))
-        entries.append(tuple(op.apply(monomial) * inv_fact for op in ops))
-    return CoeffMatrix(dim, order, exponents, tuple(entries))
+    return tuple(tuple(op.apply(Poly.monomial(dim, a))
+                       * Fraction(1, mi_factorial(a)) for op in ops)
+                 for a in exponents)
 
 
 def embed(op: DiffOp, total_dim: int, offset: int) -> DiffOp:
@@ -331,9 +310,11 @@ def change_variables(op: DiffOp, rows: Sequence[Sequence[Rational]]) -> DiffOp:
     """Transport an operator through the linear substitution y = R x.
 
     ``op`` is understood in the y coordinates; the result is the same
-    endomorphism written in the x coordinates.  Coefficients pick up the
-    substitution y_i = sum_j R[i][j] x_j while each d/dy_i becomes the
-    constant-coefficient derivation given by column i of R^-1.
+    endomorphism written in the x coordinates.  Each coefficient is
+    substituted by the row forms of R (y_i = sum_j R[i][j] x_j), and each
+    derivative symbol d^a, a polynomial in the commuting d/dy_i, by the
+    column forms of R^-1 (d/dy_i = sum_j R^-1[j][i] d/dx_j); the products
+    of the two are summed per derivative exponent.
     """
     matrix = [[as_fraction(c) for c in row] for row in rows]
     if len(matrix) != op.dim or any(len(r) != op.dim for r in matrix):
@@ -341,24 +322,13 @@ def change_variables(op: DiffOp, rows: Sequence[Sequence[Rational]]) -> DiffOp:
     inverse = invert(matrix)
     if inverse is None:
         raise ValueError("change of variables must be invertible")
-    columns = [[inverse[j][i] for j in range(op.dim)] for i in range(op.dim)]
-
-    out = DiffOp.zero(op.dim, op.order)
+    units = monomial_exponents(op.dim, 1)
+    row_forms = [Poly(op.dim, zip(units, row)) for row in matrix]
+    column_forms = [Poly(op.dim, zip(units, column))
+                    for column in zip(*inverse)]
+    terms = []
     for a, p in op.terms():
-        symbol: dict[MultiIndex, Fraction] = {(0,) * op.dim: Fraction(1)}
-        for i, e in enumerate(a):
-            if not e:
-                continue
-            factor = directional_power(columns[i], e)
-            merged: dict[MultiIndex, Fraction] = {}
-            for b, scalar in symbol.items():
-                for c, q in factor.terms():
-                    coeff = q.constant_value()
-                    key = mi_add(b, c)
-                    merged[key] = merged.get(key, Fraction(0)) + scalar * coeff
-            symbol = {k: v for k, v in merged.items() if v}
-        coeff_poly = p.substitute_linear(matrix)
-        out = out + DiffOp(op.dim, op.order,
-                           {b: coeff_poly * scalar
-                            for b, scalar in symbol.items()})
-    return out
+        coeff = p.substitute(row_forms)
+        symbol = Poly.monomial(op.dim, a).substitute(column_forms)
+        terms += [(b, coeff * scalar) for b, scalar in symbol.terms()]
+    return DiffOp(op.dim, op.order, terms)

@@ -320,6 +320,23 @@ def test_zero_denominator_in_a_form_exits_two(capsys, tmp_path):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_boolean_rational_exits_two(capsys, tmp_path):
+    # bool is an int subclass, so true would otherwise be read as 1
+    arr = write_json(tmp_path / "a.json",
+                     {"dim": 2, "forms": [[True, "0"], ["0", "1"]]})
+    code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    ops = write_json(tmp_path / "ops.json",
+                     {"dim": 2, "order": 1,
+                      "terms": [{"a": [1, 0], "coef": [[[1, 0], True]]}]})
+    code, out, err = run_cli(capsys, "check-member", "-a",
+                             write_json(tmp_path / "r.json", RANK2_JSON),
+                             "-o", ops)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_json_outputs_reparse_to_equal_values(capsys, tmp_path):
     arr_path = write_json(tmp_path / "a.json", make_shi(2).to_json())
     code, out, _ = run_cli(capsys, "gen", "shi", "2")
@@ -406,15 +423,16 @@ def _documents(draw):
 
 
 def assert_exits_cleanly(argv, files):
-    """Run the CLI with each (flag, document) pair written to a file; the
-    exit code is one of the documented ones, with no traceback, and exit 2
-    prints exactly one error line."""
+    """Run the CLI with each (flag, document) pair written to a file (a
+    flag of None passes the file as a positional argument); the exit code
+    is one of the documented ones, with no traceback, and exit 2 prints
+    exactly one error line."""
     with tempfile.TemporaryDirectory() as tmp:
         argv = list(argv)
         for i, (flag, document) in enumerate(files):
             path = Path(tmp) / f"{i}.json"
             path.write_text(json.dumps(document), encoding="utf-8")
-            argv += [flag, str(path)]
+            argv += [flag, str(path)] if flag else [str(path)]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -437,7 +455,8 @@ def test_fuzz_operator_commands_exit_cleanly(documents):
 ARRANGEMENT_COMMANDS = [["decide", "-m", "1"],
                         ["graded-dim", "-m", "1", "-d", "0..2"],
                         ["localize", "--seed", "0"],
-                        ["basis-l2", "-m", "1"]]
+                        ["basis-l2", "-m", "1"],
+                        ["localize-basis", "-m", "1", "--seed", "0"]]
 
 
 @given(_fuzzed(_arrangement().map(lambda pair: pair[1])),
@@ -446,3 +465,18 @@ ARRANGEMENT_COMMANDS = [["decide", "-m", "1"],
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzz_arrangement_commands_exit_cleanly(arrangement, argv):
     assert_exits_cleanly(argv, [("-a", arrangement)])
+
+
+# (subcommand, flags of the two arrangement files)
+PAIR_COMMANDS = [(["product"], (None, None)),
+                 (["product-basis", "-m", "1"], ("-a", "-b"))]
+
+
+@given(_fuzzed(_arrangement().map(lambda pair: pair[1])),
+       _fuzzed(_arrangement().map(lambda pair: pair[1])),
+       st.sampled_from(PAIR_COMMANDS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_two_arrangement_commands_exit_cleanly(first, second, command):
+    argv, (flag_first, flag_second) = command
+    assert_exits_cleanly(argv, [(flag_first, first), (flag_second, second)])

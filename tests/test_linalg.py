@@ -1,7 +1,8 @@
 """Exact linear algebra helpers.
 
 The differential tests compare the sparse :class:`RowBasis` routines with
-a small dense Gauss-Jordan reference kept here.
+a small dense Gauss-Jordan reference kept here, and determinants with a
+Laplace expansion.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrdiff.linalg import (RowBasis, invert, nullspace_basis,
+from arrdiff.linalg import (RowBasis, determinant, invert, nullspace_basis,
                             row_times_matrix, solve_in_row_space)
+from arrdiff.qpoly import Poly
+from tests.test_saito import cofactor_det
 
 
 def frac_rows(rows):
@@ -252,6 +255,38 @@ def test_solve_in_row_space():
     combo = solve_in_row_space(rows, frac_rows([[2, 3, 5]])[0])
     assert combo == [Fraction(2), Fraction(3)]
     assert solve_in_row_space(rows, frac_rows([[0, 0, 1]])[0]) is None
+
+
+def reference_determinant(rows):
+    """Laplace expansion, on the entries as constant polynomials."""
+    if not rows:
+        return Fraction(1)
+    return cofactor_det([[Poly.constant(1, x) for x in row]
+                         for row in rows]).constant_value()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_determinant_matches_laplace_reference(data):
+    rows = data.draw(square_matrices(max_n=6))
+    if data.draw(st.booleans()):  # triangular, so zero pivots force swaps
+        for i, row in enumerate(rows):
+            row[:i] = [Fraction(0)] * i
+    rows = data.draw(st.permutations(rows))
+    assert determinant(rows) == reference_determinant(rows)
+
+
+def test_determinant_golden():
+    assert determinant([]) == 1
+    assert determinant([[Fraction(-3, 2)]]) == Fraction(-3, 2)
+    assert determinant([[0, 1], [1, 0]]) == -1
+    # the row order (2, 0, 1) is a 3-cycle, an even permutation
+    assert determinant([[0, 0, 5], [2, 0, 0], [0, Fraction(1, 3), 0]]) \
+        == Fraction(10, 3)
+    assert determinant([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 0
+    assert determinant([[0, 0], [0, 1]]) == 0
+    with pytest.raises(ValueError):
+        determinant([[1, 2]])
 
 
 def test_invert_roundtrip_and_singular():

@@ -100,13 +100,33 @@ def test_exact_divide_golden():
         exact_divide(x, Poly.zero(2))
 
 
+def translation(shift):
+    """The images x_i + shift_i of a translation, for Poly.substitute."""
+    dim = len(shift)
+    return [x + Poly.constant(dim, w) for x, w in zip(variables(dim), shift)]
+
+
 def test_substitute_affine_golden():
     (x,) = variables(1)
-    assert x.substitute_affine([1]) == x + Poly.one(1)
+    assert x.substitute(translation([1])) == x + Poly.one(1)
     # shifting along a point where the forms vanish fixes their product
     x3, y3, _ = variables(3)
     q = x3 * y3 * (x3 + y3)
-    assert q.substitute_affine([0, 0, 5]) == q
+    assert q.substitute(translation([0, 0, 5])) == q
+
+
+def test_substitute_golden():
+    x, y = variables(2)
+    p = x * x * y + 3 * y + Poly.constant(2, 2)
+    assert p.substitute([y, x]) == y * y * x + 3 * x + Poly.constant(2, 2)
+    assert p.substitute([x + y, x * y]) \
+        == (x + y) ** 2 * (x * y) + 3 * x * y + Poly.constant(2, 2)
+    assert p.substitute([Poly.zero(2), x]) == 3 * x + Poly.constant(2, 2)
+    assert Poly.constant(0, 4).substitute([]) == Poly.constant(0, 4)
+    with pytest.raises(ValueError):
+        p.substitute([x])
+    with pytest.raises(ValueError):
+        p.substitute([x, Poly.variable(3, 0)])
 
 
 def test_canonical_term_order_and_serialization():
@@ -199,7 +219,22 @@ def test_substitute_affine_roundtrip(data):
     shift = data.draw(st.tuples(*[st.fractions(min_value=-3, max_value=3,
                                                max_denominator=2)] * dim))
     back = [-w for w in shift]
-    assert p.substitute_affine(shift).substitute_affine(back) == p
+    assert p.substitute(translation(shift)).substitute(translation(back)) \
+        == p
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_substitute_commutes_with_evaluation(data):
+    dim = data.draw(st.integers(1, 3))
+    p = data.draw(poly_strategy(dim))
+    images = data.draw(st.lists(poly_strategy(dim, max_degree=2),
+                                min_size=dim, max_size=dim))
+    point = data.draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                            max_denominator=3),
+                               min_size=dim, max_size=dim))
+    assert p.substitute(images).evaluate(point) \
+        == p.evaluate([g.evaluate(point) for g in images])
 
 
 @given(st.data())
@@ -225,7 +260,8 @@ def test_reduce_matches_pivot_substitution(data):
     pivot = form.pivot
     r = Poly(dim, {mi_unit(dim, j): -c for j, c in enumerate(form.coefficients)
                    if j != pivot and c})
-    expected = p.substitute_variable(pivot, r)
+    expected = p.substitute([r if j == pivot else x
+                             for j, x in enumerate(variables(dim))])
     reduced = form.reduce(p)
     assert reduced == expected
     assert all(type(c) is Fraction and mu[pivot] == 0

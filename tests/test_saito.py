@@ -66,7 +66,7 @@ def test_det_repeated_column_vanishes():
 
 def test_det_row_order_flips_only_sign():
     matrix = coefficient_matrix(rank2_triple())
-    rows = [list(r) for r in matrix.rows()]
+    rows = [list(r) for r in matrix]
     base = det_poly(rows)
     swapped = [rows[1], rows[0], rows[2]]
     assert det_poly(swapped) == -base

@@ -6,9 +6,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrdiff.linalg import invert
 from arrdiff.qpoly import LinearForm, Poly, monomial_exponents, variables
 from arrdiff.weyl import (DiffOp, block_product, change_variables,
                           coefficient_matrix, diffop_from_json, embed,
@@ -136,9 +137,9 @@ def test_coefficient_matrix_golden():
     theta_1 = DiffOp.single(2, (2, 0), x * (x + y))
     theta_2 = DiffOp.single(2, (0, 2), y * (x + y))
     matrix = coefficient_matrix([theta_e, theta_1, theta_2])
-    assert matrix.row_exponents == ((2, 0), (1, 1), (0, 2))
+    # rows follow monomial_exponents(2, 2) == ((2, 0), (1, 1), (0, 2))
     zero = Poly.zero(2)
-    assert matrix.entries == (
+    assert matrix == (
         (x * x, x * (x + y), zero),
         (2 * x * y, zero, zero),
         (y * y, zero, y * (x + y)),
@@ -148,13 +149,13 @@ def test_coefficient_matrix_golden():
 def test_coefficient_matrix_one_by_one():
     (x,) = variables(1)
     matrix = coefficient_matrix([DiffOp.single(1, (3,), x)])
-    assert matrix.entries == ((x,),)
+    assert matrix == ((x,),)
 
 
 def test_coefficient_matrix_zero_column():
     ops = [euler_operator(2, 1), DiffOp.zero(2, 1)]
     matrix = coefficient_matrix(ops)
-    assert all(row[1].is_zero() for row in matrix.entries)
+    assert all(row[1].is_zero() for row in matrix)
 
 
 def test_coefficient_matrix_counts():
@@ -192,8 +193,14 @@ def test_embed_and_block_product():
     assert prod.apply(f) == lifted1.apply(lifted2.apply(f))
 
 
+def linear_images(matrix):
+    """The images x_i -> sum_j matrix[i][j] x_j, for Poly.substitute."""
+    dim = len(matrix)
+    return [sum((c * x for c, x in zip(row, variables(dim))), Poly.zero(dim))
+            for row in matrix]
+
+
 def test_change_variables_extensionally():
-    from arrdiff.linalg import invert
     rows = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
     inverse = invert(rows)
     x, y = variables(2)
@@ -201,10 +208,27 @@ def test_change_variables_extensionally():
     moved = change_variables(op, rows)
     for f in (x * x * y, (x + y) ** 3, x * x):
         # conjugation identity: moved(f) agrees with op acting upstairs
-        upstairs = op.apply(f.substitute_linear(inverse))
-        assert moved.apply(f) == upstairs.substitute_linear(rows)
+        upstairs = op.apply(f.substitute(linear_images(inverse)))
+        assert moved.apply(f) == upstairs.substitute(linear_images(rows))
     identity = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert change_variables(op, identity) == op
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_change_variables_conjugates_random_operators(data):
+    dim = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 2))
+    op = data.draw(op_strategy(dim, order))
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
+                                       max_size=dim),
+                              min_size=dim, max_size=dim))
+    inverse = invert(rows)
+    assume(inverse is not None)
+    f = data.draw(poly_strategy(dim))
+    upstairs = op.apply(f.substitute(linear_images(inverse)))
+    assert change_variables(op, rows).apply(f) \
+        == upstairs.substitute(linear_images(rows))
 
 
 def test_operator_json_roundtrip():
