@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .linalg import RowBasis, invert, row_times_matrix, solve_in_row_space
+from .linalg import RowBasis, nullspace_basis
 from .qpoly import LinearForm, Poly, as_fraction, parse_linear_form
 
 
@@ -183,27 +183,29 @@ def decompose(arr: Arrangement) -> Decomposition:
     """Finest decomposition of an arrangement into product factors.
 
     The hyperplanes are partitioned into the connected components of the
-    linear matroid on their normal vectors; components are detected by
-    fusing the fundamental circuits of the non-basis normals with respect
-    to a greedily chosen basis.  The normal span of each component gets a
-    coordinate block (spanned by its own forms), and any rank deficiency
-    becomes an empty factor on the remaining coordinates.
+    linear matroid on their normal vectors, read off one nullspace: that of
+    the matrix whose columns are the normals.  Its canonical basis has one
+    vector per normal i outside the greedy basis B (the pivot columns),
+    with a 1 at i, its last nonzero entry, and -c_p at each p in B, where
+    v_i = sum c_p v_p: the fundamental circuit of i with respect to B
+    (Oxley, Matroid Theory, ch. 4).  Hyperplanes that share a circuit share
+    a component.  The normals of B in a component span its coordinate
+    block, in which a normal of B is a unit vector and any other normal
+    has the coordinates c; unit vectors complete the coordinates, and any
+    rank deficiency becomes an empty factor on them.
     """
     dim = arr.dim
     n = len(arr)
     vectors = arr._vectors
 
-    identity = [[Fraction(1 if i == j else 0) for j in range(dim)]
-                for i in range(dim)]
-    if n == 0:
-        empty = Factor(Arrangement(dim, ()), tuple(range(dim)))
-        return Decomposition((empty,), tuple(tuple(r) for r in identity),
-                             0, ())
-
-    # greedy matroid basis of the normal vectors
-    span = RowBasis(dim)
-    basis_indices = [i for i in range(n) if span.add(vectors[i])]
-    rank = len(basis_indices)
+    circuits = nullspace_basis([[v[j] for v in vectors] for j in range(dim)],
+                               n)
+    # normal outside B -> its coordinates {p: c_p} over B
+    coordinates: dict[int, dict[int, Fraction]] = {}
+    for circuit in circuits:
+        support = [j for j, x in enumerate(circuit) if x]
+        coordinates[support[-1]] = {p: -circuit[p] for p in support[:-1]}
+    rank = n - len(coordinates)
 
     # union-find over hyperplanes, fused along fundamental circuits
     parent = list(range(n))
@@ -214,61 +216,44 @@ def decompose(arr: Arrangement) -> Decomposition:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    basis_vectors = [vectors[i] for i in basis_indices]
-    basis_set = set(basis_indices)
-    for i in range(n):
-        if i in basis_set:
-            continue
-        coeffs = solve_in_row_space(basis_vectors, vectors[i])
-        if coeffs is None:
-            raise RuntimeError("the matroid basis does not span a normal")
-        for j, c in zip(basis_indices, coeffs):
-            if c:
-                union(i, j)
+    for i, coeffs in coordinates.items():
+        for p in coeffs:
+            ri, rp = find(i), find(p)
+            parent[max(ri, rp)] = min(ri, rp)
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     components = tuple(tuple(groups[root]) for root in sorted(groups))
 
-    # adapted coordinates: per-component blocks, then a complement
-    new_rows: list[list[Fraction]] = []
+    # adapted coordinates: per-component blocks of B, then unit vectors
+    change: list[list[Fraction]] = []
+    row_of: dict[int, int] = {}
     blocks: list[tuple[int, int]] = []
     for component in components:
-        block_basis = RowBasis(dim)
-        start = len(new_rows)
+        start = len(change)
         for i in component:
-            if block_basis.add(vectors[i]):
-                new_rows.append(list(vectors[i]))
-        blocks.append((start, len(new_rows) - start))
-    if len(new_rows) != rank:
-        raise RuntimeError("component ranks do not add up to the rank")
+            if i not in coordinates:
+                row_of[i] = len(change)
+                change.append(list(vectors[i]))
+        blocks.append((start, len(change) - start))
 
     extension = RowBasis(dim)
-    for row in new_rows:
+    for row in change:
         extension.add(row)
     for k in range(dim):
         unit = [Fraction(1 if j == k else 0) for j in range(dim)]
         if extension.add(unit):
-            new_rows.append(unit)
-    change = new_rows
-    inverse = invert(change)
-    if inverse is None:
-        raise RuntimeError("adapted coordinates are not invertible")
+            change.append(unit)
 
     factors = []
     for component, (start, size) in zip(components, blocks):
         local_forms = []
         for i in component:
-            coords = row_times_matrix(vectors[i], inverse)
-            if any(coords[:start]) or any(coords[start + size:]):
-                raise RuntimeError("a form leaves its component's block")
-            local_forms.append(LinearForm(coords[start:start + size]))
+            coords = [Fraction(0)] * size
+            for p, c in coordinates.get(i, {i: Fraction(1)}).items():
+                coords[row_of[p] - start] = c
+            local_forms.append(LinearForm(coords))
         factors.append(Factor(Arrangement(size, local_forms),
                               tuple(range(start, start + size))))
     if rank < dim:

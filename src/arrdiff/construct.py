@@ -100,7 +100,7 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
                 if span.add(operator_vector(unit, 0)):
                     ops.append(q * unit)
 
-    transported = [change_variables(op, change) for op in ops]
+    transported = change_variables(ops, change)
     if not point_constant(transported, arr):
         raise RuntimeError("rank-2 construction failed its determinant check")
     return transported

@@ -17,8 +17,10 @@ those counts decides freeness outright:
   (degrees are nonnegative and sum to t * |A|), so all s = rank minimal
   generators appear by that bound and the determinant criterion certifies
   them as a basis;
-* conversely an overflow past s generators, a failed determinant check at
-  exactly s, or fewer than s generators by the bound each refute freeness.
+* conversely an overflow past s generators, exactly s generators whose
+  degrees do not sum to t * |A| (a basis's degrees do), a failed
+  determinant check at exactly s, or fewer than s generators by the bound
+  each refute freeness.
 
 Three fast filters (see :func:`decide_free`) may answer before the sweep.
 """
@@ -289,6 +291,20 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
                 "generator_degrees": degrees,
             }, records=records)
         if len(generators) == rank:
+            if sum(degrees) != complete_bound:
+                # a free module's minimal generators are a basis, whose
+                # degrees sum to t * |A|; the sweep has found all up to here
+                audit.append(f"sweep: {rank} generators by degree "
+                             f"{step.degree} with degree sum {sum(degrees)}, "
+                             f"not t * |A| = {complete_bound}")
+                return report(NOT_FREE, {
+                    "kind": "degree_sum_mismatch",
+                    "degree": step.degree,
+                    "rank": rank,
+                    "generator_degrees": degrees,
+                    "degree_sum": sum(degrees),
+                    "expected_degree_sum": complete_bound,
+                }, records=records)
             result = saito_check(generators, arr)
             if result:
                 audit.append(f"sweep: {rank} generators by degree {step.degree}; "
@@ -412,8 +428,7 @@ def _product_basis_synthesis(arr, dec: Decomposition, order,
         acc_bases = [product_basis(acc_bases[:i + 1], fac_bases[:i + 1])
                      for i in range(order + 1)]
     adapted = acc_bases[order]
-    transported = tuple(change_variables(op, dec.basis_change)
-                        for op in adapted)
+    transported = tuple(change_variables(adapted, dec.basis_change))
     result = saito_check(transported, arr)
     if not result:
         audit.append("filter: product basis synthesis failed verification; "

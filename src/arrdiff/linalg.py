@@ -8,10 +8,10 @@ cleared once, rows are combined by integer cross-multiplication, and each
 stored row is divided by the gcd of its entries and has a positive pivot.
 A stored row is thus the unique primitive positive multiple of the
 corresponding row of the reduced row echelon form of what was inserted,
-so results do not depend on insertion order.  Nullspace bases, matrix
-inversion and row-space solving read their answers off the stored rows,
-dividing by the pivot only there, so they are the exact rational answers;
-determinants read theirs off the residuals of the rows as they go in.
+so results do not depend on insertion order.  Nullspace bases and matrix
+inverses read their answers off the stored rows, dividing by the pivot
+only there, so they are the exact rational answers; determinants read
+theirs off the residuals of the rows as they go in.
 Vectors go in as dense sequences or as sparse dicts from column to
 rational; results come out as dense sequences of
 :class:`fractions.Fraction`.
@@ -158,7 +158,10 @@ def nullspace_basis(rows: Iterable[Sequence[Rational] | SparseRow],
     """Basis of the right nullspace, one vector per free column.
 
     Each basis vector carries a 1 in its free column, so the output is
-    canonical for a fixed constraint matrix.
+    canonical for a fixed constraint matrix.  Its other nonzero entries lie
+    in pivot columns before the free column, which is therefore its last
+    nonzero entry: a stored row is zero left of its pivot.  The vectors
+    come in the order of their free columns.
     """
     reduced = _row_basis(rows, ncols)._rows
     vectors = {}
@@ -172,27 +175,6 @@ def nullspace_basis(rows: Iterable[Sequence[Rational] | SparseRow],
             if j != pivot:  # every other entry lies in a free column
                 vectors[j][pivot] = Fraction(-x, p)
     return [tuple(vec) for vec in vectors.values()]
-
-
-def solve_in_row_space(basis_rows: Sequence[Sequence[Fraction]],
-                       target: Sequence[Fraction]) -> list[Fraction] | None:
-    """Coefficients c with sum(c_i * basis_rows[i]) = target, or None.
-
-    The basis rows are assumed linearly independent, so the combination is
-    unique when it exists.
-    """
-    if not basis_rows:
-        return [] if not any(target) else None
-    k = len(basis_rows)
-    # transposed system: one equation per column, one unknown per basis row
-    reduced = _row_basis(([row[j] for row in basis_rows] + [target[j]]
-                          for j in range(len(target))), k + 1)._rows
-    if k in reduced:  # pivot in the augmented column
-        return None
-    solution = [Fraction(0)] * k
-    for pivot, row in reduced.items():
-        solution[pivot] = Fraction(row.get(k, 0), row[pivot])
-    return solution
 
 
 def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix | None:

@@ -380,12 +380,11 @@ def variables(dim: int) -> tuple[Poly, ...]:
     return tuple(Poly.variable(dim, i) for i in range(dim))
 
 
-def format_poly(p: Poly, names: Sequence[str] | None = None) -> str:
-    """Human-readable rendering with variables named x1..xn by default."""
+def format_poly(p: Poly) -> str:
+    """Human-readable rendering with variables named x1..xn."""
     if p.is_zero():
         return "0"
-    if names is None:
-        names = [f"x{i + 1}" for i in range(p.dim)]
+    names = [f"x{i + 1}" for i in range(p.dim)]
     pieces = []
     for a, c in p.terms():
         factors = []

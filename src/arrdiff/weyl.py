@@ -306,29 +306,36 @@ def block_product(first: DiffOp, second: DiffOp) -> DiffOp:
     return DiffOp(first.dim, first.order + second.order, coeffs)
 
 
-def change_variables(op: DiffOp, rows: Sequence[Sequence[Rational]]) -> DiffOp:
-    """Transport an operator through the linear substitution y = R x.
+def change_variables(ops: Sequence[DiffOp],
+                     rows: Sequence[Sequence[Rational]]) -> list[DiffOp]:
+    """Transport operators through the linear substitution y = R x.
 
-    ``op`` is understood in the y coordinates; the result is the same
+    Each operator is understood in the y coordinates; its image is the same
     endomorphism written in the x coordinates.  Each coefficient is
     substituted by the row forms of R (y_i = sum_j R[i][j] x_j), and each
     derivative symbol d^a, a polynomial in the commuting d/dy_i, by the
     column forms of R^-1 (d/dy_i = sum_j R^-1[j][i] d/dx_j); the products
-    of the two are summed per derivative exponent.
+    of the two are summed per derivative exponent.  R is inverted, and each
+    symbol substituted, once for all the operators.
     """
     matrix = [[as_fraction(c) for c in row] for row in rows]
-    if len(matrix) != op.dim or any(len(r) != op.dim for r in matrix):
+    dim = len(matrix)
+    if any(len(r) != dim for r in matrix) or any(op.dim != dim for op in ops):
         raise ValueError("change of variables must be square of the dimension")
     inverse = invert(matrix)
     if inverse is None:
         raise ValueError("change of variables must be invertible")
-    units = monomial_exponents(op.dim, 1)
-    row_forms = [Poly(op.dim, zip(units, row)) for row in matrix]
-    column_forms = [Poly(op.dim, zip(units, column))
-                    for column in zip(*inverse)]
-    terms = []
-    for a, p in op.terms():
-        coeff = p.substitute(row_forms)
-        symbol = Poly.monomial(op.dim, a).substitute(column_forms)
-        terms += [(b, coeff * scalar) for b, scalar in symbol.terms()]
-    return DiffOp(op.dim, op.order, terms)
+    units = monomial_exponents(dim, 1)
+    row_forms = [Poly(dim, zip(units, row)) for row in matrix]
+    column_forms = [Poly(dim, zip(units, column)) for column in zip(*inverse)]
+    symbols: dict[MultiIndex, Poly] = {}
+    moved = []
+    for op in ops:
+        terms = []
+        for a, p in op.terms():
+            if a not in symbols:
+                symbols[a] = Poly.monomial(dim, a).substitute(column_forms)
+            coeff = p.substitute(row_forms)
+            terms += [(b, coeff * scalar) for b, scalar in symbols[a].terms()]
+        moved.append(DiffOp(dim, op.order, terms))
+    return moved

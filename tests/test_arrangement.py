@@ -8,13 +8,16 @@ whose part ranks add up to the total rank.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  decompose, flat_closure, is_generic,
                                  localize, make_named, make_shi, product)
-from arrdiff.linalg import row_times_matrix
+from arrdiff.linalg import invert, row_times_matrix
 from arrdiff.qpoly import LinearForm, Poly, variables
 from tests.test_linalg import rank_of
 
@@ -41,10 +44,14 @@ def set_partitions(items):
 def oracle_components(arr):
     vectors = [list(f.coefficients) for f in arr.forms]
     total = rank_of(vectors, arr.dim)
+
+    @cache
+    def part_rank(part):
+        return rank_of([vectors[i] for i in part], arr.dim)
+
     best = None
     for partition in set_partitions(range(len(arr))):
-        if sum(rank_of([vectors[i] for i in part], arr.dim)
-               for part in partition) != total:
+        if sum(part_rank(tuple(part)) for part in partition) != total:
             continue
         if best is None or len(partition) > len(best):
             best = partition
@@ -228,10 +235,9 @@ def test_decompose_oracle_on_small_arrangements():
             == oracle_components(arr)
 
 
-def test_decompose_factors_reassemble_via_basis_change():
-    arr = arr_of(4, "x1", "x2", "x3", "x4", "x1+x2", "x3+x4")
-    dec = decompose(arr)
-    from arrdiff.linalg import invert
+def reassembled_forms(arr, dec):
+    """The forms mapped through invert(basis_change), and the factor forms
+    padded back to the full coordinates; the two sets must agree."""
     inverse = invert([list(r) for r in dec.basis_change])
     transformed = {LinearForm(row_times_matrix(list(f.coefficients), inverse))
                    for f in arr.forms}
@@ -242,7 +248,114 @@ def test_decompose_factors_reassemble_via_basis_change():
             for coord, value in zip(factor.coordinates, form.coefficients):
                 padded[coord] = value
             reassembled.add(LinearForm(padded))
+    return transformed, reassembled
+
+
+def test_decompose_factors_reassemble_via_basis_change():
+    arr = arr_of(4, "x1", "x2", "x3", "x4", "x1+x2", "x3+x4")
+    transformed, reassembled = reassembled_forms(arr, decompose(arr))
     assert transformed == reassembled
+
+
+HALVES = st.sampled_from([Fraction(k, 2) for k in range(-4, 5)])
+
+
+@st.composite
+def small_arrangements(draw):
+    dim = draw(st.integers(1, 6))
+    vectors = draw(st.lists(st.lists(HALVES, min_size=dim, max_size=dim)
+                            .filter(any), max_size=9))
+    return Arrangement(dim, dict.fromkeys(LinearForm(v) for v in vectors))
+
+
+@given(small_arrangements())
+@example(make_named("holm-q1-counterexample"))
+@example(product(make_shi(2), arr_of(1, "x1")))
+@example(Arrangement(2, ()))
+@settings(max_examples=150, deadline=None)
+def test_decompose_properties(arr):
+    dec = decompose(arr)
+    assert {frozenset(c) for c in dec.hyperplane_components} \
+        == oracle_components(arr)
+    transformed, reassembled = reassembled_forms(arr, dec)
+    assert transformed == reassembled
+    # the first rank rows are normals, one block per component in order
+    normals = [f.coefficients for f in arr.forms]
+    rows = iter(dec.basis_change[:dec.rank])
+    for component, factor in zip(dec.hyperplane_components, dec.factors):
+        block = [next(rows) for _ in factor.coordinates]
+        assert all(row in [normals[i] for i in component] for row in block)
+    assert next(rows, None) is None
+    assert sum(f.arrangement.dim for f in dec.factors) == arr.dim
+
+
+def pinned(dec):
+    return {
+        "factors": [([[str(c) for c in f.coefficients]
+                      for f in factor.arrangement.forms],
+                     factor.arrangement.dim, factor.coordinates)
+                    for factor in dec.factors],
+        "basis_change": [[str(c) for c in row] for row in dec.basis_change],
+        "rank": dec.rank,
+        "components": dec.hyperplane_components,
+    }
+
+
+DECOMPOSITION_PINS = [
+    (make_named("holm-q1-counterexample"), {
+        "factors": [([["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                      ["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                      ["1", "1", "1", "0"], ["1", "1", "1", "1"]],
+                     4, (0, 1, 2, 3))],
+        "basis_change": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                         ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+        "rank": 4,
+        "components": ((0, 1, 2, 3, 4, 5),),
+    }),
+    (product(make_shi(2), arr_of(1, "x1")), {
+        "factors": [([["1", "0", "0"], ["0", "1", "0"], ["1", "-1", "0"],
+                      ["0", "0", "1"], ["1", "0", "-1"], ["0", "1", "-1"],
+                      ["1", "-1", "1"]], 3, (0, 1, 2)),
+                    ([["1"]], 1, (3,))],
+        "basis_change": [["0", "0", "1", "0"], ["1", "0", "0", "0"],
+                         ["0", "1", "0", "0"], ["0", "0", "0", "1"]],
+        "rank": 4,
+        "components": ((0, 1, 2, 3, 4, 5, 6), (7,)),
+    }),
+    (arr_of(4, "x1", "x1+x2", "x2+x3", "x3+x4"), {
+        "factors": [([["1"]], 1, (0,)), ([["1"]], 1, (1,)),
+                    ([["1"]], 1, (2,)), ([["1"]], 1, (3,))],
+        "basis_change": [["1", "0", "0", "0"], ["1", "1", "0", "0"],
+                         ["0", "1", "1", "0"], ["0", "0", "1", "1"]],
+        "rank": 4,
+        "components": ((0,), (1,), (2,), (3,)),
+    }),
+    (arr_of(5, "x2", "x3", "x4", "x2+x3+x4", "x2-x3+2x4"), {
+        "factors": [([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+                      ["1", "1", "1"], ["1", "-1", "2"]], 3, (0, 1, 2)),
+                    ([], 2, (3, 4))],
+        "basis_change": [["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"],
+                         ["0", "0", "0", "1", "0"], ["1", "0", "0", "0", "0"],
+                         ["0", "0", "0", "0", "1"]],
+        "rank": 3,
+        "components": ((0, 1, 2, 3, 4),),
+    }),
+    (arr_of(4, ["1", "1/2", "0", "0"], ["0", "1", "0", "0"],
+            ["1", "0", "0", "0"], ["0", "0", "1", "-2/3"],
+            ["0", "0", "0", "1"], ["0", "0", "1", "3"]), {
+        "factors": [([["1", "0"], ["0", "1"], ["1", "-1/2"]], 2, (0, 1)),
+                    ([["1", "0"], ["0", "1"], ["1", "11/3"]], 2, (2, 3))],
+        "basis_change": [["1", "1/2", "0", "0"], ["0", "1", "0", "0"],
+                         ["0", "0", "1", "-2/3"], ["0", "0", "0", "1"]],
+        "rank": 4,
+        "components": ((0, 1, 2), (3, 4, 5)),
+    }),
+]
+
+
+@pytest.mark.parametrize("arr, expected", DECOMPOSITION_PINS)
+def test_decompose_golden(arr, expected):
+    assert pinned(decompose(arr)) == expected
 
 
 def test_empty_arrangement_decomposition():

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -274,6 +275,23 @@ def test_decide_shi2_not_free_with_checkable_certificate():
     # recheck the certificate numbers from scratch
     steps = minimal_generators(make_shi(2), 2, cert["degree"])
     assert sum(s.new_count for s in steps) == cert["cumulative_generators"]
+
+
+@pytest.mark.parametrize("fast_filters", [True, False])
+def test_decide_shi3_order2_degree_sum_mismatch(fast_filters):
+    # rank = 10 generators by degree 6 whose degrees sum to 53, not
+    # t * |A| = 4 * 13: refuted before any determinant
+    report = decide_free(make_shi(3), 2, fast_filters=fast_filters)
+    assert report.verdict == NOT_FREE
+    assert report.certificate == {
+        "kind": "degree_sum_mismatch",
+        "degree": 6,
+        "rank": 10,
+        "generator_degrees": [2, 5, 5, 5, 6, 6, 6, 6, 6, 6],
+        "degree_sum": 53,
+        "expected_degree_sum": 52,
+    }
+    assert report.degrees_examined[-1] == (6, 53, 6)
 
 
 def test_decide_generic_formula_cases():

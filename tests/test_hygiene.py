@@ -1,11 +1,13 @@
-"""Source-level rules for the library modules, checked with ast."""
+"""Source-level rules for the library modules, checked with ast, and the
+README's library example, run as written."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "arrdiff"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "arrdiff"
 
 
 def modules():
@@ -34,3 +36,10 @@ def test_no_private_imports_across_modules():
                       for alias in node.names
                       if internal and alias.name.startswith("_")]
     assert found == []
+
+
+def test_readme_library_example_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```")[0], {})

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrdiff.linalg import (RowBasis, determinant, invert, nullspace_basis,
-                            row_times_matrix, solve_in_row_space)
+                            row_times_matrix)
 from arrdiff.qpoly import Poly
 from tests.test_saito import cofactor_det
 
@@ -77,21 +77,6 @@ def reference_invert(rows):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in reduced[:n]]
-
-
-def reference_solve(basis_rows, target):
-    k = len(basis_rows)
-    if not k:
-        return [] if not any(target) else None
-    augmented = [[row[j] for row in basis_rows] + [target[j]]
-                 for j in range(len(target))]
-    reduced, pivots = reference_rref(augmented, k + 1)
-    if k in pivots:
-        return None
-    solution = [Fraction(0)] * k
-    for row, pc in zip(reduced, pivots):
-        solution[pc] = row[k]
-    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +143,18 @@ def square_matrices(draw, max_n=5):
 @settings(max_examples=100, deadline=None)
 def test_nullspace_matches_dense_reference(case):
     ncols, rows = case
-    assert nullspace_basis(rows, ncols) == reference_nullspace(rows, ncols)
+    basis = nullspace_basis(rows, ncols)
+    assert basis == reference_nullspace(rows, ncols)
+    # each vector's free column is its last nonzero entry, in increasing order
+    last = [max(j for j, x in enumerate(vec) if x) for vec in basis]
+    assert all(vec[j] == 1 for vec, j in zip(basis, last))
+    assert last == sorted(set(last))
 
 
 @given(square_matrices())
 @settings(max_examples=100, deadline=None)
 def test_invert_matches_dense_reference(rows):
     assert invert(rows) == reference_invert(rows)
-
-
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_solve_in_row_space_matches_dense_reference(data):
-    ncols, rows = data.draw(sparse_matrices())
-    independent = []
-    for row in rows:
-        if rank_of(independent + [row], ncols) > len(independent):
-            independent.append(row)
-    if data.draw(st.booleans()):
-        coeffs = data.draw(st.lists(ENTRIES, min_size=len(independent),
-                                    max_size=len(independent)))
-        target = row_times_matrix(coeffs, independent) if independent \
-            else [Fraction(0)] * ncols
-    else:
-        target = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
-    assert solve_in_row_space(independent, target) \
-        == reference_solve(independent, target)
 
 
 @given(st.data())
@@ -248,13 +219,6 @@ def test_nullspace_of_no_constraints():
     basis = nullspace_basis([], 3)
     assert len(basis) == 3
     assert basis[0][0] == 1
-
-
-def test_solve_in_row_space():
-    rows = frac_rows([[1, 0, 1], [0, 1, 1]])
-    combo = solve_in_row_space(rows, frac_rows([[2, 3, 5]])[0])
-    assert combo == [Fraction(2), Fraction(3)]
-    assert solve_in_row_space(rows, frac_rows([[0, 0, 1]])[0]) is None
 
 
 def reference_determinant(rows):

@@ -293,7 +293,7 @@ def test_point_certificate_matches_symbolic_on_random_bases(data):
         [str(c) for c in row_times_matrix([Fraction(a) for a in form],
                                           change)]
         for form in forms]})
-    ops = [change_variables(op, change) for op in ops]
+    ops = change_variables(ops, change)
 
     variant = data.draw(st.sampled_from(["basis", "duplicate", "times-form",
                                          "combined"]))

@@ -205,13 +205,14 @@ def test_change_variables_extensionally():
     inverse = invert(rows)
     x, y = variables(2)
     op = DiffOp.single(2, (2, 0), x * y) + DiffOp.single(2, (1, 1), y * y)
-    moved = change_variables(op, rows)
+    [moved] = change_variables([op], rows)
     for f in (x * x * y, (x + y) ** 3, x * x):
         # conjugation identity: moved(f) agrees with op acting upstairs
         upstairs = op.apply(f.substitute(linear_images(inverse)))
         assert moved.apply(f) == upstairs.substitute(linear_images(rows))
     identity = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-    assert change_variables(op, identity) == op
+    assert change_variables([op], identity) == [op]
+    assert change_variables([], rows) == []
 
 
 @given(st.data())
@@ -219,16 +220,19 @@ def test_change_variables_extensionally():
 def test_change_variables_conjugates_random_operators(data):
     dim = data.draw(st.integers(1, 3))
     order = data.draw(st.integers(0, 2))
-    op = data.draw(op_strategy(dim, order))
+    ops = data.draw(st.lists(op_strategy(dim, order), min_size=1,
+                             max_size=3))
     rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim,
                                        max_size=dim),
                               min_size=dim, max_size=dim))
     inverse = invert(rows)
     assume(inverse is not None)
     f = data.draw(poly_strategy(dim))
-    upstairs = op.apply(f.substitute(linear_images(inverse)))
-    assert change_variables(op, rows).apply(f) \
-        == upstairs.substitute(linear_images(rows))
+    moved = change_variables(ops, rows)
+    assert len(moved) == len(ops)
+    for op, image in zip(ops, moved):
+        upstairs = op.apply(f.substitute(linear_images(inverse)))
+        assert image.apply(f) == upstairs.substitute(linear_images(rows))
 
 
 def test_operator_json_roundtrip():
