@@ -204,7 +204,7 @@ def _per_order_bases(arr: Arrangement, top: int) -> list[list[DiffOp]] | None:
     bases: list[list[DiffOp]] = [[DiffOp.identity(arr.dim)]]
     for i in range(1, top + 1):
         report = decide_free(arr, i)
-        if report.verdict != FREE or report.basis is None:
+        if report.verdict != FREE:
             return None
         bases.append(list(report.basis))
     return bases
@@ -221,7 +221,7 @@ def _cmd_product_basis(args) -> int:
         print("a factor is not free at some order <= the requested order",
               file=sys.stderr)
         return EXIT_NEGATIVE
-    ops = product_basis(bases_first, bases_second)
+    ops = product_basis([bases_first, bases_second])
     combined = product(first, second)
     result = saito_check(ops, combined)
     _emit({
@@ -239,9 +239,12 @@ def _cmd_localize_basis(args) -> int:
     flat, described = _flat_at_seed(arr, args.seed)
     if args.basis:
         ops = _load_operators(args.basis)
+        if any(op.order != args.order for op in ops):
+            raise InputError(f"the basis to transport must have order "
+                             f"{args.order} (-m)")
     else:
         report = decide_free(arr, args.order)
-        if report.verdict != FREE or report.basis is None:
+        if report.verdict != FREE:
             print("the arrangement is not free at this order; supply no "
                   "basis to transport", file=sys.stderr)
             return EXIT_NEGATIVE
@@ -310,7 +313,7 @@ def _suite_checks():
         bases2 = [[DiffOp.identity(1)],
                   [DiffOp.single(1, (1,), Poly.one(1))],
                   [DiffOp.single(1, (2,), Poly.one(1))]]
-        ops = product_basis(bases1, bases2)
+        ops = product_basis([bases1, bases2])
         combined = product(rank2, empty_line)
         result = saito_check(ops, combined)
         exponents = sorted(op.homogeneous_degree() for op in ops)
@@ -469,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("-m", "--order", type=int, required=True)
     lb.add_argument("--seed", required=True)
     lb.add_argument("-b", "--basis", default=None,
-                    help="operator JSON to transport (default: decide first)")
+                    help="operator JSON of order -m to transport "
+                         "(default: decide first)")
     lb.set_defaults(handler=_cmd_localize_basis)
 
     cert = sub.add_parser("shi2-cert",

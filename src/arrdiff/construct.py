@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 
 from .arrangement import Arrangement, FlatRef, localize, make_shi
 from .graded import (FreenessReport, decide_free, graded_dimension,
                      operator_vector)
-from .linalg import RowBasis, invert, nullspace_basis, row_times_matrix
+from .linalg import RowBasis, nullspace_basis
 from .membership import is_member, shi2_order2_members
 from .qpoly import Poly, monomial_exponents, variables
 from .saito import det_poly, point_constant, saito_check, saito_counts
@@ -50,16 +51,16 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
         alpha = list(arr.forms[0].coefficients)
         k = 1 if alpha[0] else 0
         change = [alpha, [Fraction(1 if j == k else 0) for j in range(2)]]
-    inverse = invert(change)
-    if inverse is None:
-        raise RuntimeError("rank-2 change of coordinates is singular")
 
     slopes: list[Fraction] = []
     for form in arr.forms[1:]:
-        coords = row_times_matrix(list(form.coefficients), inverse)
-        if not coords[1]:
+        # beta = c0 * alpha + c1 * x_k, read off coordinate 1 - k, then k
+        beta = form.coefficients
+        c0 = beta[1 - k] / alpha[1 - k]
+        c1 = beta[k] - c0 * alpha[k]
+        if not c1:
             raise RuntimeError("a line lost its y component")
-        slopes.append(coords[0] / coords[1])
+        slopes.append(c0 / c1)
 
     x, y = variables(2)
     lines = ([x] if n else []) + [a * x + y for a in slopes]
@@ -106,22 +107,25 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
     return transported
 
 
-def product_basis(bases_first: list[list[DiffOp]],
-                  bases_second: list[list[DiffOp]]) -> list[DiffOp]:
+def product_basis(factor_bases: list[list[list[DiffOp]]]) -> list[DiffOp]:
     """Basis of the product arrangement's order-m module from factor bases.
 
     Takes per-order bases 0..m for each factor (the order-0 basis is the
-    identity operator) and returns all pairwise products, each factor
-    embedded on its own variable block of the product space.
+    identity operator) and returns the block products of one operator per
+    factor whose orders sum to m, each factor embedded on its own variable
+    block of the product space.  The order is that of folding the factors
+    pairwise from the left: the outermost loop runs over the last factor's
+    order, descending, and the earlier factors' orders split the rest the
+    same way, recursively; within one split of the orders the operators
+    vary with the first factor outermost.
     """
-    if not bases_first or len(bases_first) != len(bases_second):
-        raise ValueError("need per-order bases 0..m for both factors")
-    top = len(bases_first) - 1
-    dim_first = bases_first[0][0].dim
-    dim_second = bases_second[0][0].dim
-    for i in range(top + 1):
-        for ops, dim in ((bases_first[i], dim_first),
-                         (bases_second[i], dim_second)):
+    if not factor_bases or not factor_bases[0] or any(
+            len(bases) != len(factor_bases[0]) for bases in factor_bases):
+        raise ValueError("need per-order bases 0..m for every factor")
+    top = len(factor_bases[0]) - 1
+    dims = [bases[0][0].dim for bases in factor_bases]
+    for bases, dim in zip(factor_bases, dims):
+        for i, ops in enumerate(bases):
             expected = saito_counts(dim, i)[0]
             if len(ops) != expected:
                 raise ValueError(f"order-{i} basis must have {expected} "
@@ -129,13 +133,25 @@ def product_basis(bases_first: list[list[DiffOp]],
             for op in ops:
                 if op.dim != dim or op.order != i:
                     raise ValueError("inconsistent factor basis")
-    total = dim_first + dim_second
+    total = sum(dims)
+    offsets = [sum(dims[:f]) for f in range(len(dims))]
+    embedded = [[[embed(op, total, offset) for op in ops] for ops in bases]
+                for bases, offset in zip(factor_bases, offsets)]
+
+    def splits(count: int, order: int):
+        # orders of the first count factors summing to order, fold order
+        if count == 1:
+            yield (order,)
+            return
+        for last in range(order, -1, -1):
+            for head in splits(count - 1, order - last):
+                yield head + (last,)
+
     out: list[DiffOp] = []
-    for i in range(top + 1):
-        for theta in bases_first[i]:
-            lifted = embed(theta, total, 0)
-            for eta in bases_second[top - i]:
-                out.append(block_product(lifted, embed(eta, total, dim_first)))
+    for orders in splits(len(embedded), top):
+        for ops in iter_product(*(bases[i]
+                                  for bases, i in zip(embedded, orders))):
+            out.append(reduce(block_product, ops))
     if len(out) != saito_counts(total, top)[0]:
         raise RuntimeError("product basis has the wrong operator count")
     return out

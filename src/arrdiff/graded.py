@@ -32,8 +32,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .arrangement import (Arrangement, Decomposition, decompose, flat_closure,
-                          is_generic, localize)
+from .arrangement import (Arrangement, decompose, flat_closure, is_generic,
+                          localize)
 from .linalg import Rational, RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
                     monomial_exponents, term_order_key)
@@ -365,12 +365,13 @@ def _fast_filters(arr, order, audit, report):
     # product decomposition: recurse into the factors
     dec = decompose(arr)
     if len(dec.factors) >= 2:
+        from .construct import product_basis  # local import to avoid a cycle
         audit.append(f"filter: decomposes into {len(dec.factors)} factors")
-        factor_reports: list[list[FreenessReport]] = []
-        conclusive = True
+        factor_bases: list[list[list[DiffOp]]] = []
         for fi, factor in enumerate(dec.factors):
-            per_order = []
+            bases = [[DiffOp.identity(factor.arrangement.dim)]]
             for i in range(1, order + 1):
+                # no degree bound, so the factor is FREE or NOT_FREE
                 sub = decide_free(factor.arrangement, i)
                 if sub.verdict == NOT_FREE:
                     audit.append(f"filter: factor {fi} is not free at order {i}")
@@ -383,20 +384,22 @@ def _fast_filters(arr, order, audit, report):
                         "failing_order": i,
                         "factor_certificate": sub.certificate,
                     })
-                if sub.verdict != FREE:
-                    conclusive = False
-                per_order.append(sub)
-            factor_reports.append(per_order)
-        if conclusive:
-            synthesized = _product_basis_synthesis(arr, dec, order,
-                                                   factor_reports, audit)
-            if synthesized is not None:
-                basis, constant, exponents = synthesized
-                return report(FREE, {
-                    "kind": "saito_basis",
-                    "constant": str(constant),
-                    "via": "product-decomposition",
-                }, exponents=exponents, basis=basis)
+                bases.append(list(sub.basis))
+            factor_bases.append(bases)
+        basis = tuple(change_variables(product_basis(factor_bases),
+                                       dec.basis_change))
+        result = saito_check(basis, arr)
+        if not result:
+            # the product theorem makes this a basis; a failure is a bug
+            raise RuntimeError("product basis failed the determinant criterion")
+        audit.append("filter: product basis synthesized from factor bases and "
+                     "verified")
+        return report(FREE, {
+            "kind": "saito_basis",
+            "constant": str(result.constant),
+            "via": "product-decomposition",
+        }, exponents=tuple(sorted(op.homogeneous_degree() for op in basis)),
+            basis=basis)
 
     # a generic rank-3 localization refutes
     certificate = _localization_filter(arr)
@@ -405,39 +408,6 @@ def _fast_filters(arr, order, audit, report):
                      "arrangement is not free")
         return report(NOT_FREE, certificate)
     return None
-
-
-def _product_basis_synthesis(arr, dec: Decomposition, order,
-                             factor_reports, audit):
-    """Assemble a basis for a decomposable arrangement from factor bases."""
-    from .construct import product_basis  # local import to avoid a cycle
-
-    def per_order_bases(index: int) -> list[list[DiffOp]]:
-        factor = dec.factors[index].arrangement
-        bases = [[DiffOp.identity(factor.dim)]]
-        for i in range(1, order + 1):
-            basis = factor_reports[index][i - 1].basis
-            if basis is None:
-                raise RuntimeError("a FREE factor report carries no basis")
-            bases.append(list(basis))
-        return bases
-
-    acc_bases = per_order_bases(0)
-    for fi in range(1, len(dec.factors)):
-        fac_bases = per_order_bases(fi)
-        acc_bases = [product_basis(acc_bases[:i + 1], fac_bases[:i + 1])
-                     for i in range(order + 1)]
-    adapted = acc_bases[order]
-    transported = tuple(change_variables(adapted, dec.basis_change))
-    result = saito_check(transported, arr)
-    if not result:
-        audit.append("filter: product basis synthesis failed verification; "
-                     "falling back to the sweep")
-        return None
-    exponents = tuple(sorted(op.homogeneous_degree() for op in transported))
-    audit.append("filter: product basis synthesized from factor bases and "
-                 "verified")
-    return transported, result.constant, exponents
 
 
 def _localization_filter(arr: Arrangement) -> dict | None:

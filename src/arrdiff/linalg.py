@@ -189,15 +189,3 @@ def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix | None:
         return None
     return [[Fraction(reduced[i].get(n + j, 0), reduced[i][i])
              for j in range(n)] for i in range(n)]
-
-
-def row_times_matrix(vector: Sequence[Rational],
-                     rows: Sequence[Sequence[Rational]]) -> Vector:
-    """The product vector * rows, as Fractions; zero entries are skipped."""
-    if len(vector) != len(rows):
-        raise ValueError("vector length must equal the number of rows")
-    out = [Fraction(0)] * len(rows[0])
-    for x, row in zip(vector, rows):
-        if x:
-            out = [acc + x * y if y else acc for acc, y in zip(out, row)]
-    return out

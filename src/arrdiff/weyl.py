@@ -248,7 +248,9 @@ def coefficient_matrix(ops: Sequence[DiffOp]
     """The square matrix with entry (a, i) equal to op_i applied to x^a / a!.
 
     Row a is the a-th degree-m exponent in canonical order
-    (``monomial_exponents(dim, order)``), column i the i-th operator.
+    (``monomial_exponents(dim, order)``), column i the i-th operator.  As
+    every derivative exponent of an order-m operator has degree m, that
+    entry is the coefficient of op_i at d^a.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -260,9 +262,7 @@ def coefficient_matrix(ops: Sequence[DiffOp]
     if len(ops) != len(exponents):
         raise ValueError(
             f"need exactly {len(exponents)} operators, got {len(ops)}")
-    return tuple(tuple(op.apply(Poly.monomial(dim, a))
-                       * Fraction(1, mi_factorial(a)) for op in ops)
-                 for a in exponents)
+    return tuple(tuple(op.coefficient(a) for op in ops) for a in exponents)
 
 
 def embed(op: DiffOp, total_dim: int, offset: int) -> DiffOp:

@@ -134,7 +134,7 @@ def test_criterion_7_product_exponents():
         bases_second = [[DiffOp.identity(1)],
                         [DiffOp.single(1, (1,), Poly.one(1))],
                         [DiffOp.single(1, (2,), Poly.one(1))]]
-        ops = product_basis(bases_first, bases_second)
+        ops = product_basis([bases_first, bases_second])
         combined = product(RANK2, Arrangement(1, ()))
         assert saito_check(ops, combined)
         assert sorted(op.homogeneous_degree() for op in ops) \

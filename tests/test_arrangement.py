@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  decompose, flat_closure, is_generic,
                                  localize, make_named, make_shi, product)
-from arrdiff.linalg import invert, row_times_matrix
+from arrdiff.linalg import invert
 from arrdiff.qpoly import LinearForm, Poly, variables
 from tests.test_linalg import rank_of
 
@@ -235,11 +235,17 @@ def test_decompose_oracle_on_small_arrangements():
             == oracle_components(arr)
 
 
+def row_times(vector, rows):
+    """The product vector * rows of a row vector and a matrix."""
+    return [sum((Fraction(x) * row[j] for x, row in zip(vector, rows)),
+                Fraction(0)) for j in range(len(rows[0]))]
+
+
 def reassembled_forms(arr, dec):
     """The forms mapped through invert(basis_change), and the factor forms
     padded back to the full coordinates; the two sets must agree."""
     inverse = invert([list(r) for r in dec.basis_change])
-    transformed = {LinearForm(row_times_matrix(list(f.coefficients), inverse))
+    transformed = {LinearForm(row_times(list(f.coefficients), inverse))
                    for f in arr.forms}
     reassembled = set()
     for factor in dec.factors:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -205,6 +207,19 @@ def test_paper_suite_golden_output(capsys):
     assert (code, out, err) == (0, PAPER_SUITE_STDOUT, "")
 
 
+def test_paper_suite_golden_output_without_asserts():
+    # python -O strips assert statements; no check may depend on them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-O", "-m", "arrdiff.cli",
+                           "paper-suite"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (0, PAPER_SUITE_STDOUT, "")
+
+
 def test_shi2_cert_golden_digest(capsys):
     code, out, err = run_cli(capsys, "shi2-cert")
     assert code == 0 and err == ""
@@ -302,6 +317,21 @@ def test_localize_basis_index_out_of_range_exits_two(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "out of range" in err
+
+
+def test_localize_basis_order_must_match_the_basis(capsys, tmp_path):
+    arr = write_json(tmp_path / "a.json", RANK2_JSON)
+    code, out, _ = run_cli(capsys, "basis-l2", "-a", arr, "-m", "1")
+    assert code == 0
+    basis = write_json(tmp_path / "b.json", json.loads(out))
+    code, out, err = run_cli(capsys, "localize-basis", "-a", arr, "-m", "3",
+                             "--seed", "0", "-b", basis)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, "localize-basis", "-a", arr, "-m", "1",
+                             "--seed", "0", "-b", basis)
+    assert code == 0 and err == ""
+    assert json.loads(out)["order"] == 1
 
 
 def test_zero_denominator_in_a_form_exits_two(capsys, tmp_path):
@@ -410,7 +440,8 @@ def _arrangement(draw):
 def _documents(draw):
     """(arrangement, operator file, subcommand) as one valid input, fuzzed."""
     dim, arrangement = draw(_arrangement())
-    command = draw(st.sampled_from(["check-member", "saito"]))
+    command = draw(st.sampled_from(["check-member", "saito",
+                                    "localize-basis"]))
     order = draw(st.integers(0, 3))
     count = 1 if command == "check-member" else comb(dim + order - 1, order)
     operators = [draw(_operator(dim, order)) for _ in range(count)]
@@ -418,8 +449,11 @@ def _documents(draw):
         operators = {"operators": operators}
     elif count == 1 and draw(st.booleans()):
         operators = operators[0]
+    argv = [command]
+    if command == "localize-basis":
+        argv += ["-m", str(order), "--seed", "0"]
     return (draw(_fuzzed(st.just(arrangement))),
-            draw(_fuzzed(st.just(operators))), command)
+            draw(_fuzzed(st.just(operators))), argv)
 
 
 def assert_exits_cleanly(argv, files):
@@ -447,9 +481,9 @@ def assert_exits_cleanly(argv, files):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_fuzz_operator_commands_exit_cleanly(documents):
-    arrangement, operators, command = documents
-    flag = "-o" if command == "check-member" else "-b"
-    assert_exits_cleanly([command], [("-a", arrangement), (flag, operators)])
+    arrangement, operators, argv = documents
+    flag = "-o" if argv[0] == "check-member" else "-b"
+    assert_exits_cleanly(argv, [("-a", arrangement), (flag, operators)])
 
 
 ARRANGEMENT_COMMANDS = [["decide", "-m", "1"],

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  flat_closure, localize, make_shi, product)
@@ -12,10 +15,10 @@ from arrdiff.construct import (basis_rank_two, find_flat_point,
                                localize_basis, product_basis,
                                shi2_nonfreeness_certificate)
 from arrdiff.graded import FREE, NOT_FREE, decide_free
-from arrdiff.qpoly import Poly, variables
+from arrdiff.qpoly import Poly, monomial_exponents, variables
 from arrdiff.saito import (SaitoVerdict, point_constant, saito_check,
                            saito_counts)
-from arrdiff.weyl import DiffOp, euler_operator
+from arrdiff.weyl import DiffOp, block_product, embed, euler_operator
 
 
 def arr_of(dim, *texts):
@@ -101,7 +104,7 @@ def rank2_bases(top):
 
 
 def test_product_basis_golden_exponents():
-    ops = product_basis(rank2_bases(2), line_bases(2))
+    ops = product_basis([rank2_bases(2), line_bases(2)])
     combined = product(RANK2, Arrangement(1, ()))
     result = saito_check(ops, combined)
     assert result
@@ -112,7 +115,7 @@ def test_product_exponents_follow_union_rule():
     top = 2
     first = rank2_bases(top)
     second = line_bases(top)
-    ops = product_basis(first, second)
+    ops = product_basis([first, second])
     expected = sorted(
         theta.homogeneous_degree() + eta.homogeneous_degree()
         for i in range(top + 1)
@@ -122,7 +125,7 @@ def test_product_exponents_follow_union_rule():
 
 
 def test_product_basis_trivial_lines():
-    ops = product_basis(line_bases(1), line_bases(1))
+    ops = product_basis([line_bases(1), line_bases(1)])
     assert {str(op) for op in ops} == {"(1)*d1", "(1)*d2"}
     assert sorted(op.homogeneous_degree() for op in ops) == [0, 0]
 
@@ -130,7 +133,53 @@ def test_product_basis_trivial_lines():
 def test_product_basis_validates_counts():
     bad = [[DiffOp.identity(2)], basis_rank_two(RANK2, 1)[:1]]
     with pytest.raises(ValueError):
-        product_basis(bad, line_bases(1))
+        product_basis([bad, line_bases(1)])
+
+
+def two_factor_product(first, second):
+    """Per-order bases 0..m of a product of two factors: at order i, theta
+    * eta for theta in first[j] and eta in second[i - j], j ascending."""
+    dim_first = first[0][0].dim
+    total = dim_first + second[0][0].dim
+    return [[block_product(embed(theta, total, 0),
+                           embed(eta, total, dim_first))
+             for j in range(i + 1)
+             for theta in first[j] for eta in second[i - j]]
+            for i in range(len(first))]
+
+
+@st.composite
+def factor_bases(draw, top):
+    """Per-order operator lists 0..top of the right sizes for a factor of
+    dimension 1 or 2; the operators are arbitrary, so the order shows."""
+    dim = draw(st.integers(1, 2))
+    terms = st.tuples(st.sampled_from(monomial_exponents(dim, 0)
+                                      + monomial_exponents(dim, 1)),
+                      st.integers(-2, 2))
+    bases = []
+    for i in range(top + 1):
+        exponents = monomial_exponents(dim, i)
+        bases.append([DiffOp(dim, i, {
+            a: Poly(dim, draw(st.lists(terms, min_size=1, max_size=2)))
+            for a in draw(st.lists(st.sampled_from(exponents), min_size=1,
+                                   max_size=2, unique=True))})
+            for _ in exponents])
+    return bases
+
+
+@given(st.integers(0, 3).flatmap(
+    lambda top: st.lists(factor_bases(top), min_size=2, max_size=4)))
+@settings(max_examples=60, deadline=None)
+def test_product_basis_equals_pairwise_fold(bases):
+    assert product_basis(bases) == reduce(two_factor_product, bases)[-1]
+
+
+def test_product_basis_needs_equal_orders():
+    with pytest.raises(ValueError):
+        product_basis([line_bases(1), line_bases(2)])
+    for empty in ([], [[], []]):
+        with pytest.raises(ValueError):
+            product_basis(empty)
 
 
 def test_product_freeness_equivalence():

@@ -7,6 +7,8 @@ constraints through the operator action, without the solver's indexing.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
 
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from arrdiff import graded
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  decompose, flat_closure, is_generic,
-                                 localize, make_named, make_shi)
+                                 localize, make_named, make_shi, product)
 from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, _localization_filter,
                             decide_free, graded_dimension, minimal_generators,
                             operator_vector)
@@ -24,7 +27,8 @@ from arrdiff.linalg import RowBasis, nullspace_basis
 from arrdiff.membership import is_member
 from arrdiff.qpoly import (LinearForm, Poly, mi_add, mi_factorial, mi_unit,
                            monomial_exponents, term_order_key, variables)
-from arrdiff.saito import saito_check, saito_counts
+from arrdiff.saito import (SaitoResult, SaitoVerdict, saito_check,
+                          saito_counts)
 from arrdiff.weyl import DiffOp, euler_operator
 from tests.test_linalg import reference_nullspace
 
@@ -349,6 +353,56 @@ def test_decide_product_filter_matches_sweep():
     assert filtered.verdict == swept.verdict == FREE
     assert filtered.exponents == swept.exponents == (1, 2, 2, 2, 2, 3)
     assert filtered.certificate.get("via") == "product-decomposition"
+
+
+# (name, arrangement, order, exponents, JSON bytes, sha256 of the JSON) of
+# decisions on the product route; the digest pins the basis operators and
+# their order, which follows the factor order of the product construction
+PRODUCT_ROUTE_GOLDEN = [
+    ("boolean-3", make_named("boolean", 3), 2, (1, 1, 1, 2, 2, 2),
+     839, "6b3cb56d7359dca31fe78dbec764236cdabacbf68586f94af37b79fd5cb9d15d"),
+    ("x,y,x+y x line x line",
+     product(product(RANK2, arr_of(1, "x")), arr_of(1, "x")), 2,
+     (1, 1, 2, 2, 2, 2, 2, 2, 3, 3),
+     1614, "405558942ac83840eb38a6b0dc3186cc56a8d362602bb68e258f7a2d14f2f90d"),
+    ("Shi-2 x boolean-1", product(make_shi(2), make_named("boolean", 1)), 1,
+     (1, 1, 3, 3),
+     1120, "6fce79c3096b068e21fc754a0a2e06fee55c7a79552daaa09401fc0bcfb6889e"),
+    ("braid-3 x boolean-2",
+     product(arr_of(3, "x-y", "y-z", "x-z"), make_named("boolean", 2)), 3,
+     (0,) + (1,) * 7 + (2,) * 14 + (3,) * 12 + (4,),
+     16198, "dc52b112a070a42e7a41213b89fad3e42325073418a603ab4e59f96582584c54"),
+]
+
+
+@pytest.mark.parametrize("name, arr, order, exponents, size, digest",
+                         PRODUCT_ROUTE_GOLDEN,
+                         ids=[case[0] for case in PRODUCT_ROUTE_GOLDEN])
+def test_decide_product_route_golden(name, arr, order, exponents, size,
+                                     digest):
+    report = decide_free(arr, order)
+    assert report.verdict == FREE
+    assert report.certificate["via"] == "product-decomposition"
+    assert report.exponents == exponents
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert len(text) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_decide_failing_product_check_raises(monkeypatch):
+    # the product theorem makes the product basis a basis, so a failed
+    # check is an error rather than a reason to fall back to the sweep
+    target = product(RANK2, make_named("boolean", 1))
+    real = graded.saito_check
+
+    def failing(ops, arr):
+        if arr is target:
+            return SaitoResult(SaitoVerdict.NOT_PROPORTIONAL)
+        return real(ops, arr)
+
+    monkeypatch.setattr(graded, "saito_check", failing)
+    with pytest.raises(RuntimeError, match="product basis"):
+        decide_free(target, 2)
 
 
 def test_decide_localization_filter_holm_q1():

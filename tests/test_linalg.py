@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrdiff.linalg import (RowBasis, determinant, invert, nullspace_basis,
-                            row_times_matrix)
+from arrdiff.linalg import RowBasis, determinant, invert, nullspace_basis
 from arrdiff.qpoly import Poly
 from tests.test_saito import cofactor_det
 
@@ -173,7 +172,7 @@ def test_row_basis_invariants_match_dense_reference(data):
     if rows:
         coeffs = data.draw(st.lists(ENTRIES, min_size=len(rows),
                                     max_size=len(rows)))
-        assert basis.residual(row_times_matrix(coeffs, rows)) \
+        assert basis.residual(mat_vec(list(zip(*rows)), coeffs)) \
             == [Fraction(0)] * ncols
     probe = data.draw(st.lists(WIDE_ENTRIES, min_size=ncols,
                                max_size=ncols))
@@ -275,28 +274,3 @@ def test_row_basis_tracks_rank_and_membership():
         assert basis.rank == rank_of(vectors, ncols)
         for vec in vectors:
             assert basis.contains(vec)
-
-
-def test_row_times_matrix():
-    m = frac_rows([[1, 2], [0, 1]])
-    assert row_times_matrix([Fraction(3), Fraction(4)], m) \
-        == [Fraction(3), Fraction(10)]
-    product = row_times_matrix([0, 2], [[1, 2], [0, 3]])
-    assert product == [0, 6]
-    assert all(type(x) is Fraction for x in product)
-    with pytest.raises(ValueError):
-        row_times_matrix([1], m)
-
-
-@given(st.data())
-@settings(max_examples=30, deadline=None)
-def test_row_times_matrix_matches_dense_sum(data):
-    ncols, rows = data.draw(sparse_matrices(entries=WIDE_ENTRIES)
-                            .filter(lambda m: m[1]))
-    vector = data.draw(st.lists(WIDE_ENTRIES, min_size=len(rows),
-                                max_size=len(rows)))
-    expected = [sum((vector[i] * rows[i][j] for i in range(len(rows))),
-                    Fraction(0)) for j in range(ncols)]
-    product = row_times_matrix(vector, rows)
-    assert product == expected
-    assert all(type(x) is Fraction for x in product)
