@@ -21,7 +21,7 @@ from .graded import (FreenessReport, decide_free, graded_dimension,
                      operator_vector)
 from .linalg import RowBasis, nullspace_basis
 from .membership import is_member, shi2_order2_members
-from .qpoly import Poly, monomial_exponents, variables
+from .qpoly import Poly, monomial_exponents, substituter, variables
 from .saito import det_poly, point_constant, saito_check, saito_counts
 from .weyl import (DiffOp, block_product, change_variables, coefficient_matrix,
                    directional_power, embed, euler_operator)
@@ -204,13 +204,16 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
     _, det_exponent = saito_counts(arr.dim, order)
     target = det_exponent * len(sub)
     point = find_flat_point(arr, flat)
-    shift = [x + Poly.constant(arr.dim, w)
-             for x, w in zip(variables(arr.dim), point)]
+    # one substitution for every coefficient keeps the powers of the
+    # translation images x_i + w_i
+    translate = substituter(arr.dim, [x + Poly.constant(arr.dim, w)
+                                      for x, w in zip(variables(arr.dim),
+                                                      point)])
 
     components: list[list[tuple[int, DiffOp]]] = []
     for op in ops:
         shifted = DiffOp(op.dim, op.order,
-                         {a: p.substitute(shift) for a, p in op.terms()})
+                         {a: translate(p) for a, p in op.terms()})
         by_degree: dict[int, dict] = {}
         for a, p in shifted.terms():
             for mu, c in p.terms():

@@ -112,9 +112,8 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
         # arithmetic; the rows have the same values either way
         coeffs = [c.numerator if c.denominator == 1 else c
                   for c in form.coefficients]
-        # the terms of reduce(x^mu) modulo the form, for each mu in mons
-        reduce = form.reducer()
-        reduced = [reduce([(mu, 1)]).items() for mu in mons]
+        # the terms of x^mu modulo the form, for each mu in mons
+        reduced = form.reducer().table(degree)
         for b in monomial_exponents(dim, order - 1):
             # image of form * x^b: only the entries at exponents b + e_j
             # act, each through the scalar coefficient * (b + e_j)!

@@ -9,11 +9,19 @@ exactly when every coefficient of the order-(m-1) commutator
 theta's coefficient at d^a, and theta(alpha * x^b) = b! * g_b, so this is
 the grid of divisibility checks "the image of alpha_H * x^b lies in
 alpha_H * S" taken over every H and every degree-(m-1) monomial x^b.
+
+Divisibility does not change under a nonzero scalar, so the grid is
+checked on the integer-scaled operator (its coefficients times the lcm
+of their denominators) and integer-scaled forms: the g_b are then
+integral, and so is their reduction modulo a form with integral
+normalized coefficients.  A witness image is computed from the operator
+as given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .arrangement import Arrangement
 from .qpoly import (LinearForm, MultiIndex, Poly, monomial_exponents,
@@ -45,18 +53,25 @@ def is_member(op: DiffOp, arr: Arrangement) -> MembershipResult:
 
     Order-0 operators are multiplications by polynomials and always
     preserve the ideal.  Cells (hyperplane, exponent b) are checked in
-    lexicographic order by reducing g_b modulo the form; on failure the
+    lexicographic order by reducing g_b modulo the form, on the
+    integer-scaled operator (see the module notes); on failure the
     witness is the first violating cell together with the non-divisible
-    image of alpha_H * x^b.
+    image of alpha_H * x^b under the operator as given.
     """
     if op.dim != arr.dim:
         raise ValueError(f"dimension mismatch: {op.dim} vs {arr.dim}")
     if op.order == 0:
         return MembershipResult(True)
-    coefficients = {a: tuple(p.terms()) for a, p in op.terms()}
+    coefficients = {a: list(p.terms()) for a, p in op.terms()}
+    op_scale = lcm(*[c.denominator for terms in coefficients.values()
+                     for _, c in terms])
+    coefficients = {a: [(mu, c.numerator * (op_scale // c.denominator))
+                        for mu, c in terms]
+                    for a, terms in coefficients.items()}
     for index, form in enumerate(arr.forms):
         reduce = form.reducer()
-        alphas = [(j, c.numerator if c.denominator == 1 else c)
+        form_scale = lcm(*[c.denominator for c in form.coefficients])
+        alphas = [(j, c.numerator * (form_scale // c.denominator))
                   for j, c in enumerate(form.coefficients) if c]
         for b in monomial_exponents(arr.dim, op.order - 1):
             g = []

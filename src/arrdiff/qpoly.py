@@ -2,8 +2,15 @@
 
 A polynomial in ``dim`` variables is a mapping from exponent tuples (one
 entry per variable) to nonzero rational coefficients.  All arithmetic is
-exact: coefficients are :class:`fractions.Fraction` values, zero terms are
-never stored, and equality is plain term-by-term comparison.
+exact: stored coefficients are :class:`fractions.Fraction` values, zero
+terms are never stored, and equality is plain term-by-term comparison.
+
+The kernels (products, exact division, substitution, evaluation and
+reduction modulo a linear form) do not compute on Fractions inside their
+loops.  Each operand is read once as integer terms over one common
+denominator (the lcm of its coefficients' denominators), the loops
+multiply and add Python ints, and every output coefficient becomes a
+normalized Fraction exactly once, so no loop step pays for a gcd.
 
 Terms are iterated and serialized in a fixed order -- total degree first,
 then the exponent tuple, both descending -- so equal polynomials always
@@ -17,7 +24,8 @@ import heapq
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 MultiIndex = tuple[int, ...]
@@ -53,7 +61,7 @@ def mi_degree(a: MultiIndex) -> int:
 
 
 def mi_add(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mi_factorial(a: MultiIndex) -> int:
@@ -99,6 +107,43 @@ def monomial_exponents(dim: int, degree: int) -> tuple[MultiIndex, ...]:
         for rest in monomial_exponents(dim - 1, degree - first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# integer terms over a common denominator (the kernels' working form)
+
+IntTerms = list[tuple[MultiIndex, int]]
+
+
+def _integral(terms: Mapping[MultiIndex, Fraction]) -> tuple[IntTerms, int]:
+    """(integer terms, den) with terms / den equal to the given terms.
+
+    den is the lcm of the denominators (1 for no terms).
+    """
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(a, c.numerator * (den // c.denominator))
+            for a, c in terms.items()], den
+
+
+def _fractions(terms: Mapping[MultiIndex, Rational],
+               den: int) -> dict[MultiIndex, Fraction]:
+    """The normalized Fraction terms of terms / den, zeros dropped."""
+    return {a: Fraction(c, den) for a, c in terms.items() if c}
+
+
+def _mul_terms(p: Iterable[tuple[MultiIndex, int]],
+               q: Iterable[tuple[MultiIndex, int]]) -> dict[MultiIndex, int]:
+    """The integer product of two term lists (cancelled terms stay as 0).
+
+    q is iterated once per term of p, so it must not be an iterator.
+    """
+    out: dict[MultiIndex, int] = {}
+    get = out.get
+    for a, c in p:
+        for b, d in q:
+            key = tuple(map(add, a, b))
+            out[key] = get(key, 0) + c * d
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +240,6 @@ class Poly:
             return None
         return degrees.pop()
 
-    def leading_term(self) -> tuple[MultiIndex, Fraction]:
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        a = max(self._terms, key=term_order_key)
-        return a, self._terms[a]
-
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, or None if non-constant."""
         if not self._terms:
@@ -241,16 +280,9 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_dim(other)
-            out: dict[MultiIndex, Fraction] = {}
-            for a, c in self._terms.items():
-                for b, d in other._terms.items():
-                    key = mi_add(a, b)
-                    s = out.get(key, Fraction(0)) + c * d
-                    if s:
-                        out[key] = s
-                    else:
-                        out.pop(key, None)
-            return Poly._raw(self.dim, out)
+            p, sp = _integral(self._terms)
+            q, sq = _integral(other._terms)
+            return Poly._raw(self.dim, _fractions(_mul_terms(p, q), sp * sq))
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
             if not c:
@@ -307,46 +339,32 @@ class Poly:
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Replace every variable x_i by images[i] at once, exactly.
 
-        The powers of each image are built once per call, as the terms
-        ask for them, and every term's product of powers is summed into
-        one result.
+        See :func:`substituter`, which keeps the powers of the images for
+        many polynomials.
         """
-        if len(images) != self.dim:
-            raise ValueError("need one image per variable")
-        for image in images:
-            self._check_dim(image)
-        one = Poly.one(self.dim)
-        powers = [[one] for _ in images]  # powers[i][e] = images[i] ** e
-        out: dict[MultiIndex, Fraction] = {}
-        for a, c in self._terms.items():
-            product = one
-            for i, e in enumerate(a):
-                if e:
-                    while len(powers[i]) <= e:
-                        powers[i].append(powers[i][-1] * images[i])
-                    product = (powers[i][e] if product is one
-                               else product * powers[i][e])
-            for key, value in product._terms.items():
-                s = out.get(key, Fraction(0)) + c * value
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly._raw(self.dim, out)
+        return substituter(self.dim, images)(self)
 
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        """Evaluate at an exact rational point."""
+        """Evaluate at an exact rational point.
+
+        With the point as integers v over den and the polynomial as
+        integer terms over sp, the term c * x^a contributes
+        c * v^a * den^(top - |a|) to one integer over sp * den^top.
+        """
         if len(point) != self.dim:
             raise ValueError("point length must equal the dimension")
         values = [as_fraction(v) for v in point]
-        total = Fraction(0)
-        for a, c in self._terms.items():
-            term = c
-            for e, v in zip(a, values):
+        den = lcm(*[v.denominator for v in values])
+        ints = [v.numerator * (den // v.denominator) for v in values]
+        terms, sp = _integral(self._terms)
+        top = max(map(sum, self._terms), default=0)
+        total = 0
+        for a, c in terms:
+            for e, v in zip(a, ints):
                 if e:
-                    term *= v ** e
-            total += term
-        return total
+                    c *= v ** e
+            total += c * den ** (top - sum(a))
+        return Fraction(total, sp * den ** top)
 
     # -- presentation
 
@@ -408,6 +426,51 @@ def format_poly(p: Poly) -> str:
     return out
 
 
+def substituter(dim: int, images: Sequence[Poly]) -> Callable[[Poly], Poly]:
+    """The substitution x_i -> images[i], for many polynomials in dim vars.
+
+    The images are read once as integer terms over their common
+    denominator den, and the powers of each image are built as the
+    substituted terms ask for them and kept as long as the returned
+    function lives.  A term c * x^a goes to c * den^(top - |a|) times the
+    product of the integer powers, summed into one integer result over
+    sp * den^top (top: the polynomial's degree, sp: its denominator).
+    """
+    if len(images) != dim:
+        raise ValueError("need one image per variable")
+    for image in images:
+        if image.dim != dim:
+            raise ValueError(f"dimension mismatch: {image.dim} vs {dim}")
+    den = lcm(*[c.denominator for image in images
+                for c in image._terms.values()])
+    scaled = [[(b, c.numerator * (den // c.denominator))
+               for b, c in image._terms.items()] for image in images]
+    one = {(0,) * dim: 1}
+    powers = [[one] for _ in images]  # powers[i][e] = (den * images[i]) ** e
+
+    def substitute(p: Poly) -> Poly:
+        if p.dim != dim:
+            raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
+        terms, sp = _integral(p._terms)
+        top = max(map(sum, p._terms), default=0)
+        out: dict[MultiIndex, int] = {}
+        for a, c in terms:
+            product = one
+            for i, e in enumerate(a):
+                if e:
+                    table = powers[i]
+                    while len(table) <= e:
+                        table.append(_mul_terms(table[-1].items(), scaled[i]))
+                    product = (table[e] if product is one else
+                               _mul_terms(product.items(), table[e].items()))
+            c *= den ** (top - sum(a))
+            for key, value in product.items():
+                out[key] = out.get(key, 0) + c * value
+        return Poly._raw(dim, _fractions(out, sp * den ** top))
+
+    return substitute
+
+
 def exact_divide(p: Poly, q: Poly) -> Poly | None:
     """Return r with p = q*r, or None when q does not divide p exactly.
 
@@ -415,18 +478,24 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
     not divisible by the divisor's leading monomial certifies failure.
     The remainder is one term dict updated in place, and its leading term
     comes off a heap keyed by the term order.
+
+    With p = P / sp and q = Q / sq for integral P and Q, r = (sq / sp) *
+    (P / Q): the remainder starts integral, and a quotient coefficient
+    stays an int while the integral leading coefficient of Q divides it.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    lq, cq = q.leading_term()
-    tail = [(b, c) for b, c in q._terms.items() if b != lq]
-    remainder = dict(p._terms)
+    divisor, sq = _integral(q._terms)
+    lq, cq = max(divisor, key=lambda term: term_order_key(term[0]))
+    tail = [(b, c) for b, c in divisor if b != lq]
+    terms, sp = _integral(p._terms)
+    remainder: dict[MultiIndex, Rational] = dict(terms)
     # negated keys make heapq's minimum the term order's maximum
     heap = [_heap_key(a) for a in remainder]
     heapq.heapify(heap)
-    quotient: dict[MultiIndex, Fraction] = {}
+    quotient: dict[MultiIndex, Rational] = {}
     while remainder:
         lr = heapq.heappop(heap)[-1]
         cr = remainder.pop(lr, None)
@@ -434,12 +503,15 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
             continue
         if not mi_divides(lq, lr):
             return None
-        shift = tuple(x - y for x, y in zip(lr, lq))
-        factor = cr / cq
+        shift = tuple(map(sub, lr, lq))
+        if type(cr) is int and not cr % cq:
+            factor = cr // cq
+        else:
+            factor = Fraction(cr, cq)
         quotient[shift] = factor
         # every new monomial is below lr, so popped terms never come back
         for b, c in tail:
-            key = mi_add(shift, b)
+            key = tuple(map(add, shift, b))
             old = remainder.get(key)
             if old is None:
                 remainder[key] = -factor * c
@@ -450,7 +522,8 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
                     remainder[key] = new
                 else:
                     del remainder[key]
-    return Poly._raw(p.dim, quotient)
+    return Poly._raw(p.dim, {a: Fraction(c * sq, sp)
+                             for a, c in quotient.items()})
 
 
 def _heap_key(a: MultiIndex) -> tuple[int, tuple[int, ...], MultiIndex]:
@@ -504,56 +577,9 @@ class LinearForm:
         return sum((c * as_fraction(v) for c, v in zip(self._coeffs, point)),
                    Fraction(0))
 
-    def reducer(self) -> Callable[[Iterable[tuple[MultiIndex, Rational]]],
-                                  dict[MultiIndex, Rational]]:
-        """The reduction kernel: maps the terms of p to those of p mod this form.
-
-        Reduction substitutes r = -(the form without its pivot term) for
-        the pivot variable, so a term c * x^mu goes to c * x^(mu with the
-        pivot exponent set to 0) * r^(mu_pivot); the result is empty exactly
-        when the form divides p.  Terms may repeat an exponent.  The powers
-        of r that the terms ask for are kept as long as the returned
-        function lives, and only those (intermediate powers are dropped, so
-        one high power costs only its own size); integral form
-        coefficients are used as ints, so integral input stays off
-        Fraction arithmetic.
-        """
-        dim = self.dim
-        pivot = self.pivot
-        r = [(mi_unit(dim, j), -(c.numerator if c.denominator == 1 else c))
-             for j, c in enumerate(self._coeffs) if j != pivot and c]
-        powers: dict[int, dict[MultiIndex, Rational]] = {0: {(0,) * dim: 1}}
-
-        def power(k: int) -> dict[MultiIndex, Rational]:
-            # r^k from the highest stored power below k
-            below = max(j for j in powers if j < k)
-            current = powers[below]
-            for _ in range(k - below):
-                step: dict[MultiIndex, Rational] = {}
-                for e, c in current.items():
-                    for f, rc in r:
-                        key = mi_add(e, f)
-                        step[key] = step.get(key, 0) + c * rc
-                current = step
-            powers[k] = current
-            return current
-
-        def reduce(terms: Iterable[tuple[MultiIndex, Rational]]
-                   ) -> dict[MultiIndex, Rational]:
-            out: dict[MultiIndex, Rational] = {}
-            for mu, c in terms:
-                k = mu[pivot]
-                base = mu[:pivot] + (0,) + mu[pivot + 1:]
-                for e, pc in (powers[k] if k in powers else power(k)).items():
-                    key = mi_add(base, e)
-                    value = out.get(key, 0) + c * pc
-                    if value:
-                        out[key] = value
-                    else:
-                        out.pop(key, None)
-            return out
-
-        return reduce
+    def reducer(self) -> "Reducer":
+        """The reduction kernel modulo this form (see :class:`Reducer`)."""
+        return Reducer(self)
 
     def reduce(self, p: Poly) -> Poly:
         """Image of p modulo this form (see :meth:`reducer`).
@@ -562,7 +588,8 @@ class LinearForm:
         """
         if p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
-        return Poly._raw(self.dim, self.reducer()(p._terms.items()))
+        terms, sp = _integral(p._terms)
+        return Poly._raw(self.dim, _fractions(self.reducer()(terms), sp))
 
     def divides(self, p: Poly) -> bool:
         """True iff p lies in the principal ideal generated by this form."""
@@ -584,6 +611,87 @@ class LinearForm:
 
     def to_json(self) -> list[str]:
         return [format_fraction(c) for c in self._coeffs]
+
+
+class Reducer:
+    """The reduction kernel of a linear form: maps the terms of p to those
+    of p mod the form.
+
+    Reduction substitutes r = -(the form without its pivot term) for the
+    pivot variable, so a term c * x^mu goes to c * x^(mu with the pivot
+    exponent set to 0) * r^(mu_pivot); the result is empty exactly when
+    the form divides p.  The powers of r that the terms ask for are kept
+    as long as the reducer lives, and only those (intermediate powers are
+    dropped, so one high power costs only its own size).  Integral form
+    coefficients are used as ints, so integral terms stay off Fraction
+    arithmetic.
+    """
+
+    __slots__ = ("_dim", "_pivot", "_r", "_powers")
+
+    def __init__(self, form: LinearForm):
+        dim = form.dim
+        pivot = form.pivot
+        self._dim = dim
+        self._pivot = pivot
+        self._r = [(mi_unit(dim, j),
+                    -(c.numerator if c.denominator == 1 else c))
+                   for j, c in enumerate(form.coefficients)
+                   if j != pivot and c]
+        self._powers: dict[int, dict[MultiIndex, Rational]] = {
+            0: {(0,) * dim: 1}}
+
+    def power(self, k: int) -> dict[MultiIndex, Rational]:
+        """The terms of r^k, built from the highest stored power below k."""
+        powers = self._powers
+        if k in powers:
+            return powers[k]
+        below = max(j for j in powers if j < k)
+        current = powers[below]
+        for _ in range(k - below):
+            step: dict[MultiIndex, Rational] = {}
+            for e, c in current.items():
+                for f, rc in self._r:
+                    key = tuple(map(add, e, f))
+                    step[key] = step.get(key, 0) + c * rc
+            current = step
+        powers[k] = current
+        return current
+
+    def __call__(self, terms: Iterable[tuple[MultiIndex, Rational]]
+                 ) -> dict[MultiIndex, Rational]:
+        """The terms of the reduction; the input terms may repeat an
+        exponent."""
+        pivot = self._pivot
+        out: dict[MultiIndex, Rational] = {}
+        for mu, c in terms:
+            base = mu[:pivot] + (0,) + mu[pivot + 1:]
+            for e, pc in self.power(mu[pivot]).items():
+                key = tuple(map(add, base, e))
+                value = out.get(key, 0) + c * pc
+                if value:
+                    out[key] = value
+                else:
+                    out.pop(key, None)
+        return out
+
+    def table(self, degree: int) -> list[list[tuple[MultiIndex, Rational]]]:
+        """The terms of the reduction of every degree-d monomial, in the
+        order of ``monomial_exponents(dim, degree)``.
+
+        The powers r^0..r^d are built in turn, one step each, and the
+        reduction of x^mu is one pass over r^(mu_pivot): its monomials
+        shifted by one base monomial stay distinct.
+        """
+        pivot = self._pivot
+        for k in range(degree + 1):
+            self.power(k)
+        out = []
+        for mu in monomial_exponents(self._dim, degree):
+            base = mu[:pivot] + (0,) + mu[pivot + 1:]
+            out.append([(tuple(map(add, base, e)), pc)
+                        for e, pc in self._powers[mu[pivot]].items()])
+        return out
 
 
 _TERM_RE = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*([A-Za-z]\w*)?")

@@ -17,7 +17,7 @@ from .linalg import invert
 from .qpoly import (LinearForm, MultiIndex, Poly, Rational, as_fraction,
                     exponent_from_json, format_poly, mi_add, mi_degree,
                     mi_factorial, monomial_exponents, poly_from_json,
-                    term_order_key)
+                    substituter, term_order_key)
 
 
 class DiffOp:
@@ -315,8 +315,9 @@ def change_variables(ops: Sequence[DiffOp],
     substituted by the row forms of R (y_i = sum_j R[i][j] x_j), and each
     derivative symbol d^a, a polynomial in the commuting d/dy_i, by the
     column forms of R^-1 (d/dy_i = sum_j R^-1[j][i] d/dx_j); the products
-    of the two are summed per derivative exponent.  R is inverted, and each
-    symbol substituted, once for all the operators.
+    of the two are summed per derivative exponent.  R is inverted, each
+    symbol substituted, and the powers of the forms built, once for all
+    the operators.
     """
     matrix = [[as_fraction(c) for c in row] for row in rows]
     dim = len(matrix)
@@ -326,16 +327,17 @@ def change_variables(ops: Sequence[DiffOp],
     if inverse is None:
         raise ValueError("change of variables must be invertible")
     units = monomial_exponents(dim, 1)
-    row_forms = [Poly(dim, zip(units, row)) for row in matrix]
-    column_forms = [Poly(dim, zip(units, column)) for column in zip(*inverse)]
+    by_rows = substituter(dim, [Poly(dim, zip(units, row)) for row in matrix])
+    by_columns = substituter(dim, [Poly(dim, zip(units, column))
+                                   for column in zip(*inverse)])
     symbols: dict[MultiIndex, Poly] = {}
     moved = []
     for op in ops:
         terms = []
         for a, p in op.terms():
             if a not in symbols:
-                symbols[a] = Poly.monomial(dim, a).substitute(column_forms)
-            coeff = p.substitute(row_forms)
+                symbols[a] = by_columns(Poly.monomial(dim, a))
+            coeff = by_rows(p)
             terms += [(b, coeff * scalar) for b, scalar in symbols[a].terms()]
         moved.append(DiffOp(dim, op.order, terms))
     return moved

@@ -228,6 +228,45 @@ def test_shi2_cert_golden_digest(capsys):
         "95bbd344fd4560a9732a1a7a99ab30c5b78c439fff4ebc44e7576dae7614a598")
 
 
+def output_digest(out: str) -> tuple[int, str]:
+    data = out.encode()
+    return len(data), hashlib.sha256(data).hexdigest()
+
+
+def test_saito_shi2_order2_members_golden_digest(capsys, tmp_path):
+    # the six members expand one 6x6 polynomial determinant (det_poly and
+    # exact_divide) and fail as det / Q^t = -4y + 4z; pinned byte for byte
+    arr = write_json(tmp_path / "shi2.json", make_shi(2).to_json())
+    basis = write_json(tmp_path / "ops.json", {"operators": [
+        op.to_json() for op in shi2_order2_members()]})
+    code, out, err = run_cli(capsys, "saito", "-a", arr, "-b", basis)
+    assert (code, err) == (1, "")
+    assert output_digest(out) == (6413, "5ce22f82dc44222a509d0c22624580931c7"
+                                        "da4f86532c31832455f3e6a3a1dc8")
+
+
+LOCALIZE_SHI3_M1_DIGESTS = {
+    "1,8": (4810, "844593d844c8618293dd80be0f79eea53582478eaa1dc697e879d18a31"
+                  "c300a4"),
+    "0,3": (5837, "ea858bc5be047628aa42176f7a440bd9bc2495f48ae26d2d1d36a598c2"
+                  "98a629"),
+    "1,2,3": (8378, "9e0f2b1e109d5f346cbb6a24bf4a48ff22f1a404180fb4591157a1"
+                    "2038049dde"),
+}
+
+
+def test_localize_basis_shi3_golden_digests(capsys, tmp_path):
+    # transported bases (substitution of the translated coefficients) at
+    # two rank-2 flats, one of them closing to three planes, and a rank-3
+    # flat of seven planes; pinned byte for byte
+    arr = write_json(tmp_path / "shi3.json", make_shi(3).to_json())
+    for seed, digest in LOCALIZE_SHI3_M1_DIGESTS.items():
+        code, out, err = run_cli(capsys, "localize-basis", "-a", arr,
+                                 "-m", "1", "--seed", seed)
+        assert (code, err) == (0, ""), seed
+        assert output_digest(out) == digest, seed
+
+
 def holm_q1_decide_json(order, rank, det_exponent, degree_bound):
     return {
         "verdict": "NOT_FREE",

@@ -24,6 +24,18 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_floating_point():
+    # exact over the rationals: no float literal and no float(...) call
+    found = [f"{name}:{node.lineno}" for name, tree in modules()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Constant)
+                 and isinstance(node.value, (float, complex)))
+             or (isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "float")]
+    assert found == []
+
+
 def test_no_private_imports_across_modules():
     found = []
     for name, tree in modules():

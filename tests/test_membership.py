@@ -286,3 +286,24 @@ def _random_member_pool(rng, arr, order, count):
             total = total + factor * gen
         ops.append(total)
     return ops
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_member_invariant_under_rational_scaling(data):
+    # the grid runs on the integer-scaled operator; the witness image is
+    # still the image under the operator as given
+    dim = data.draw(st.integers(2, 3))
+    order = data.draw(st.integers(1, 3))
+    arr = data.draw(arrangements_with_denominators(dim))
+    op = data.draw(operators_for(arr, order))
+    scalar = data.draw(st.fractions(min_value=-7, max_value=7,
+                                    max_denominator=6).filter(bool))
+    scaled = scalar * op
+    result = is_member(scaled, arr)
+    expected = is_member_reference(scaled, arr)
+    assert result.member == expected.member == is_member(op, arr).member
+    assert result.witness == expected.witness
+    if result.witness is not None:
+        assert all(type(c) is Fraction
+                   for _, c in result.witness.image.terms())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from arrdiff.qpoly import (LinearForm, Poly, exact_divide, format_fraction,
                            format_poly, mi_unit, monomial_exponents,
-                           parse_linear_form, poly_from_json, variables)
+                           parse_linear_form, poly_from_json, substituter,
+                           variables)
 
 
 def poly_strategy(dim: int, max_degree: int = 3, max_terms: int = 4):
@@ -271,3 +273,175 @@ def test_reduce_matches_pivot_substitution(data):
     kernel = form.reducer()
     assert Poly(dim, kernel(terms + terms).items()) == 2 * expected
     assert kernel(terms + [(mu, -c) for mu, c in terms]) == {}
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against plain-Fraction references
+
+def fraction_terms(p: Poly) -> dict:
+    """The stored terms, checked to be Fractions (never int or float)."""
+    terms = dict(p.terms())
+    assert all(type(c) is Fraction for c in terms.values())
+    return terms
+
+
+def reference_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, Fraction(0)) + c * d
+    return {a: c for a, c in out.items() if c}
+
+
+def reference_divide(p: dict, q: dict) -> dict | None:
+    """Long division by leading terms, on Fractions throughout."""
+    lq = max(q, key=lambda a: (sum(a), a))
+    remainder, quotient = dict(p), {}
+    while remainder:
+        lr = max(remainder, key=lambda a: (sum(a), a))
+        if any(x > y for x, y in zip(lq, lr)):
+            return None
+        shift = tuple(y - x for x, y in zip(lq, lr))
+        factor = remainder[lr] / q[lq]
+        quotient[shift] = factor
+        for b, c in q.items():
+            key = tuple(x + y for x, y in zip(shift, b))
+            value = remainder.get(key, Fraction(0)) - factor * c
+            if value:
+                remainder[key] = value
+            else:
+                remainder.pop(key, None)
+    return quotient
+
+
+def reference_substitute(p: dict, images: list, dim: int) -> dict:
+    out: dict = {}
+    for a, c in p.items():
+        term = {(0,) * dim: c}
+        for image, e in zip(images, a):
+            for _ in range(e):
+                term = reference_mul(term, image)
+        for key, value in term.items():
+            out[key] = out.get(key, Fraction(0)) + value
+    return {a: c for a, c in out.items() if c}
+
+
+def reference_evaluate(p: dict, point: list) -> Fraction:
+    total = Fraction(0)
+    for a, c in p.items():
+        for v, e in zip(point, a):
+            c *= Fraction(v) ** e
+        total += c
+    return total
+
+
+def rational_scalar():
+    """Nonzero rationals, among them integers other than +-1."""
+    return st.fractions(min_value=-5, max_value=5,
+                        max_denominator=4).filter(bool)
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_mul_matches_fraction_reference(data):
+    dim = data.draw(st.integers(0, 3))
+    p = data.draw(poly_strategy(dim, max_terms=6))
+    q = data.draw(poly_strategy(dim, max_terms=6))
+    assert fraction_terms(p * q) == reference_mul(fraction_terms(p),
+                                                  fraction_terms(q))
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_exact_divide_matches_fraction_reference(data):
+    dim = data.draw(st.integers(1, 3))
+    q = data.draw(nonzero_poly(dim)) * data.draw(rational_scalar())
+    if data.draw(st.booleans()):  # divisible, often with a rational quotient
+        p = q * data.draw(poly_strategy(dim)) * data.draw(rational_scalar())
+    else:  # usually not divisible
+        p = data.draw(poly_strategy(dim, max_terms=6))
+    expected = reference_divide(fraction_terms(p), fraction_terms(q))
+    quotient = exact_divide(p, q)
+    if expected is None:
+        assert quotient is None
+    else:
+        assert fraction_terms(quotient) == expected
+        assert quotient * q == p
+
+
+def test_exact_divide_rational_leading_coefficients():
+    x, y = variables(2)
+    q = Fraction(2, 3) * x - 3 * y
+    assert exact_divide(q * (Fraction(1, 2) * x + y), q) \
+        == Fraction(1, 2) * x + y
+    assert exact_divide(3 * x * x + y * y, 3 * x) is None
+    quotient = exact_divide(x * x + x * y, 3 * x)
+    assert fraction_terms(quotient) == {(1, 0): Fraction(1, 3),
+                                        (0, 1): Fraction(1, 3)}
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_substitute_matches_fraction_reference(data):
+    dim = data.draw(st.integers(0, 3))
+    p = data.draw(poly_strategy(dim))
+    images = data.draw(st.lists(poly_strategy(dim, max_degree=2),
+                                min_size=dim, max_size=dim))
+    expected = reference_substitute(fraction_terms(p),
+                                    [fraction_terms(g) for g in images], dim)
+    assert fraction_terms(p.substitute(images)) == expected
+    # one substituter serves many polynomials with the same images
+    substitute = substituter(dim, images)
+    assert fraction_terms(substitute(p)) == expected
+    assert fraction_terms(substitute(p * p)) == reference_substitute(
+        fraction_terms(p * p), [fraction_terms(g) for g in images], dim)
+    assert fraction_terms(substitute(p)) == expected
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_evaluate_matches_fraction_reference(data):
+    dim = data.draw(st.integers(0, 3))
+    p = data.draw(poly_strategy(dim, max_terms=6))
+    point = data.draw(st.lists(
+        st.one_of(st.integers(-4, 4),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=5)),
+        min_size=dim, max_size=dim))
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == reference_evaluate(fraction_terms(p), point)
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_reducer_matches_fraction_reference(data):
+    dim = data.draw(st.integers(1, 4))
+    form = data.draw(form_strategy(dim))
+    p = data.draw(poly_strategy(dim, max_degree=4, max_terms=6))
+    pivot = form.pivot
+    r = {mi_unit(dim, j): -c for j, c in enumerate(form.coefficients)
+         if j != pivot and c}
+    images = [r if j == pivot else {mi_unit(dim, j): Fraction(1)}
+              for j in range(dim)]
+    expected = reference_substitute(fraction_terms(p), images, dim)
+    assert fraction_terms(form.reduce(p)) == expected
+    # integral input scaled by a common denominator reduces to the scaled
+    # image, whether the kernel meets ints or Fractions
+    den = lcm(*[c.denominator for c in fraction_terms(p).values()])
+    ints = [(mu, int(c * den)) for mu, c in p.terms()]
+    assert {mu: Fraction(c) / den for mu, c in form.reducer()(ints).items()} \
+        == expected
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_reducer_table_matches_single_reductions(data):
+    dim = data.draw(st.integers(1, 4))
+    form = data.draw(st.one_of(form_strategy(dim), st.tuples(
+        *[st.integers(-2, 2)] * dim).filter(any).map(LinearForm)))
+    degree = data.draw(st.integers(0, 4))
+    table = form.reducer().table(degree)
+    single = form.reducer()
+    assert table == [list(single([(mu, 1)]).items())
+                     for mu in monomial_exponents(dim, degree)]
