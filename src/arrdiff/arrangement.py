@@ -203,7 +203,7 @@ def decompose(arr: Arrangement) -> Decomposition:
     # normal outside B -> its coordinates {p: c_p} over B
     coordinates: dict[int, dict[int, Fraction]] = {}
     for circuit in circuits:
-        support = [j for j, x in enumerate(circuit) if x]
+        support = sorted(circuit)  # the keys are not in column order
         coordinates[support[-1]] = {p: -circuit[p] for p in support[:-1]}
     rank = n - len(coordinates)
 

@@ -8,9 +8,12 @@ criterion of :mod:`arrdiff.membership`; the rows use b! times it, the
 image of form * x^b) must vanish after reduction modulo the form.  The
 rows come from one table per form and degree: the reductions of the
 degree-d monomials by the form's reduction kernel
-(:meth:`arrdiff.qpoly.LinearForm.reducer`).  Solving that system exactly
-gives the graded piece as a vector space; stacking graded pieces degree
-by degree gives minimal generator counts, and a degree-bounded sweep of
+(:meth:`arrdiff.qpoly.LinearForm.reducer`), scaled to integers.  Solving
+that system exactly gives the graded piece as a vector space, kept as
+sparse coefficient vectors.  Stacking graded pieces degree by degree gives
+minimal generator counts: the multiples x^mu * gen of the generators found
+so far are their vectors with each column (a, nu) shifted to (a, nu + mu),
+and only the new generators become operators.  A degree-bounded sweep of
 those counts decides freeness outright:
 
 * if the arrangement is free, every basis degree is bounded by t * |A|
@@ -29,12 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from math import lcm
+from typing import Iterator
 
 from .arrangement import (Arrangement, decompose, flat_closure, is_generic,
                           localize)
-from .linalg import Rational, RowBasis, nullspace_basis
+from .linalg import RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
                     monomial_exponents, term_order_key)
 from .saito import saito_check, saito_counts
@@ -47,14 +52,27 @@ UNDECIDED = "UNDECIDED"
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """A vector-space basis of one graded piece of the operator module."""
+    """A vector-space basis of one graded piece of the operator module.
 
+    The basis is kept as the canonical nullspace vectors: sparse dicts from
+    coordinate (see :func:`operator_vector`) to nonzero coefficient.  The
+    operators are built from them on first read.
+    """
+
+    dim: int
+    order: int
     degree: int
-    operators: tuple[DiffOp, ...]
+    vectors: tuple[dict[int, Fraction], ...]
 
     @property
     def dimension(self) -> int:
-        return len(self.operators)
+        return len(self.vectors)
+
+    @cached_property
+    def operators(self) -> tuple[DiffOp, ...]:
+        return tuple(_vector_to_operator(vec, self.dim, self.order,
+                                         self.degree)
+                     for vec in self.vectors)
 
 
 def operator_vector(op: DiffOp, degree: int) -> list[Fraction]:
@@ -77,17 +95,17 @@ def operator_vector(op: DiffOp, degree: int) -> list[Fraction]:
     return vec
 
 
-def _vector_to_operator(vec: Sequence[Fraction], dim: int, order: int,
+def _vector_to_operator(vec: dict[int, Fraction], dim: int, order: int,
                         degree: int) -> DiffOp:
+    """The operator of a sparse coefficient vector (its nonzero entries)."""
     omega = monomial_exponents(dim, order)
     mons = monomial_exponents(dim, degree)
-    coeffs = {}
-    for ai, a in enumerate(omega):
-        terms = {mu: vec[ai * len(mons) + mi]
-                 for mi, mu in enumerate(mons) if vec[ai * len(mons) + mi]}
-        if terms:
-            coeffs[a] = Poly(dim, terms)
-    return DiffOp(dim, order, coeffs)
+    coeffs: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
+    for col in sorted(vec):
+        ai, mi = divmod(col, len(mons))
+        coeffs.setdefault(omega[ai], {})[mons[mi]] = vec[col]
+    return DiffOp(dim, order, {a: Poly(dim, terms)
+                               for a, terms in coeffs.items()})
 
 
 def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
@@ -96,7 +114,10 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     Unknowns are the coefficients of each polynomial entry (one degree-d
     monomial each); every (hyperplane, degree-(m-1) exponent) pair
     contributes the linear equations that make the image polynomial vanish
-    modulo the hyperplane's form.  Each equation is a sparse row.
+    modulo the hyperplane's form.  Each equation is a sparse integer row:
+    the form's integral coefficients D * c and its reduction table (D^d
+    times the reductions) make it D^(d+1) times the rational equation, and
+    the elimination keeps rows only up to a positive scalar.
     """
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be nonnegative")
@@ -106,18 +127,15 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     ncols = len(omega) * len(mons)
     omega_index = {a: i for i, a in enumerate(omega)}
 
-    rows: list[dict[int, Rational]] = []
+    rows: list[dict[int, int]] = []
     for form in arr.forms:
-        # integral coefficients as ints keep integral forms off Fraction
-        # arithmetic; the rows have the same values either way
-        coeffs = [c.numerator if c.denominator == 1 else c
-                  for c in form.coefficients]
-        # the terms of x^mu modulo the form, for each mu in mons
+        coeffs = form.integral_coefficients
+        # the terms of D^d * x^mu modulo the form, for each mu in mons
         reduced = form.reducer().table(degree)
         for b in monomial_exponents(dim, order - 1):
             # image of form * x^b: only the entries at exponents b + e_j
             # act, each through the scalar coefficient * (b + e_j)!
-            cells: dict[MultiIndex, dict[int, Rational]] = {}
+            cells: dict[MultiIndex, dict[int, int]] = {}
             for j, c in enumerate(coeffs):
                 if not c:
                     continue
@@ -134,9 +152,8 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
                 if row:
                     rows.append(row)
 
-    basis = nullspace_basis(rows, ncols)
-    ops = tuple(_vector_to_operator(vec, dim, order, degree) for vec in basis)
-    return GradedBasis(degree, ops)
+    return GradedBasis(dim, order, degree,
+                       tuple(nullspace_basis(rows, ncols)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +169,15 @@ class GeneratorStep:
     representatives: tuple[DiffOp, ...]
 
 
+def _generator_entries(vec: dict[int, Fraction], nmons: int
+                       ) -> list[tuple[int, int, int]]:
+    """(derivative index, monomial index, entry) of the vector times the
+    lcm of its denominators, an integral vector on the same line."""
+    scale = lcm(*[c.denominator for c in vec.values()])
+    return [(*divmod(col, nmons), c.numerator * (scale // c.denominator))
+            for col, c in vec.items()]
+
+
 def _generator_sweep(arr: Arrangement, order: int,
                      bound: int) -> Iterator[GeneratorStep]:
     """Yield minimal-generator counts degree by degree.
@@ -160,27 +186,37 @@ def _generator_sweep(arr: Arrangement, order: int,
     generators is subtracted from the graded piece; any complement basis
     vectors become new generator representatives.  The counts depend only
     on dimensions, so they are independent of representative choices.
+
+    Generators are kept as integral coefficient vectors.  The multiple
+    x^mu * gen of a degree-g generator moves the entry at (a, nu) of the
+    degree-g layout to (a, nu + mu) of the degree-d layout, so the span is
+    built by shifting columns; only the representatives become operators.
     """
     dim = arr.dim
-    found: list[tuple[int, DiffOp]] = []
+    found: dict[int, list[list[tuple[int, int, int]]]] = {}  # by degree
     for degree in range(bound + 1):
         piece = graded_dimension(arr, order, degree)
         mons = monomial_exponents(dim, degree)
-        ncols = len(monomial_exponents(dim, order)) * len(mons)
-        span = RowBasis(ncols)
-        for gen_degree, gen in found:
+        nmons = len(mons)
+        index = {nu: i for i, nu in enumerate(mons)}
+        span = RowBasis(len(monomial_exponents(dim, order)) * nmons)
+        for gen_degree, gens in found.items():
+            gen_mons = monomial_exponents(dim, gen_degree)
             for mu in monomial_exponents(dim, degree - gen_degree):
-                span.add(operator_vector(Poly.monomial(dim, mu) * gen, degree))
-        representatives = tuple(op for op in piece.operators
-                                if span.add(operator_vector(op, degree)))
+                moved = [index[mi_add(nu, mu)] for nu in gen_mons]
+                for gen in gens:
+                    span.add({ai * nmons + moved[mi]: c
+                              for ai, mi, c in gen})
+        new = [vec for vec in piece.vectors if span.add(vec)]
         # the old span is inside the graded piece, so ranks must line up
         if span.rank != piece.dimension:
             raise RuntimeError(f"generator span has rank {span.rank} in "
                                f"degree {degree}, expected "
                                f"{piece.dimension}")
-        found.extend((degree, op) for op in representatives)
-        yield GeneratorStep(degree, piece.dimension, len(representatives),
-                            representatives)
+        if new:
+            found[degree] = [_generator_entries(vec, nmons) for vec in new]
+        yield GeneratorStep(degree, piece.dimension, len(new), tuple(
+            _vector_to_operator(vec, dim, order, degree) for vec in new))
 
 
 def minimal_generators(arr: Arrangement, order: int,

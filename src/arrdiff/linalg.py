@@ -13,8 +13,9 @@ inverses read their answers off the stored rows, dividing by the pivot
 only there, so they are the exact rational answers; determinants read
 theirs off the residuals of the rows as they go in.
 Vectors go in as dense sequences or as sparse dicts from column to
-rational; results come out as dense sequences of
-:class:`fractions.Fraction`.
+rational.  Nullspace vectors come out sparse, as dicts from column to
+nonzero :class:`fractions.Fraction`; residuals and inverses come out
+dense.
 """
 
 from __future__ import annotations
@@ -154,27 +155,25 @@ def _row_basis(rows: Iterable[Sequence[Rational] | SparseRow],
 
 
 def nullspace_basis(rows: Iterable[Sequence[Rational] | SparseRow],
-                    ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace, one vector per free column.
+                    ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right nullspace, one sparse vector per free column.
 
-    Each basis vector carries a 1 in its free column, so the output is
-    canonical for a fixed constraint matrix.  Its other nonzero entries lie
-    in pivot columns before the free column, which is therefore its last
-    nonzero entry: a stored row is zero left of its pivot.  The vectors
-    come in the order of their free columns.
+    Each basis vector is a dict from column to nonzero entry with a 1 in
+    its free column, so the output is canonical for a fixed constraint
+    matrix.  Its other entries lie in pivot columns before the free column,
+    which is therefore its last nonzero column: a stored row is zero left
+    of its pivot.  The vectors come in the order of their free columns;
+    the keys of one vector are not in column order.
     """
     reduced = _row_basis(rows, ncols)._rows
-    vectors = {}
-    for free in range(ncols):
-        if free not in reduced:
-            vectors[free] = [Fraction(0)] * ncols
-            vectors[free][free] = Fraction(1)
+    vectors = {free: {free: Fraction(1)} for free in range(ncols)
+               if free not in reduced}
     for pivot, row in reduced.items():
         p = row[pivot]
         for j, x in row.items():
             if j != pivot:  # every other entry lies in a free column
                 vectors[j][pivot] = Fraction(-x, p)
-    return [tuple(vec) for vec in vectors.values()]
+    return list(vectors.values())
 
 
 def invert(rows: Sequence[Sequence[Fraction]]) -> Matrix | None:

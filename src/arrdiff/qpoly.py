@@ -567,6 +567,14 @@ class LinearForm:
         """Index of the first nonzero (hence unit) coefficient."""
         return next(i for i, c in enumerate(self._coeffs) if c)
 
+    @property
+    def integral_coefficients(self) -> tuple[int, ...]:
+        """The coefficients times the lcm D of their denominators, as ints
+        (so the pivot entry is D)."""
+        den = lcm(*[c.denominator for c in self._coeffs])
+        return tuple(c.numerator * (den // c.denominator)
+                     for c in self._coeffs)
+
     def to_poly(self) -> Poly:
         return Poly(self.dim, {mi_unit(self.dim, i): c
                                for i, c in enumerate(self._coeffs) if c})
@@ -589,7 +597,8 @@ class LinearForm:
         if p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
         terms, sp = _integral(p._terms)
-        return Poly._raw(self.dim, _fractions(self.reducer()(terms), sp))
+        reduced, scale = self.reducer().scaled(terms)
+        return Poly._raw(self.dim, _fractions(reduced, sp * scale))
 
     def divides(self, p: Poly) -> bool:
         """True iff p lies in the principal ideal generated by this form."""
@@ -617,31 +626,34 @@ class Reducer:
     """The reduction kernel of a linear form: maps the terms of p to those
     of p mod the form.
 
-    Reduction substitutes r = -(the form without its pivot term) for the
-    pivot variable, so a term c * x^mu goes to c * x^(mu with the pivot
-    exponent set to 0) * r^(mu_pivot); the result is empty exactly when
-    the form divides p.  The powers of r that the terms ask for are kept
-    as long as the reducer lives, and only those (intermediate powers are
-    dropped, so one high power costs only its own size).  Integral form
-    coefficients are used as ints, so integral terms stay off Fraction
-    arithmetic.
+    Let D be the lcm of the denominators of the form's coefficients (the
+    pivot one is 1).  Then r = -D * (the form without its pivot term) is
+    integral, and the pivot variable is r / D modulo the form, so a term
+    c * x^mu goes to c * x^(mu with the pivot exponent set to 0) * r^k / D^k
+    with k = mu_pivot; the result is empty exactly when the form divides p.
+    The kernel works on the integer powers of r and brings the terms to one
+    scale D^K (K the largest pivot exponent among them), so integral terms
+    stay on ints and the only division is by that scale.  The powers of r
+    that the terms ask for are kept as long as the reducer lives, and only
+    those (intermediate powers are dropped, so one high power costs only
+    its own size).
     """
 
-    __slots__ = ("_dim", "_pivot", "_r", "_powers")
+    __slots__ = ("_dim", "_pivot", "_den", "_r", "_powers")
 
     def __init__(self, form: LinearForm):
         dim = form.dim
         pivot = form.pivot
+        coefficients = form.integral_coefficients
         self._dim = dim
         self._pivot = pivot
-        self._r = [(mi_unit(dim, j),
-                    -(c.numerator if c.denominator == 1 else c))
-                   for j, c in enumerate(form.coefficients)
+        self._den = coefficients[pivot]
+        self._r = [(mi_unit(dim, j), -c) for j, c in enumerate(coefficients)
                    if j != pivot and c]
-        self._powers: dict[int, dict[MultiIndex, Rational]] = {
+        self._powers: dict[int, dict[MultiIndex, int]] = {
             0: {(0,) * dim: 1}}
 
-    def power(self, k: int) -> dict[MultiIndex, Rational]:
+    def power(self, k: int) -> dict[MultiIndex, int]:
         """The terms of r^k, built from the highest stored power below k."""
         powers = self._powers
         if k in powers:
@@ -649,7 +661,7 @@ class Reducer:
         below = max(j for j in powers if j < k)
         current = powers[below]
         for _ in range(k - below):
-            step: dict[MultiIndex, Rational] = {}
+            step: dict[MultiIndex, int] = {}
             for e, c in current.items():
                 for f, rc in self._r:
                     key = tuple(map(add, e, f))
@@ -658,11 +670,18 @@ class Reducer:
         powers[k] = current
         return current
 
-    def __call__(self, terms: Iterable[tuple[MultiIndex, Rational]]
-                 ) -> dict[MultiIndex, Rational]:
-        """The terms of the reduction; the input terms may repeat an
+    def scaled(self, terms: Sequence[tuple[MultiIndex, Rational]]
+               ) -> tuple[dict[MultiIndex, Rational], int]:
+        """(out, s) with out / s the terms of the reduction and s = D^K;
+        out is integral when the terms are.  The input terms may repeat an
         exponent."""
         pivot = self._pivot
+        scale = 1
+        if self._den != 1:  # bring every term to the scale D^K
+            top = max((mu[pivot] for mu, _ in terms), default=0)
+            lift = [self._den ** (top - k) for k in range(top + 1)]
+            terms = [(mu, c * lift[mu[pivot]]) for mu, c in terms]
+            scale = lift[0]
         out: dict[MultiIndex, Rational] = {}
         for mu, c in terms:
             base = mu[:pivot] + (0,) + mu[pivot + 1:]
@@ -673,23 +692,35 @@ class Reducer:
                     out[key] = value
                 else:
                     out.pop(key, None)
-        return out
+        return out, scale
 
-    def table(self, degree: int) -> list[list[tuple[MultiIndex, Rational]]]:
-        """The terms of the reduction of every degree-d monomial, in the
-        order of ``monomial_exponents(dim, degree)``.
+    def __call__(self, terms: Sequence[tuple[MultiIndex, Rational]]
+                 ) -> dict[MultiIndex, Rational]:
+        """The terms of the reduction, :meth:`scaled` with its scale
+        divided out; the input terms may repeat an exponent."""
+        out, scale = self.scaled(terms)
+        if scale == 1:
+            return out
+        return {mu: Fraction(c, scale) for mu, c in out.items()}
+
+    def table(self, degree: int) -> list[list[tuple[MultiIndex, int]]]:
+        """D^degree times the reduction of every degree-d monomial, as
+        integer terms, in the order of ``monomial_exponents(dim, degree)``.
 
         The powers r^0..r^d are built in turn, one step each, and the
-        reduction of x^mu is one pass over r^(mu_pivot): its monomials
-        shifted by one base monomial stay distinct.
+        reduction of x^mu is one pass over r^(mu_pivot), times
+        D^(d - mu_pivot): its monomials shifted by one base monomial stay
+        distinct.
         """
         pivot = self._pivot
         for k in range(degree + 1):
             self.power(k)
+        lift = [self._den ** (degree - k) for k in range(degree + 1)]
         out = []
         for mu in monomial_exponents(self._dim, degree):
             base = mu[:pivot] + (0,) + mu[pivot + 1:]
-            out.append([(tuple(map(add, base, e)), pc)
+            scale = lift[mu[pivot]]
+            out.append([(tuple(map(add, base, e)), scale * pc)
                         for e, pc in self._powers[mu[pivot]].items()])
         return out
 

@@ -267,6 +267,40 @@ def test_localize_basis_shi3_golden_digests(capsys, tmp_path):
         assert output_digest(out) == digest, seed
 
 
+B3_JSON = {"dim": 3, "forms": [
+    ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "1", "0"],
+    ["1", "-1", "0"], ["1", "0", "1"], ["1", "0", "-1"], ["0", "1", "1"],
+    ["0", "1", "-1"]]}
+
+
+def test_sweep_route_golden_digests(capsys, tmp_path):
+    # bases found by the generator sweep, pinned byte for byte: Shi-2 with
+    # x1 -> 2 x1 and x2 -> 3 x2 (forms such as x1 - 3/2 x2) at m=3 and B3
+    # at m=2, both FREE by the sweep, and the graded pieces of three forms
+    # with non-integral normalized coefficients
+    scaled = {"dim": 3, "forms": [
+        [str(2 * int(a)), str(3 * int(b)), c]
+        for a, b, c in make_shi(2).to_json()["forms"]]}
+    for doc, order, digest in (
+            (scaled, "3", (40946, "fed8608c33ab0af781906c715f79f1f977e98912b0"
+                                  "ad7a764a9115c94b7ed40e")),
+            (B3_JSON, "2", (9580, "47d2689042819997f3437c0e1996603c2b9bf0e07f"
+                                  "73632a00aaa1c4f1a598a2"))):
+        arr = write_json(tmp_path / "arr.json", doc)
+        code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", order)
+        assert (code, err) == (0, "")
+        certificate = json.loads(out)["certificate"]
+        assert certificate["kind"] == "saito_basis" and "via" not in certificate
+        assert output_digest(out) == digest
+    arr = write_json(tmp_path / "forms.json", {"dim": 3, "forms": [
+        ["2", "3", "0"], ["0", "5", "7"], ["3", "0", "1"]]})
+    code, out, err = run_cli(capsys, "graded-dim", "--operators", "-a", arr,
+                             "-m", "2", "-d", "0..3")
+    assert (code, err) == (0, "")
+    assert output_digest(out) == (106954, "3704051234d341f219c8e50c3ec79268795"
+                                          "a1f7192b8fdbc7e5f0ad0e11c363a")
+
+
 def holm_q1_decide_json(order, rank, det_exponent, degree_bound):
     return {
         "verdict": "NOT_FREE",

@@ -247,6 +247,45 @@ def test_minimal_generators_empty():
     assert steps[0].new_count == saito_counts(3, 2)[0]
 
 
+def reference_generator_sweep(arr, order, bound):
+    """The sweep with the span built from operators: each multiple
+    x^mu * gen is a polynomial product flattened by operator_vector, over
+    graded_dimension's operators.  Returns (degree, module dimension, new
+    count, representatives) per degree."""
+    dim = arr.dim
+    found = []
+    steps = []
+    for degree in range(bound + 1):
+        piece = graded_dimension(arr, order, degree)
+        span = RowBasis(len(monomial_exponents(dim, order))
+                        * len(monomial_exponents(dim, degree)))
+        for gen_degree, gen in found:
+            for mu in monomial_exponents(dim, degree - gen_degree):
+                span.add(operator_vector(Poly.monomial(dim, mu) * gen,
+                                         degree))
+        new = tuple(op for op in piece.operators
+                    if span.add(operator_vector(op, degree)))
+        assert span.rank == piece.dimension
+        found += [(degree, op) for op in new]
+        steps.append((degree, piece.dimension, len(new), new))
+    return steps
+
+
+@given(st.one_of(small_arrangements(),
+                 st.integers(2, 3).map(lambda dim: Arrangement(dim, ()))),
+       st.integers(0, 2), st.integers(0, 4))
+@example(Arrangement(3, [LinearForm([2, 3, 0]), LinearForm([0, 5, 7]),
+                         LinearForm([3, 0, 1])]), 2, 4)
+@example(Arrangement(2, ()), 2, 3)
+@settings(max_examples=60, deadline=None)
+def test_sweep_matches_operator_span_reference(arr, order, bound):
+    # the sweep shifts columns of integral generator vectors; the
+    # reference multiplies operators by monomials
+    steps = minimal_generators(arr, order, bound)
+    assert [(s.degree, s.module_dimension, s.new_count, s.representatives)
+            for s in steps] == reference_generator_sweep(arr, order, bound)
+
+
 def test_generator_counts_do_not_depend_on_representatives():
     arr = make_shi(2)
     steps = minimal_generators(arr, 2, 4)

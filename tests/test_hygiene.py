@@ -1,9 +1,11 @@
-"""Source-level rules for the library modules, checked with ast, and the
-README's library example, run as written."""
+"""Source-level rules for the library modules, checked with ast, the
+README's library example, run as written, and the library bindings the
+benchmark's tracer wraps."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,3 +57,23 @@ def test_readme_library_example_runs():
     blocks = text.split("```python\n")[1:]
     assert len(blocks) == 1
     exec(blocks[0].split("```")[0], {})
+
+
+def test_benchmark_trace_targets_resolve():
+    # perfbench/tracing.py wraps arrdiff functions by module and attribute
+    # name; a renamed or moved one would only show in a traced run
+    path = ROOT / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    targets = [(module, attribute) for _, module, attribute, _ in
+               tracing.TARGETS if module.split(".")[0] == "arrdiff"]
+    assert targets
+    for module, attribute in targets:
+        obj = importlib.import_module(module)
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attribute}")
+    assert missing == []

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from arrdiff.arrangement import Arrangement, arrangement_from_json, make_shi
 from arrdiff.membership import (MembershipResult, MembershipWitness,
                                 is_member, shi2_order2_members)
-from arrdiff.qpoly import (LinearForm, Poly, exact_divide, monomial_exponents,
-                           variables)
+from arrdiff.qpoly import (LinearForm, Poly, exact_divide, mi_unit,
+                           monomial_exponents, variables)
 from arrdiff.weyl import DiffOp, euler_operator
-from tests.test_qpoly import form_strategy, poly_strategy
+from tests.test_qpoly import (form_strategy, poly_strategy,
+                              reference_substitute)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +246,56 @@ def test_is_member_matches_reference(data):
     expected = is_member_reference(op, arr)
     assert result.member == expected.member
     assert result.witness == expected.witness
+
+
+def non_integral_forms(dim):
+    """Forms of integer vectors whose normalized coefficients are not all
+    integers (2x + 3y becomes x + 3/2 y)."""
+    return (st.tuples(*[st.integers(-3, 3)] * dim).filter(any)
+            .map(LinearForm)
+            .filter(lambda form: any(c.denominator > 1
+                                     for c in form.coefficients)))
+
+
+def reference_first_failure(op: DiffOp, arr: Arrangement):
+    """The first cell (hyperplane index, b) whose commutator coefficient
+    g_b does not vanish when the pivot variable is replaced by minus the
+    rest of the form, on Fractions; None when there is none."""
+    dim = arr.dim
+    for index, form in enumerate(arr.forms):
+        pivot = form.pivot
+        rest = {mi_unit(dim, j): -c for j, c in enumerate(form.coefficients)
+                if j != pivot and c}
+        images = [rest if j == pivot else {mi_unit(dim, j): Fraction(1)}
+                  for j in range(dim)]
+        for b in monomial_exponents(dim, op.order - 1):
+            g: dict = {}
+            for j, alpha in enumerate(form.coefficients):
+                a = b[:j] + (b[j] + 1,) + b[j + 1:]
+                for mu, c in op.coefficient(a).terms():
+                    g[mu] = g.get(mu, Fraction(0)) + alpha * (b[j] + 1) * c
+            if reference_substitute(g, images, dim):
+                return index, b
+    return None
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_integer_reduction_matches_fraction_substitution(data):
+    # forms with denominators reduce on ints scaled by a power of D; the
+    # verdict and the first failing cell must not see the scale
+    dim = data.draw(st.integers(2, 3))
+    order = data.draw(st.integers(1, 2))
+    forms = data.draw(st.lists(non_integral_forms(dim), min_size=1,
+                               max_size=4))
+    arr = Arrangement(dim, dict.fromkeys(forms))
+    op = data.draw(operators_for(arr, order))
+    result = is_member(op, arr)
+    failure = reference_first_failure(op, arr)
+    assert result.member == (failure is None)
+    if failure is not None:
+        assert (result.witness.hyperplane_index,
+                result.witness.exponent) == failure
 
 
 # ---------------------------------------------------------------------------

@@ -435,13 +435,37 @@ def test_reducer_matches_fraction_reference(data):
 
 
 @given(st.data())
+@settings(max_examples=60)
+def test_reducer_scaled_stays_on_integers(data):
+    # integral terms reduce to integral terms over D^K, K the largest
+    # pivot exponent among them
+    dim = data.draw(st.integers(1, 4))
+    form = LinearForm(data.draw(st.tuples(*[st.integers(-3, 3)] * dim)
+                                .filter(any)))
+    terms = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * dim),
+                                         st.integers(-5, 5)), max_size=5))
+    out, scale = form.reducer().scaled(terms)
+    den = lcm(*[c.denominator for c in form.coefficients])
+    top = max((mu[form.pivot] for mu, _ in terms), default=0)
+    assert scale == den ** top
+    assert all(type(c) is int and c for c in out.values())
+    p = Poly(form.dim, terms)
+    assert Poly(dim, {mu: Fraction(c, scale) for mu, c in out.items()}) \
+        == form.reduce(p)
+
+
+@given(st.data())
 @settings(max_examples=40)
 def test_reducer_table_matches_single_reductions(data):
     dim = data.draw(st.integers(1, 4))
     form = data.draw(st.one_of(form_strategy(dim), st.tuples(
         *[st.integers(-2, 2)] * dim).filter(any).map(LinearForm)))
     degree = data.draw(st.integers(0, 4))
+    # the table states its scale: D^degree, D the lcm of the denominators
+    scale = lcm(*[c.denominator for c in form.coefficients]) ** degree
     table = form.reducer().table(degree)
     single = form.reducer()
-    assert table == [list(single([(mu, 1)]).items())
-                     for mu in monomial_exponents(dim, degree)]
+    assert all(type(c) is int for terms in table for _, c in terms)
+    assert [[(mu, Fraction(c, scale)) for mu, c in terms] for terms in table] \
+        == [list(single([(mu, 1)]).items())
+            for mu in monomial_exponents(dim, degree)]
