@@ -3,7 +3,8 @@
 Every subcommand reads and writes JSON with rationals as "p/q" strings,
 in canonical orders, so outputs are byte-stable across runs.  Exit codes:
 0 success (or FREE), 1 negative decision (NOT_FREE, non-member, failed
-check), 2 invalid input, 3 inconclusive (resource/degree limits).
+check), 2 invalid input, 3 inconclusive (a ``--max-degree`` below the
+complete bound t * |A|).
 """
 
 from __future__ import annotations
@@ -242,6 +243,8 @@ def _cmd_localize_basis(args) -> int:
         if any(op.order != args.order for op in ops):
             raise InputError(f"the basis to transport must have order "
                              f"{args.order} (-m)")
+        if not saito_check(ops, arr):
+            raise InputError("input operators must be a verified basis")
     else:
         report = decide_free(arr, args.order)
         if report.verdict != FREE:
@@ -249,10 +252,7 @@ def _cmd_localize_basis(args) -> int:
                   "basis to transport", file=sys.stderr)
             return EXIT_NEGATIVE
         ops = list(report.basis)
-    try:
-        transported = localize_basis(ops, arr, flat)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    transported = localize_basis(ops, arr, flat)
     sub = localize(arr, flat)
     result = saito_check(transported, sub)
     _emit({

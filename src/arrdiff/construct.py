@@ -194,12 +194,16 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
     some choice of one homogeneous component per operator reaches the
     minimal possible determinant degree t * |A_X| and is itself a basis.
     Only component selections with that exact degree sum are searched, in
-    increasing per-operator degrees, and the winner is re-verified.
+    increasing per-operator degrees.
+
+    The caller must pass a basis that ``saito_check`` has accepted; it is
+    not checked again.  The result is verified either way: the winning
+    selection goes through the full ``saito_check`` on A_X, and a
+    RuntimeError is raised when no selection passes (a malformed tuple,
+    such as one with a zero operator, may raise ValueError first).
     """
     if not ops:
         raise ValueError("need a basis to transport")
-    if not saito_check(ops, arr):
-        raise ValueError("input operators must be a verified basis")
     order = ops[0].order
     sub = localize(arr, flat)
     _, det_exponent = saito_counts(arr.dim, order)
@@ -308,13 +312,13 @@ def shi2_nonfreeness_certificate() -> Shi2Certificate:
     expected = 4 * (y - z) * arr.defining_polynomial() ** 3
     determinant_matches = determinant in (expected, -expected)
 
-    dims = tuple(graded_dimension(arr, 2, d).dimension for d in range(4))
-    degree_two = graded_dimension(arr, 2, 2)
-    span = RowBasis(len(operator_vector(euler_operator(3, 2), 2)))
-    for op in degree_two.operators:
-        span.add(operator_vector(op, 2))
-    euler_spans = (degree_two.dimension == 1
-                   and span.contains(operator_vector(euler_operator(3, 2), 2)))
+    pieces = [graded_dimension(arr, 2, d) for d in range(4)]
+    dims = tuple(piece.dimension for piece in pieces)
+    euler = operator_vector(euler_operator(3, 2), 2)
+    span = RowBasis(len(euler))
+    for vec in pieces[2].vectors:
+        span.add(vec)
+    euler_spans = dims[2] == 1 and span.contains(euler)
 
     decision = decide_free(arr, 2)
     consistent = (all(memberships) and determinant_matches

@@ -694,15 +694,6 @@ class Reducer:
                     out.pop(key, None)
         return out, scale
 
-    def __call__(self, terms: Sequence[tuple[MultiIndex, Rational]]
-                 ) -> dict[MultiIndex, Rational]:
-        """The terms of the reduction, :meth:`scaled` with its scale
-        divided out; the input terms may repeat an exponent."""
-        out, scale = self.scaled(terms)
-        if scale == 1:
-            return out
-        return {mu: Fraction(c, scale) for mu, c in out.items()}
-
     def table(self, degree: int) -> list[list[tuple[MultiIndex, int]]]:
         """D^degree times the reduction of every degree-d monomial, as
         integer terms, in the order of ``monomial_exponents(dim, degree)``.

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 from arrdiff.arrangement import arrangement_from_json, make_named, make_shi
 from arrdiff.cli import main
 from arrdiff.construct import basis_rank_two
+from arrdiff.graded import FREE, decide_free
 from arrdiff.membership import shi2_order2_members
-from arrdiff.qpoly import monomial_exponents
-from arrdiff.weyl import diffop_from_json
+from arrdiff.qpoly import Poly, monomial_exponents
+from arrdiff.saito import saito_check
+from arrdiff.weyl import DiffOp, diffop_from_json, euler_operator
 from tests.test_qpoly import form_strategy
 from tests.test_saito import mixed_order_tuples
 
@@ -407,6 +409,34 @@ def test_localize_basis_order_must_match_the_basis(capsys, tmp_path):
     assert json.loads(out)["order"] == 1
 
 
+def test_localize_basis_rejects_a_non_basis_file(capsys, tmp_path):
+    arr = write_json(tmp_path / "a.json", RANK2_JSON)
+    triple = [euler_operator(2, 2), DiffOp.single(2, (2, 0), Poly.one(2)),
+              DiffOp.single(2, (0, 2), Poly.one(2))]
+    errors = []
+    for ops in (triple, triple[:2]):  # not a basis; the wrong size
+        basis = write_json(tmp_path / "b.json",
+                           [op.to_json() for op in ops])
+        code, out, err = run_cli(capsys, "localize-basis", "-a", arr,
+                                 "-m", "2", "--seed", "0", "-b", basis)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        errors.append(err)
+    assert errors[0] == "error: input operators must be a verified basis\n"
+
+
+def test_localize_basis_of_the_decided_basis_matches_the_default(capsys,
+                                                                 tmp_path):
+    arr = write_json(tmp_path / "a.json", RANK2_JSON)
+    code, out, _ = run_cli(capsys, "decide", "-a", arr, "-m", "2")
+    assert code == 0
+    basis = write_json(tmp_path / "b.json", json.loads(out)["basis"])
+    argv = ["localize-basis", "-a", arr, "-m", "2", "--seed", "0"]
+    given_basis = run_cli(capsys, *argv, "-b", basis)
+    assert given_basis[0] == 0
+    assert given_basis == run_cli(capsys, *argv)
+
+
 def test_zero_denominator_in_a_form_exits_two(capsys, tmp_path):
     arr = write_json(tmp_path / "a.json",
                      {"dim": 2, "forms": [["1", "0"], ["1/0", "1"]]})
@@ -548,6 +578,7 @@ def assert_exits_cleanly(argv, files):
     if code == 2:
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
+    return code
 
 
 @given(_documents())
@@ -557,6 +588,39 @@ def test_fuzz_operator_commands_exit_cleanly(documents):
     arrangement, operators, argv = documents
     flag = "-o" if argv[0] == "check-member" else "-b"
     assert_exits_cleanly(argv, [("-a", arrangement), (flag, operators)])
+
+
+@st.composite
+def _transport_inputs(draw):
+    """(arrangement, order, operator documents) for localize-basis: a FREE
+    basis from decide_free, or a tuple of the right shape, mostly not a
+    basis."""
+    dim, document = draw(_arrangement().filter(lambda pair: pair[1]["forms"]))
+    order = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        report = decide_free(arrangement_from_json(document), order)
+        if report.verdict == FREE:
+            return document, order, [op.to_json() for op in report.basis]
+    count = comb(dim + order - 1, order)
+    return document, order, [draw(_operator(dim, order))
+                             for _ in range(count)]
+
+
+@given(_transport_inputs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_localize_basis_exits_two_exactly_on_a_non_basis(inputs):
+    document, order, operators = inputs
+    ops = [diffop_from_json(entry) for entry in operators]
+    try:
+        expected = 0 if saito_check(ops, arrangement_from_json(document)) \
+            else 2
+    except ValueError:
+        expected = 2
+    code = assert_exits_cleanly(
+        ["localize-basis", "-m", str(order), "--seed", "0"],
+        [("-a", document), ("-b", operators)])
+    assert code == expected
 
 
 ARRANGEMENT_COMMANDS = [["decide", "-m", "1"],

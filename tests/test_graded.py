@@ -452,6 +452,24 @@ def test_decide_localization_filter_holm_q1():
         assert report.certificate["reason"] == "localization-not-free"
 
 
+def test_holm_m_free_does_not_imply_next_order_free():
+    # Shi-2 is 1-free but not 2-free, and free again from m = 3 on
+    verdicts = [decide_free(make_shi(2), m).verdict for m in range(1, 6)]
+    assert verdicts == [FREE, NOT_FREE, FREE, FREE, FREE]
+
+
+def test_holm_free_product_never_m_free_from_two_on():
+    # by the product theorem, a product is m-free only if its factors are
+    # free at every order up to m, and Shi-2 fails at order 2
+    arr = product(make_shi(2), Arrangement(1, ()))
+    assert decide_free(arr, 1).verdict == FREE
+    for m in range(2, 6):
+        report = decide_free(arr, m)
+        assert report.verdict == NOT_FREE
+        assert report.certificate["reason"] == "product-factor-not-free"
+        assert report.certificate["failing_order"] == 2
+
+
 def reference_localization_filter(arr):
     """The localization rule by brute force: localize at every unseen
     proper flat closing a seed of at most three hyperplanes, in seed

@@ -77,3 +77,32 @@ def test_benchmark_trace_targets_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attribute}")
     assert missing == []
+
+
+def _dotted(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def test_benchmark_module_bindings_resolve():
+    # perfbench's wrap-and-restore test patches these module bindings by
+    # name and runs outside this suite; its list is read here by ast
+    path = ROOT / "perfbench" / "test_perfbench.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lists = [node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Assign)
+             and [_dotted(t) for t in node.targets] == ["bindings"]]
+    assert len(lists) == 1
+    bindings = [(_dotted(owner), key.value)
+                for owner, key in (pair.elts for pair in lists[0].elts)]
+    bindings = [(module, key) for module, key in bindings
+                if module and module.split(".")[0] == "arrdiff"]
+    assert bindings
+    missing = [f"{module}.{key}" for module, key in bindings
+               if not callable(getattr(importlib.import_module(module), key,
+                                       None))]
+    assert missing == []
