@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -53,10 +52,6 @@ class Arrangement:
     def __repr__(self) -> str:
         body = ", ".join(str(f) for f in self.forms) or "empty"
         return f"Arrangement(dim={self.dim}: {body})"
-
-    @cached_property
-    def _vectors(self) -> list[list[Fraction]]:
-        return [list(f.coefficients) for f in self.forms]
 
     def defining_polynomial(self) -> Poly:
         """Product of all forms; the empty product is 1."""
@@ -108,10 +103,10 @@ def flat_closure(arr: Arrangement, seed: Iterable[int]) -> FlatRef:
             raise IndexError(f"hyperplane index {i} out of range")
     span = RowBasis(arr.dim)
     for i in seed:
-        span.add(arr._vectors[i])
+        span.add(arr.forms[i].integral_coefficients)
     rank = span.rank
-    members = frozenset(i for i in range(len(arr))
-                        if span.contains(arr._vectors[i]))
+    members = frozenset(i for i, form in enumerate(arr.forms)
+                        if span.contains(form.integral_coefficients))
     return FlatRef(generators=members, rank=rank)
 
 
@@ -145,7 +140,7 @@ def is_generic(arr: Arrangement) -> bool:
     for subset in combinations(range(n), ell):
         basis = RowBasis(ell)
         for i in subset:
-            basis.add(arr._vectors[i])
+            basis.add(arr.forms[i].integral_coefficients)
         if basis.rank != ell:
             return False
     return True
@@ -196,7 +191,7 @@ def decompose(arr: Arrangement) -> Decomposition:
     """
     dim = arr.dim
     n = len(arr)
-    vectors = arr._vectors
+    vectors = [form.coefficients for form in arr.forms]
 
     circuits = nullspace_basis([[v[j] for v in vectors] for j in range(dim)],
                                n)

@@ -199,8 +199,9 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
     The caller must pass a basis that ``saito_check`` has accepted; it is
     not checked again.  The result is verified either way: the winning
     selection goes through the full ``saito_check`` on A_X, and a
-    RuntimeError is raised when no selection passes (a malformed tuple,
-    such as one with a zero operator, may raise ValueError first).
+    RuntimeError is raised when no selection passes.  A zero operator
+    raises ValueError naming its index; another malformed tuple may raise
+    ValueError first.
     """
     if not ops:
         raise ValueError("need a basis to transport")
@@ -216,7 +217,10 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
                                                       point)])
 
     components: list[list[tuple[int, DiffOp]]] = []
-    for op in ops:
+    for index, op in enumerate(ops):
+        if op.is_zero():
+            raise ValueError(f"operator {index} is zero, so the operators "
+                             "are not a basis")
         shifted = DiffOp(op.dim, op.order,
                          {a: translate(p) for a, p in op.terms()})
         by_degree: dict[int, dict] = {}

@@ -8,7 +8,7 @@ criterion of :mod:`arrdiff.membership`; the rows use b! times it, the
 image of form * x^b) must vanish after reduction modulo the form.  The
 rows come from one table per form and degree: the reductions of the
 degree-d monomials by the form's reduction kernel
-(:meth:`arrdiff.qpoly.LinearForm.reducer`), scaled to integers.  Solving
+(:meth:`arrdiff.qpoly.LinearForm.table`), scaled to integers.  Solving
 that system exactly gives the graded piece as a vector space, kept as
 sparse coefficient vectors.  Stacking graded pieces degree by degree gives
 minimal generator counts: the multiples x^mu * gen of the generators found
@@ -131,7 +131,7 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     for form in arr.forms:
         coeffs = form.integral_coefficients
         # the terms of D^d * x^mu modulo the form, for each mu in mons
-        reduced = form.reducer().table(degree)
+        reduced = form.table(degree)
         for b in monomial_exponents(dim, order - 1):
             # image of form * x^b: only the entries at exponents b + e_j
             # act, each through the scalar coefficient * (b + e_j)!

@@ -14,8 +14,8 @@ Divisibility does not change under a nonzero scalar, so the grid is
 checked on the integer-scaled operator (its coefficients times the lcm
 of their denominators) and integer-scaled forms: the g_b are then
 integral, and so is their reduction scaled by a power of the form's
-denominator (see :class:`arrdiff.qpoly.Reducer`), which is what is tested
-for zero.  A witness image is computed from the operator as given.
+denominator (see :class:`arrdiff.qpoly.LinearForm`), which is what is
+tested for zero.  A witness image is computed from the operator as given.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ def is_member(op: DiffOp, arr: Arrangement) -> MembershipResult:
                         for mu, c in terms]
                     for a, terms in coefficients.items()}
     for index, form in enumerate(arr.forms):
-        reduce = form.reducer()
         alphas = [(j, c) for j, c in enumerate(form.integral_coefficients)
                   if c]
         for b in monomial_exponents(arr.dim, op.order - 1):
@@ -78,7 +77,7 @@ def is_member(op: DiffOp, arr: Arrangement) -> MembershipResult:
                 scale = c * (b[j] + 1)
                 a = b[:j] + (b[j] + 1,) + b[j + 1:]
                 g += [(mu, scale * x) for mu, x in coefficients.get(a, ())]
-            if reduce.scaled(g)[0]:
+            if form.scaled(g)[0]:
                 image = op.apply(form.to_poly() * Poly.monomial(arr.dim, b))
                 return MembershipResult(False, MembershipWitness(
                     index, form, b, image))

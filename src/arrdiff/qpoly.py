@@ -534,13 +534,28 @@ def _heap_key(a: MultiIndex) -> tuple[int, tuple[int, ...], MultiIndex]:
 # linear forms
 
 class LinearForm:
-    """A nonzero rational covector, canonically scaled.
+    """A nonzero rational covector, canonically scaled, with its reduction
+    kernel: the map from the terms of p to those of p mod the form.
 
-    The first nonzero coefficient is normalized to 1, so two forms define
-    the same hyperplane exactly when they compare equal.
+    The first nonzero coefficient (the pivot) is normalized to 1, so two
+    forms define the same hyperplane exactly when they compare equal.
+
+    Let D be the lcm of the denominators of the coefficients.  Then
+    r = -D * (the form without its pivot term) is integral, and the pivot
+    variable is r / D modulo the form, so a term c * x^mu goes to
+    c * x^(mu with the pivot exponent set to 0) * r^k / D^k with
+    k = mu_pivot; the result is empty exactly when the form divides p.
+    The kernel works on the integer powers of r and brings the terms to one
+    scale D^K (K the largest pivot exponent among them), so integral terms
+    stay on ints and the only division is by that scale.  D, r and the
+    integral coefficients are computed once; the powers of r that the terms
+    ask for are kept as long as the form lives, and only those
+    (intermediate powers are dropped, so one high power costs only its own
+    size).
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "pivot", "integral_coefficients", "_den", "_r",
+                 "_powers")
 
     def __init__(self, coefficients: Sequence[Rational]):
         coeffs = tuple(as_fraction(c) for c in coefficients)
@@ -548,8 +563,20 @@ class LinearForm:
         if pivot is None:
             raise ValueError("a linear form must be nonzero")
         lead = coeffs[pivot]
-        object.__setattr__(self, "_coeffs",
-                           tuple(c / lead for c in coeffs))
+        coeffs = tuple(c / lead for c in coeffs)
+        den = lcm(*[c.denominator for c in coeffs])
+        ints = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        dim = len(coeffs)
+        set_ = object.__setattr__
+        set_(self, "_coeffs", coeffs)
+        # the index of the first nonzero (hence unit) coefficient
+        set_(self, "pivot", pivot)
+        # the coefficients times D, as ints (so the pivot entry is D)
+        set_(self, "integral_coefficients", ints)
+        set_(self, "_den", den)
+        set_(self, "_r", [(mi_unit(dim, j), -c) for j, c in enumerate(ints)
+                          if j != pivot and c])
+        set_(self, "_powers", {0: {(0,) * dim: 1}})
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearForm is immutable")
@@ -562,19 +589,6 @@ class LinearForm:
     def dim(self) -> int:
         return len(self._coeffs)
 
-    @property
-    def pivot(self) -> int:
-        """Index of the first nonzero (hence unit) coefficient."""
-        return next(i for i, c in enumerate(self._coeffs) if c)
-
-    @property
-    def integral_coefficients(self) -> tuple[int, ...]:
-        """The coefficients times the lcm D of their denominators, as ints
-        (so the pivot entry is D)."""
-        den = lcm(*[c.denominator for c in self._coeffs])
-        return tuple(c.numerator * (den // c.denominator)
-                     for c in self._coeffs)
-
     def to_poly(self) -> Poly:
         return Poly(self.dim, {mi_unit(self.dim, i): c
                                for i, c in enumerate(self._coeffs) if c})
@@ -585,19 +599,15 @@ class LinearForm:
         return sum((c * as_fraction(v) for c, v in zip(self._coeffs, point)),
                    Fraction(0))
 
-    def reducer(self) -> "Reducer":
-        """The reduction kernel modulo this form (see :class:`Reducer`)."""
-        return Reducer(self)
-
     def reduce(self, p: Poly) -> Poly:
-        """Image of p modulo this form (see :meth:`reducer`).
+        """Image of p modulo this form.
 
         The result is zero exactly when the form divides p.
         """
         if p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
         terms, sp = _integral(p._terms)
-        reduced, scale = self.reducer().scaled(terms)
+        reduced, scale = self.scaled(terms)
         return Poly._raw(self.dim, _fractions(reduced, sp * scale))
 
     def divides(self, p: Poly) -> bool:
@@ -621,38 +631,6 @@ class LinearForm:
     def to_json(self) -> list[str]:
         return [format_fraction(c) for c in self._coeffs]
 
-
-class Reducer:
-    """The reduction kernel of a linear form: maps the terms of p to those
-    of p mod the form.
-
-    Let D be the lcm of the denominators of the form's coefficients (the
-    pivot one is 1).  Then r = -D * (the form without its pivot term) is
-    integral, and the pivot variable is r / D modulo the form, so a term
-    c * x^mu goes to c * x^(mu with the pivot exponent set to 0) * r^k / D^k
-    with k = mu_pivot; the result is empty exactly when the form divides p.
-    The kernel works on the integer powers of r and brings the terms to one
-    scale D^K (K the largest pivot exponent among them), so integral terms
-    stay on ints and the only division is by that scale.  The powers of r
-    that the terms ask for are kept as long as the reducer lives, and only
-    those (intermediate powers are dropped, so one high power costs only
-    its own size).
-    """
-
-    __slots__ = ("_dim", "_pivot", "_den", "_r", "_powers")
-
-    def __init__(self, form: LinearForm):
-        dim = form.dim
-        pivot = form.pivot
-        coefficients = form.integral_coefficients
-        self._dim = dim
-        self._pivot = pivot
-        self._den = coefficients[pivot]
-        self._r = [(mi_unit(dim, j), -c) for j, c in enumerate(coefficients)
-                   if j != pivot and c]
-        self._powers: dict[int, dict[MultiIndex, int]] = {
-            0: {(0,) * dim: 1}}
-
     def power(self, k: int) -> dict[MultiIndex, int]:
         """The terms of r^k, built from the highest stored power below k."""
         powers = self._powers
@@ -675,7 +653,7 @@ class Reducer:
         """(out, s) with out / s the terms of the reduction and s = D^K;
         out is integral when the terms are.  The input terms may repeat an
         exponent."""
-        pivot = self._pivot
+        pivot = self.pivot
         scale = 1
         if self._den != 1:  # bring every term to the scale D^K
             top = max((mu[pivot] for mu, _ in terms), default=0)
@@ -703,12 +681,12 @@ class Reducer:
         D^(d - mu_pivot): its monomials shifted by one base monomial stay
         distinct.
         """
-        pivot = self._pivot
+        pivot = self.pivot
         for k in range(degree + 1):
             self.power(k)
         lift = [self._den ** (degree - k) for k in range(degree + 1)]
         out = []
-        for mu in monomial_exponents(self._dim, degree):
+        for mu in monomial_exponents(self.dim, degree):
             base = mu[:pivot] + (0,) + mu[pivot + 1:]
             scale = lift[mu[pivot]]
             out.append([(tuple(map(add, base, e)), scale * pc)

@@ -303,6 +303,20 @@ def test_sweep_route_golden_digests(capsys, tmp_path):
                                           "a1f7192b8fdbc7e5f0ad0e11c363a")
 
 
+def test_check_member_denominator_witness_golden_digest(capsys, tmp_path):
+    # d_x^2 fails at 2x + 3y (normalized x + 3/2 y, D = 2), so the witness
+    # comes out of the D != 1 branch of the membership reduction; pinned
+    # byte for byte
+    arr = write_json(tmp_path / "arr.json", {"dim": 3, "forms": [
+        "2x+3y", "x+2z", "3y-2z", "x", "2x-5z"]})
+    op = write_json(tmp_path / "op.json", {"dim": 3, "order": 2, "terms": [
+        {"a": [2, 0, 0], "coef": [[[0, 0, 0], "1"]]}]})
+    code, out, err = run_cli(capsys, "check-member", "-a", arr, "-o", op)
+    assert (code, err) == (1, "")
+    assert output_digest(out) == (303, "a4223f71ace47e61e94f0560ec76e4c3365972"
+                                       "289aa6abcb999c5570bd89590c")
+
+
 def holm_q1_decide_json(order, rank, det_exponent, degree_bound):
     return {
         "verdict": "NOT_FREE",

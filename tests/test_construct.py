@@ -292,6 +292,14 @@ def test_localize_basis_requires_a_basis():
         localize_basis(bad, RANK2, flat_closure(RANK2, [0]))
 
 
+def test_localize_basis_names_a_zero_operator():
+    x, y = variables(2)
+    ops = [euler_operator(2, 2), DiffOp.single(2, (2, 0), x * (x + y)),
+           DiffOp.zero(2, 2)]
+    with pytest.raises(ValueError, match="operator 2 is zero"):
+        localize_basis(ops, RANK2, flat_closure(RANK2, [0]))
+
+
 # ---------------------------------------------------------------------------
 # the bundled refutation
 

@@ -592,3 +592,21 @@ def test_decide_shi2_invariant_under_rescaling():
         assert (rescaled.verdict, rescaled.exponents,
                 rescaled.degrees_examined) \
             == (plain.verdict, plain.exponents, plain.degrees_examined)
+
+
+def test_decisions_do_not_depend_on_powers_kept_by_the_forms():
+    # each form keeps the powers its reductions ask for; a decision on
+    # forms already used at other orders and degrees, and shared with a
+    # localization, must equal one on a freshly parsed copy
+    data = Arrangement(3, [LinearForm([2 * c[0], 3 * c[1], c[2]])
+                           for c in (f.coefficients
+                                     for f in make_shi(2).forms)]).to_json()
+    warm = arrangement_from_json(data)
+    sub = localize(warm, flat_closure(warm, [0, 1]))
+    for order, degree in ((4, 2), (1, 7), (2, 5)):
+        graded_dimension(warm, order, degree)
+    decide_free(sub, 3)
+    is_member(euler_operator(3, 2), warm)
+    for order in (1, 2, 3):
+        assert decide_free(warm, order).to_json() \
+            == decide_free(arrangement_from_json(data), order).to_json()

@@ -1,11 +1,12 @@
 """Source-level rules for the library modules, checked with ast, the
-README's library example, run as written, and the library bindings the
-benchmark's tracer wraps."""
+README's library example, run as written, the library bindings the
+benchmark's tracer wraps, and the benchmark's jobs with their checker."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,3 +107,16 @@ def test_benchmark_module_bindings_resolve():
                if not callable(getattr(importlib.import_module(module), key,
                                        None))]
     assert missing == []
+
+
+def test_benchmark_jobs_answer_stably_and_correctly(monkeypatch):
+    # every job of every workload at seed 1, run twice as the benchmark's
+    # passes run it: the answers must agree and pass the job's own check
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS:
+        for job in workloads.build(workload, 1):
+            first = job.answer(job.run())
+            assert job.answer(job.run()) == first, job.name
+            job.check(first)

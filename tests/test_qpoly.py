@@ -32,9 +32,9 @@ def form_strategy(dim: int):
     return st.tuples(*[coeff] * dim).filter(any).map(LinearForm)
 
 
-def reduce_terms(kernel, terms) -> dict:
-    """The reduction of terms by a reducer, with its scale divided out."""
-    out, scale = kernel.scaled(terms)
+def reduce_terms(form, terms) -> dict:
+    """The reduction of terms modulo a form, with its scale divided out."""
+    out, scale = form.scaled(terms)
     return {mu: Fraction(c) / scale for mu, c in out.items()}
 
 
@@ -95,7 +95,7 @@ def test_reduce_golden_with_denominators():
     assert form.reduce(x) == Fraction(-3, 2) * y
     assert form.reduce(x * x * z + y) == Fraction(9, 4) * y * y * z + y
     assert form.reduce(2 * x + 3 * y).is_zero()
-    assert reduce_terms(form.reducer(), [((1, 0, 0), 2), ((0, 1, 0), 3)]) \
+    assert reduce_terms(form, [((1, 0, 0), 2), ((0, 1, 0), 3)]) \
         == {}
 
 
@@ -277,10 +277,9 @@ def test_reduce_matches_pivot_substitution(data):
                for mu, c in reduced.terms())
     # the kernel sums the terms it is given, repeated exponents included
     terms = list(p.terms())
-    kernel = form.reducer()
-    assert Poly(dim, reduce_terms(kernel, terms + terms).items()) \
+    assert Poly(dim, reduce_terms(form, terms + terms).items()) \
         == 2 * expected
-    assert reduce_terms(kernel, terms + [(mu, -c) for mu, c in terms]) == {}
+    assert reduce_terms(form, terms + [(mu, -c) for mu, c in terms]) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +440,7 @@ def test_reducer_matches_fraction_reference(data):
     den = lcm(*[c.denominator for c in fraction_terms(p).values()])
     ints = [(mu, int(c * den)) for mu, c in p.terms()]
     assert {mu: c / den
-            for mu, c in reduce_terms(form.reducer(), ints).items()} \
+            for mu, c in reduce_terms(form, ints).items()} \
         == expected
 
 
@@ -455,7 +454,7 @@ def test_reducer_scaled_stays_on_integers(data):
                                 .filter(any)))
     terms = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * dim),
                                          st.integers(-5, 5)), max_size=5))
-    out, scale = form.reducer().scaled(terms)
+    out, scale = form.scaled(terms)
     den = lcm(*[c.denominator for c in form.coefficients])
     top = max((mu[form.pivot] for mu, _ in terms), default=0)
     assert scale == den ** top
@@ -474,9 +473,37 @@ def test_reducer_table_matches_single_reductions(data):
     degree = data.draw(st.integers(0, 4))
     # the table states its scale: D^degree, D the lcm of the denominators
     scale = lcm(*[c.denominator for c in form.coefficients]) ** degree
-    table = form.reducer().table(degree)
-    single = form.reducer()
+    table = form.table(degree)
+    # a fresh equal form builds its powers anew
+    single = LinearForm(form.coefficients)
     assert all(type(c) is int for terms in table for _, c in terms)
     assert [[(mu, Fraction(c, scale)) for mu, c in terms] for terms in table] \
         == [list(reduce_terms(single, [(mu, 1)]).items())
             for mu in monomial_exponents(dim, degree)]
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_warm_form_answers_as_a_fresh_one(data):
+    # the powers a form keeps from earlier calls (a table at a higher
+    # degree, a jump to a high pivot exponent) change none of its answers
+    dim = data.draw(st.integers(1, 4))
+    form = data.draw(form_strategy(dim))
+    degree = data.draw(st.integers(0, 3))
+    form.table(degree + data.draw(st.integers(1, 3)))
+    high = data.draw(st.integers(6, 12))
+    form.scaled([(mi_unit(dim, form.pivot), 1),
+                 (tuple(high if j == form.pivot else 0 for j in range(dim)),
+                  Fraction(1, 2))])
+    fresh = LinearForm(form.coefficients)
+    p = data.draw(poly_strategy(dim, max_degree=4, max_terms=6))
+    terms = list(p.terms()) + [(tuple(high - 1 if j == form.pivot else 0
+                                      for j in range(dim)), 3)]
+    assert form.scaled(terms) == fresh.scaled(terms)
+    assert form.table(degree) == fresh.table(degree)
+    assert form.reduce(p) == fresh.reduce(p)
+    assert form == fresh and hash(form) == hash(fresh)
+    with pytest.raises(AttributeError):
+        form.pivot = 0
+    with pytest.raises(AttributeError):
+        setattr(form, "_powers", {})
