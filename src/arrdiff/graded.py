@@ -41,7 +41,7 @@ from .arrangement import (Arrangement, decompose, flat_closure, is_generic,
                           localize)
 from .linalg import RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
-                    monomial_exponents, term_order_key)
+                    monomial_exponents)
 from .saito import saito_check, saito_counts
 from .weyl import DiffOp, change_variables
 
@@ -114,43 +114,46 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     Unknowns are the coefficients of each polynomial entry (one degree-d
     monomial each); every (hyperplane, degree-(m-1) exponent) pair
     contributes the linear equations that make the image polynomial vanish
-    modulo the hyperplane's form.  Each equation is a sparse integer row:
-    the form's integral coefficients D * c and its reduction table (D^d
-    times the reductions) make it D^(d+1) times the rational equation, and
-    the elimination keeps rows only up to a positive scalar.
+    modulo the hyperplane's form, one equation per monomial nu of the
+    reduced image.  Each equation is a sparse integer row: the form's
+    integral coefficients D * c and its reduction table (D^d times the
+    reductions) make it D^(d+1) times the rational equation, and the
+    elimination keeps rows only up to a positive scalar.  The table is
+    regrouped by nu once per form, so each row is read off in one pass
+    over its nonzero entries; :func:`arrdiff.linalg.nullspace_basis` takes
+    the rows as native integer rows, in an order of its own.
     """
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be nonnegative")
     dim = arr.dim
     omega = monomial_exponents(dim, order)
-    mons = monomial_exponents(dim, degree)
-    ncols = len(omega) * len(mons)
+    nmons = len(monomial_exponents(dim, degree))
+    ncols = len(omega) * nmons
     omega_index = {a: i for i, a in enumerate(omega)}
 
     rows: list[dict[int, int]] = []
     for form in arr.forms:
-        coeffs = form.integral_coefficients
-        # the terms of D^d * x^mu modulo the form, for each mu in mons
-        reduced = form.table(degree)
+        # the terms of D^d * x^mu modulo the form, for each degree-d mu,
+        # regrouped by output monomial nu: nu -> [(index of mu, term)]
+        by_nu: dict[MultiIndex, list[tuple[int, int]]] = {}
+        for mi, terms in enumerate(form.table(degree)):
+            for nu, rc in terms:
+                by_nu.setdefault(nu, []).append((mi, rc))
         for b in monomial_exponents(dim, order - 1):
             # image of form * x^b: only the entries at exponents b + e_j
             # act, each through the scalar coefficient * (b + e_j)!
-            cells: dict[MultiIndex, dict[int, int]] = {}
-            for j, c in enumerate(coeffs):
-                if not c:
-                    continue
-                a = mi_add(b, mi_unit(dim, j))
-                scale = c * mi_factorial(a)
-                base = omega_index[a] * len(mons)
-                for mi, terms in enumerate(reduced):
-                    col = base + mi
-                    for nu, rc in terms:
-                        cell = cells.setdefault(nu, {})
-                        cell[col] = cell.get(col, 0) + scale * rc
-            for nu in sorted(cells, key=term_order_key, reverse=True):
-                row = {col: x for col, x in cells[nu].items() if x}
-                if row:
-                    rows.append(row)
+            acting = []  # (first column of the block of a, scalar)
+            for j, c in enumerate(form.integral_coefficients):
+                if c:
+                    a = mi_add(b, mi_unit(dim, j))
+                    acting.append((omega_index[a] * nmons,
+                                   c * mi_factorial(a)))
+            # one row per nu; its entries are nonzero (c, (b + e_j)! and
+            # the table terms are) and its columns distinct (one block per
+            # j, one mu per term of x^mu's reduction at nu), so nothing
+            # accumulates
+            rows.extend({base + mi: scale * rc for base, scale in acting
+                         for mi, rc in cells} for cells in by_nu.values())
 
     return GradedBasis(dim, order, degree,
                        tuple(nullspace_basis(rows, ncols)))

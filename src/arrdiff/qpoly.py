@@ -165,7 +165,9 @@ class Poly:
             exponent = tuple(exponent)
             if len(exponent) != dim or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for dim {dim}")
-            c = acc.get(exponent, Fraction(0)) + as_fraction(coeff)
+            c = as_fraction(coeff)
+            if exponent in acc:  # never for a mapping: its keys are distinct
+                c += acc[exponent]
             if c:
                 acc[exponent] = c
             else:

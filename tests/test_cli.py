@@ -275,11 +275,19 @@ B3_JSON = {"dim": 3, "forms": [
     ["0", "1", "-1"]]}
 
 
+D4_JSON = {"dim": 4, "forms": [
+    ["1", "1", "0", "0"], ["1", "-1", "0", "0"], ["1", "0", "1", "0"],
+    ["1", "0", "-1", "0"], ["1", "0", "0", "1"], ["1", "0", "0", "-1"],
+    ["0", "1", "1", "0"], ["0", "1", "-1", "0"], ["0", "1", "0", "1"],
+    ["0", "1", "0", "-1"], ["0", "0", "1", "1"], ["0", "0", "1", "-1"]]}
+
+
 def test_sweep_route_golden_digests(capsys, tmp_path):
     # bases found by the generator sweep, pinned byte for byte: Shi-2 with
-    # x1 -> 2 x1 and x2 -> 3 x2 (forms such as x1 - 3/2 x2) at m=3 and B3
-    # at m=2, both FREE by the sweep, and the graded pieces of three forms
-    # with non-integral normalized coefficients
+    # x1 -> 2 x1 and x2 -> 3 x2 (forms such as x1 - 3/2 x2) at m=3, B3 at
+    # m=2 and D4 = {x_i +- x_j} at m=2, all FREE by the sweep, and the
+    # graded pieces of three forms with non-integral normalized
+    # coefficients
     scaled = {"dim": 3, "forms": [
         [str(2 * int(a)), str(3 * int(b)), c]
         for a, b, c in make_shi(2).to_json()["forms"]]}
@@ -287,7 +295,9 @@ def test_sweep_route_golden_digests(capsys, tmp_path):
             (scaled, "3", (40946, "fed8608c33ab0af781906c715f79f1f977e98912b0"
                                   "ad7a764a9115c94b7ed40e")),
             (B3_JSON, "2", (9580, "47d2689042819997f3437c0e1996603c2b9bf0e07f"
-                                  "73632a00aaa1c4f1a598a2"))):
+                                  "73632a00aaa1c4f1a598a2")),
+            (D4_JSON, "2", (43172, "90631ad7ecc78d45f59eb0fa6f57c87e20401f6da"
+                                   "82771cf0f7b69fd1e7aba2a"))):
         arr = write_json(tmp_path / "arr.json", doc)
         code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", order)
         assert (code, err) == (0, "")

@@ -320,6 +320,24 @@ def test_decide_shi2_not_free_with_checkable_certificate():
     assert sum(s.new_count for s in steps) == cert["cumulative_generators"]
 
 
+def test_sweep_calls_nullspace_through_the_module_binding(monkeypatch):
+    # the benchmark's tracer wraps graded.nullspace_basis where graded
+    # binds it and sizes each call by len(rows), so the sweep must reach
+    # the elimination through that binding with a list of rows
+    calls = []
+    real = graded.nullspace_basis
+
+    def counting(rows, ncols):
+        calls.append((type(rows), len(rows), ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(graded, "nullspace_basis", counting)
+    report = decide_free(make_shi(2), 2)
+    assert report.certificate["kind"] == "generator_overflow"
+    assert len(calls) == len(report.degrees_examined)
+    assert all(kind is list and size > 0 for kind, size, _ in calls)
+
+
 @pytest.mark.parametrize("fast_filters", [True, False])
 def test_decide_shi3_order2_degree_sum_mismatch(fast_filters):
     # rank = 10 generators by degree 6 whose degrees sum to 53, not

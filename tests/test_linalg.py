@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,20 @@ def test_nullspace_matches_dense_reference(case):
     last = [max(j for j, x in enumerate(vec) if x) for vec in basis]
     assert all(vec[j] == 1 for vec, j in zip(basis, last))
     assert last == sorted(set(last))
+
+
+@given(sparse_matrices(max_cols=6, entries=WIDE_ENTRIES))
+@settings(max_examples=40, deadline=None)
+def test_nullspace_does_not_depend_on_row_order_or_form(case):
+    # the rows are eliminated in an order of their own, but the stored rows
+    # are a canonical echelon form, so every order gives the same vectors
+    ncols, rows = case
+    rows = rows[:5]
+    expected = nullspace_basis(rows, ncols)
+    for perm in permutations(rows):
+        assert nullspace_basis(list(perm), ncols) == expected
+        assert nullspace_basis([as_dict(row) for row in perm], ncols) \
+            == expected
 
 
 @given(square_matrices())

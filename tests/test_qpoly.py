@@ -186,6 +186,37 @@ def test_parse_linear_form():
 # ---------------------------------------------------------------------------
 # properties
 
+def _outcome(build):
+    """The built value, or the type and message of the error it raised."""
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_poly_from_mapping_matches_pairs(data):
+    # a mapping's exponents are distinct, so its coefficients are stored
+    # without accumulation; the result and the errors are those of the
+    # same terms given as pairs, zero coefficients included
+    dim = data.draw(st.integers(-1, 3))
+    exponent = st.one_of(
+        st.tuples(*[st.integers(0, 2)] * max(dim, 0)),
+        st.lists(st.integers(-1, 2), max_size=4).map(tuple))
+    coeff = st.one_of(
+        st.just(0), st.just(Fraction(0)), st.just("0"), st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+        st.sampled_from(["2/3", "-5", "x"]), st.booleans(), st.just(1.5))
+    mapping = data.draw(st.dictionaries(exponent, coeff, max_size=5))
+    from_mapping = _outcome(lambda: Poly(dim, mapping))
+    from_pairs = _outcome(lambda: Poly(dim, list(mapping.items())))
+    assert from_mapping == from_pairs
+    if isinstance(from_pairs, Poly):
+        assert list(from_mapping.terms()) == list(from_pairs.terms())
+        assert all(c for _, c in from_mapping.terms())
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_ring_axioms(data):
