@@ -7,9 +7,9 @@ from .arrangement import (Arrangement, Decomposition, Factor, FlatRef,
 from .construct import (Shi2Certificate, basis_rank_two, find_flat_point,
                         localize_basis, product_basis,
                         shi2_nonfreeness_certificate)
-from .graded import (FREE, NOT_FREE, UNDECIDED, FreenessReport, GeneratorStep,
-                     GradedBasis, decide_free, graded_dimension,
-                     minimal_generators, operator_vector)
+from .graded import (FREE, NOT_FREE, UNDECIDED, FreenessReport, GradedBasis,
+                     decide_free, decide_orders, graded_dimension,
+                     operator_vector)
 from .membership import (MembershipResult, MembershipWitness, is_member,
                          shi2_order2_members)
 from .qpoly import (LinearForm, Poly, as_fraction, exact_divide,

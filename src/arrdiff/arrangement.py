@@ -15,7 +15,8 @@ from itertools import combinations
 from typing import Iterable
 
 from .linalg import RowBasis, nullspace_basis
-from .qpoly import LinearForm, Poly, as_fraction, parse_linear_form
+from .qpoly import (LinearForm, Poly, as_fraction, json_array,
+                    parse_linear_form)
 
 
 class Arrangement:
@@ -71,11 +72,12 @@ def arrangement_from_json(data: dict) -> Arrangement:
     if type(dim) is not int:
         raise ValueError(f"dim must be a JSON integer, got {dim!r}")
     forms = []
-    for entry in data["forms"]:
+    for entry in json_array(data["forms"], "forms"):
         if isinstance(entry, str):
             forms.append(parse_linear_form(entry, dim))
         else:
-            forms.append(LinearForm([as_fraction(c) for c in entry]))
+            forms.append(LinearForm([as_fraction(c) for c
+                                     in json_array(entry, "a form")]))
     return Arrangement(dim, forms)
 
 

@@ -17,7 +17,8 @@ from .arrangement import (Arrangement, FlatRef, arrangement_from_json,
                           flat_closure, localize, make_named, make_shi, product)
 from .construct import (basis_rank_two, localize_basis, product_basis,
                         shi2_nonfreeness_certificate)
-from .graded import FREE, NOT_FREE, decide_free, graded_dimension
+from .graded import (FREE, NOT_FREE, decide_free, decide_orders,
+                     graded_dimension)
 from .membership import is_member
 from .qpoly import Poly, variables
 from .saito import det_poly, saito_check
@@ -201,28 +202,21 @@ def _cmd_basis_l2(args) -> int:
     return EXIT_OK if result else EXIT_NEGATIVE
 
 
-def _per_order_bases(arr: Arrangement, top: int) -> list[list[DiffOp]] | None:
-    bases: list[list[DiffOp]] = [[DiffOp.identity(arr.dim)]]
-    for i in range(1, top + 1):
-        report = decide_free(arr, i)
-        if report.verdict != FREE:
-            return None
-        bases.append(list(report.basis))
-    return bases
-
-
 def _cmd_product_basis(args) -> int:
     first = _load_arrangement(args.first)
     second = _load_arrangement(args.second)
     if args.order < 0:
         raise InputError("order must be nonnegative")
-    bases_first = _per_order_bases(first, args.order)
-    bases_second = _per_order_bases(second, args.order)
-    if bases_first is None or bases_second is None:
-        print("a factor is not free at some order <= the requested order",
-              file=sys.stderr)
-        return EXIT_NEGATIVE
-    ops = product_basis([bases_first, bases_second])
+    factor_bases = []
+    for arr in (first, second):
+        reports = decide_orders(arr, args.order)
+        if not all(reports):
+            print("a factor is not free at some order <= the requested order",
+                  file=sys.stderr)
+            return EXIT_NEGATIVE
+        factor_bases.append([[DiffOp.identity(arr.dim)]]
+                            + [list(r.basis) for r in reports])
+    ops = product_basis(factor_bases)
     combined = product(first, second)
     result = saito_check(ops, combined)
     _emit({

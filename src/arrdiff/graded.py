@@ -13,8 +13,8 @@ that system exactly gives the graded piece as a vector space, kept as
 sparse coefficient vectors.  Stacking graded pieces degree by degree gives
 minimal generator counts: the multiples x^mu * gen of the generators found
 so far are their vectors with each column (a, nu) shifted to (a, nu + mu),
-and only the new generators become operators.  A degree-bounded sweep of
-those counts decides freeness outright:
+and operators are built only for a candidate basis.  A degree-bounded
+sweep of those counts decides freeness outright:
 
 * if the arrangement is free, every basis degree is bounded by t * |A|
   (degrees are nonnegative and sum to t * |A|), so all s = rank minimal
@@ -162,16 +162,6 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
 # ---------------------------------------------------------------------------
 # minimal generators
 
-@dataclass(frozen=True)
-class GeneratorStep:
-    """Per-degree record of the minimal-generator sweep."""
-
-    degree: int
-    module_dimension: int
-    new_count: int
-    representatives: tuple[DiffOp, ...]
-
-
 def _generator_entries(vec: dict[int, Fraction], nmons: int
                        ) -> list[tuple[int, int, int]]:
     """(derivative index, monomial index, entry) of the vector times the
@@ -181,19 +171,19 @@ def _generator_entries(vec: dict[int, Fraction], nmons: int
             for col, c in vec.items()]
 
 
-def _generator_sweep(arr: Arrangement, order: int,
-                     bound: int) -> Iterator[GeneratorStep]:
-    """Yield minimal-generator counts degree by degree.
+def _generator_sweep(arr: Arrangement, order: int, bound: int
+                     ) -> Iterator[tuple[int, int, list[dict[int, Fraction]]]]:
+    """Yield (degree, piece dimension, new generator vectors) per degree.
 
     At each degree the span of all multiples of previously found
-    generators is subtracted from the graded piece; any complement basis
-    vectors become new generator representatives.  The counts depend only
-    on dimensions, so they are independent of representative choices.
+    generators is subtracted from the graded piece; the piece's basis
+    vectors outside it are the new generators.  The counts depend only on
+    dimensions, so they are independent of representative choices.
 
     Generators are kept as integral coefficient vectors.  The multiple
     x^mu * gen of a degree-g generator moves the entry at (a, nu) of the
     degree-g layout to (a, nu + mu) of the degree-d layout, so the span is
-    built by shifting columns; only the representatives become operators.
+    built by shifting columns, and no generator becomes an operator here.
     """
     dim = arr.dim
     found: dict[int, list[list[tuple[int, int, int]]]] = {}  # by degree
@@ -218,16 +208,7 @@ def _generator_sweep(arr: Arrangement, order: int,
                                f"{piece.dimension}")
         if new:
             found[degree] = [_generator_entries(vec, nmons) for vec in new]
-        yield GeneratorStep(degree, piece.dimension, len(new), tuple(
-            _vector_to_operator(vec, dim, order, degree) for vec in new))
-
-
-def minimal_generators(arr: Arrangement, order: int,
-                       degree_bound: int) -> list[GeneratorStep]:
-    """Minimal homogeneous generators of the module up to a degree bound."""
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    return list(_generator_sweep(arr, order, degree_bound))
+        yield degree, piece.dimension, new
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +294,17 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
             return filtered
 
     records: list[tuple[int, int, int]] = []
-    generators: list[DiffOp] = []
+    generators: list[tuple[int, dict[int, Fraction]]] = []  # (degree, vector)
     degrees: list[int] = []
-    for step in _generator_sweep(arr, order, bound):
-        records.append((step.degree, step.module_dimension, step.new_count))
-        generators.extend(step.representatives)
-        degrees.extend([step.degree] * step.new_count)
+    for degree, dimension, new in _generator_sweep(arr, order, bound):
+        records.append((degree, dimension, len(new)))
+        generators.extend((degree, vec) for vec in new)
+        degrees.extend([degree] * len(new))
         if len(generators) > rank:
-            audit.append(f"sweep: generator count exceeded the rank at degree {step.degree}")
+            audit.append(f"sweep: generator count exceeded the rank at degree {degree}")
             return report(NOT_FREE, {
                 "kind": "generator_overflow",
-                "degree": step.degree,
+                "degree": degree,
                 "cumulative_generators": len(generators),
                 "rank": rank,
                 "generator_degrees": degrees,
@@ -333,31 +314,34 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
                 # a free module's minimal generators are a basis, whose
                 # degrees sum to t * |A|; the sweep has found all up to here
                 audit.append(f"sweep: {rank} generators by degree "
-                             f"{step.degree} with degree sum {sum(degrees)}, "
+                             f"{degree} with degree sum {sum(degrees)}, "
                              f"not t * |A| = {complete_bound}")
                 return report(NOT_FREE, {
                     "kind": "degree_sum_mismatch",
-                    "degree": step.degree,
+                    "degree": degree,
                     "rank": rank,
                     "generator_degrees": degrees,
                     "degree_sum": sum(degrees),
                     "expected_degree_sum": complete_bound,
                 }, records=records)
-            result = saito_check(generators, arr)
+            # a candidate basis: only now do the generators become operators
+            ops = tuple(_vector_to_operator(vec, arr.dim, order, d)
+                        for d, vec in generators)
+            result = saito_check(ops, arr)
             if result:
-                audit.append(f"sweep: {rank} generators by degree {step.degree}; "
+                audit.append(f"sweep: {rank} generators by degree {degree}; "
                              "determinant criterion confirms a basis")
                 return report(FREE, {
                     "kind": "saito_basis",
                     "constant": str(result.constant),
-                }, exponents=tuple(sorted(degrees)),
-                    basis=tuple(generators), records=records)
+                }, exponents=tuple(sorted(degrees)), basis=ops,
+                    records=records)
             audit.append("sweep: full generator count found but the "
                          "determinant criterion fails")
             return report(NOT_FREE, {
                 "kind": "saito_failure",
                 "generator_degrees": degrees,
-                "generators": [op.to_json() for op in generators],
+                "generators": [op.to_json() for op in ops],
                 "saito": result.to_json(),
             }, records=records)
     if bound >= complete_bound:
@@ -378,6 +362,23 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
         "complete_bound": complete_bound,
         "cumulative_generators": len(generators),
     }, records=records)
+
+
+def decide_orders(arr: Arrangement, top: int) -> list[FreenessReport]:
+    """Decide orders 1..top in turn, up to the first that is not FREE.
+
+    The product theorem needs exactly this: a product is free at order m
+    when every factor is free at every order 1..m, and not free when some
+    factor is not.  The reports run up to and including the first one
+    that is not FREE; with no degree bound each is FREE or NOT_FREE.  A
+    top below 1 gives no report.
+    """
+    reports: list[FreenessReport] = []
+    for order in range(1, top + 1):
+        reports.append(decide_free(arr, order))
+        if not reports[-1]:
+            break
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +408,22 @@ def _fast_filters(arr, order, audit, report):
         audit.append(f"filter: decomposes into {len(dec.factors)} factors")
         factor_bases: list[list[list[DiffOp]]] = []
         for fi, factor in enumerate(dec.factors):
-            bases = [[DiffOp.identity(factor.arrangement.dim)]]
-            for i in range(1, order + 1):
-                # no degree bound, so the factor is FREE or NOT_FREE
-                sub = decide_free(factor.arrangement, i)
-                if sub.verdict == NOT_FREE:
-                    audit.append(f"filter: factor {fi} is not free at order {i}")
-                    return report(NOT_FREE, {
-                        "kind": "fast_filter",
-                        "reason": "product-factor-not-free",
-                        "factor_index": fi,
-                        "factor_dim": factor.arrangement.dim,
-                        "factor_size": len(factor.arrangement),
-                        "failing_order": i,
-                        "factor_certificate": sub.certificate,
-                    })
-                bases.append(list(sub.basis))
-            factor_bases.append(bases)
+            reports = decide_orders(factor.arrangement, order)
+            sub = reports[-1]  # order >= 1, so there is one
+            if not sub:
+                audit.append(f"filter: factor {fi} is not free at order "
+                             f"{sub.order}")
+                return report(NOT_FREE, {
+                    "kind": "fast_filter",
+                    "reason": "product-factor-not-free",
+                    "factor_index": fi,
+                    "factor_dim": factor.arrangement.dim,
+                    "factor_size": len(factor.arrangement),
+                    "failing_order": sub.order,
+                    "factor_certificate": sub.certificate,
+                })
+            factor_bases.append([[DiffOp.identity(factor.arrangement.dim)]]
+                                + [list(r.basis) for r in reports])
         basis = tuple(change_variables(product_basis(factor_bases),
                                        dec.basis_change))
         result = saito_check(basis, arr)

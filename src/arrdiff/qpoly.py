@@ -381,6 +381,14 @@ class Poly:
         return [[list(a), format_fraction(c)] for a, c in self.terms()]
 
 
+def json_array(data, what: str) -> list:
+    """``data`` if it is a JSON array; a string or an object would
+    otherwise be read by its characters or its keys."""
+    if not isinstance(data, list):
+        raise ValueError(f"{what} must be a JSON array, got {data!r}")
+    return data
+
+
 def exponent_from_json(data: Iterable) -> MultiIndex:
     """Parse an exponent list; every entry must be a nonnegative int."""
     exponent = tuple(data)
@@ -389,10 +397,10 @@ def exponent_from_json(data: Iterable) -> MultiIndex:
     return exponent
 
 
-def poly_from_json(data: Iterable, dim: int) -> Poly:
+def poly_from_json(data: list, dim: int) -> Poly:
     """Parse the [[exponents, "p/q"], ...] serialization."""
     return Poly(dim, [(exponent_from_json(entry[0]), as_fraction(entry[1]))
-                      for entry in data])
+                      for entry in json_array(data, "a polynomial")])
 
 
 def variables(dim: int) -> tuple[Poly, ...]:

@@ -15,9 +15,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import invert
 from .qpoly import (LinearForm, MultiIndex, Poly, Rational, as_fraction,
-                    exponent_from_json, format_poly, mi_add, mi_degree,
-                    mi_factorial, monomial_exponents, poly_from_json,
-                    substituter, term_order_key)
+                    exponent_from_json, format_poly, json_array, mi_add,
+                    mi_degree, mi_factorial, monomial_exponents,
+                    poly_from_json, substituter, term_order_key)
 
 
 class DiffOp:
@@ -203,7 +203,7 @@ def diffop_from_json(data: dict) -> DiffOp:
     return DiffOp(dim, order,
                   [(exponent_from_json(term["a"]),
                     poly_from_json(term["coef"], dim))
-                   for term in data["terms"]])
+                   for term in json_array(data["terms"], "terms")])
 
 
 def euler_operator(dim: int, order: int) -> DiffOp:

@@ -13,12 +13,13 @@ from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  make_named, make_shi, product)
 from arrdiff.construct import basis_rank_two, product_basis
 from arrdiff.graded import (FREE, NOT_FREE, decide_free, graded_dimension,
-                            minimal_generators, operator_vector)
+                            operator_vector)
 from arrdiff.linalg import RowBasis
 from arrdiff.membership import is_member, shi2_order2_members
 from arrdiff.qpoly import LinearForm, Poly, exact_divide, variables
 from arrdiff.saito import det_poly, saito_check, saito_counts
 from arrdiff.weyl import DiffOp, coefficient_matrix, euler_operator
+from tests.test_graded import sweep_steps
 from tests.test_membership import (_random_member_pool,
                                    _random_operator_pool,
                                    is_member_bruteforce, random_poly)
@@ -102,7 +103,7 @@ def test_criterion_4_shi2_order2_not_free():
         assert max(step[0] for step in report.degrees_examined) <= 4
         # the certificate is checkable from scratch
         if cert["kind"] == "generator_overflow":
-            steps = minimal_generators(shi, 2, cert["degree"])
+            steps = sweep_steps(shi, 2, cert["degree"])
             assert sum(s.new_count for s in steps) \
                 == cert["cumulative_generators"] > cert["rank"]
             assert cert["rank"] == saito_counts(3, 2)[0]

@@ -16,7 +16,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arrdiff.arrangement import arrangement_from_json, make_named, make_shi
+from arrdiff.arrangement import (Arrangement, arrangement_from_json,
+                                 make_named, make_shi, product)
 from arrdiff.cli import main
 from arrdiff.construct import basis_rank_two
 from arrdiff.graded import FREE, decide_free
@@ -327,6 +328,55 @@ def test_check_member_denominator_witness_golden_digest(capsys, tmp_path):
                                        "289aa6abcb999c5570bd89590c")
 
 
+def test_product_basis_golden_digests(capsys, tmp_path):
+    # product bases from the factors' per-order bases, pinned byte for
+    # byte: x, y, x + y times the empty line at m=2, times the line x at
+    # m=3 and at m=0 (the identity alone); Shi-2 is not 2-free, so its
+    # product with the empty line has no basis at m=2
+    rank2 = write_json(tmp_path / "a.json",
+                       {"dim": 2, "forms": ["x", "y", "x+y"]})
+    empty = write_json(tmp_path / "b0.json", {"dim": 1, "forms": []})
+    line = write_json(tmp_path / "bx.json", {"dim": 1, "forms": ["x"]})
+    for second, order, digest in (
+            (empty, "2", (4462, "c0c52dbebf48c7164804f2c1fbf75e75511ca1511b"
+                                "71c49e85550278f0302264")),
+            (line, "3", (8009, "875e4dcc6cf2ca3c446d9b70e890d5b3fbf1c03932"
+                               "135b6fc54a29525513a438")),
+            (line, "0", (969, "2122e9faf2582adb4867b04754ff321eb462e1cf7e9"
+                              "b327f12f07b7fada557a7"))):
+        code, out, err = run_cli(capsys, "product-basis", "-a", rank2,
+                                 "-b", second, "-m", order)
+        assert (code, err) == (0, ""), order
+        assert output_digest(out) == digest, order
+    shi = write_json(tmp_path / "shi2.json", make_shi(2).to_json())
+    assert run_cli(capsys, "product-basis", "-a", shi, "-b", empty,
+                   "-m", "2") == (1, "", "a factor is not free at some "
+                                         "order <= the requested order\n")
+
+
+def test_decide_shi2_refutations_golden_digests(capsys, tmp_path):
+    # Shi-2 times the empty line at m=3 is refuted by the product filter
+    # (a product-factor-not-free certificate nesting the factor's
+    # generator overflow), and Shi-2 at m=2 by the sweep's overflow;
+    # pinned byte for byte
+    certificates = []
+    for arr, order, digest in (
+            (product(make_shi(2), Arrangement(1, ())), "3",
+             (704, "6dfc66f88adc639b6b1b3dd2d83903a726d26a58c304d386e9a28"
+                   "68f0fe4e44b")),
+            (make_shi(2), "2",
+             (654, "aa44d89a8a11ae87d067e7aa90b128cb643b94dff2ceb5f60b082"
+                   "ad4186284b8"))):
+        path = write_json(tmp_path / "arr.json", arr.to_json())
+        code, out, err = run_cli(capsys, "decide", "-a", path, "-m", order)
+        assert (code, err) == (1, ""), order
+        assert output_digest(out) == digest, order
+        certificates.append(json.loads(out)["certificate"])
+    assert certificates[0]["reason"] == "product-factor-not-free"
+    assert certificates[0]["factor_certificate"]["kind"] \
+        == certificates[1]["kind"] == "generator_overflow"
+
+
 def holm_q1_decide_json(order, rank, det_exponent, degree_bound):
     return {
         "verdict": "NOT_FREE",
@@ -475,6 +525,25 @@ def test_zero_denominator_in_a_form_exits_two(capsys, tmp_path):
                              "-o", ops)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_strings_where_arrays_are_required_exit_two(capsys, tmp_path):
+    # a string is iterable, so it would be read one character at a time:
+    # "xy" as the forms x and y, "" as no forms, no terms or zero; an
+    # object would be read by its keys, {"1": 5, "0": 7} as the form x
+    rank2 = write_json(tmp_path / "r.json", RANK2_JSON)
+    for forms in ("xy", "", [{"1": 5, "0": 7}]):
+        arr = write_json(tmp_path / "a.json", {"dim": 2, "forms": forms})
+        code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", "1")
+        assert code == 2 and out == "", forms
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    for op in ({"dim": 2, "order": 1, "terms": ""},
+               {"dim": 2, "order": 1, "terms": [{"a": [1, 0], "coef": ""}]}):
+        ops = write_json(tmp_path / "ops.json", op)
+        code, out, err = run_cli(capsys, "check-member", "-a", rank2,
+                                 "-o", ops)
+        assert code == 2 and out == "", op
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_boolean_rational_exits_two(capsys, tmp_path):

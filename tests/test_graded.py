@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,9 +21,9 @@ from arrdiff import graded
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  decompose, flat_closure, is_generic,
                                  localize, make_named, make_shi, product)
-from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, _localization_filter,
-                            decide_free, graded_dimension, minimal_generators,
-                            operator_vector)
+from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, GradedBasis,
+                            _localization_filter, decide_free, decide_orders,
+                            graded_dimension, operator_vector)
 from arrdiff.linalg import RowBasis, nullspace_basis
 from arrdiff.membership import is_member
 from arrdiff.qpoly import (LinearForm, Poly, mi_add, mi_factorial, mi_unit,
@@ -228,8 +229,20 @@ def test_vanishing_checks_irreducible_consequence():
 # ---------------------------------------------------------------------------
 # minimal generators
 
+Step = namedtuple("Step", "degree module_dimension new_count representatives")
+
+
+def sweep_steps(arr, order, bound):
+    """The generator sweep up to a degree bound, one Step per degree, with
+    each degree's new generators built as operators."""
+    return [Step(degree, dimension, len(new),
+                 GradedBasis(arr.dim, order, degree, tuple(new)).operators)
+            for degree, dimension, new
+            in graded._generator_sweep(arr, order, bound)]
+
+
 def test_minimal_generators_shi2():
-    steps = minimal_generators(make_shi(2), 2, 4)
+    steps = sweep_steps(make_shi(2), 2, 4)
     counts = [(s.degree, s.new_count) for s in steps]
     assert counts == [(0, 0), (1, 0), (2, 1), (3, 0), (4, 6)]
     # five independent degree-4 members guarantee at least 5 new generators
@@ -237,13 +250,13 @@ def test_minimal_generators_shi2():
 
 
 def test_minimal_generators_rank2():
-    steps = minimal_generators(RANK2, 2, 4)
+    steps = sweep_steps(RANK2, 2, 4)
     assert [(s.degree, s.new_count) for s in steps] \
         == [(0, 0), (1, 0), (2, 3), (3, 0), (4, 0)]
 
 
 def test_minimal_generators_empty():
-    steps = minimal_generators(Arrangement(3, ()), 2, 0)
+    steps = sweep_steps(Arrangement(3, ()), 2, 0)
     assert steps[0].new_count == saito_counts(3, 2)[0]
 
 
@@ -281,14 +294,14 @@ def reference_generator_sweep(arr, order, bound):
 def test_sweep_matches_operator_span_reference(arr, order, bound):
     # the sweep shifts columns of integral generator vectors; the
     # reference multiplies operators by monomials
-    steps = minimal_generators(arr, order, bound)
+    steps = sweep_steps(arr, order, bound)
     assert [(s.degree, s.module_dimension, s.new_count, s.representatives)
             for s in steps] == reference_generator_sweep(arr, order, bound)
 
 
 def test_generator_counts_do_not_depend_on_representatives():
     arr = make_shi(2)
-    steps = minimal_generators(arr, 2, 4)
+    steps = sweep_steps(arr, 2, 4)
     # recompute the degree-4 count from dimensions only
     dim4 = graded_dimension(arr, 2, 4).dimension
     span = RowBasis(len(operator_vector(steps[4].representatives[0], 4)))
@@ -316,7 +329,7 @@ def test_decide_shi2_not_free_with_checkable_certificate():
     assert cert["kind"] == "generator_overflow"
     assert cert["cumulative_generators"] > cert["rank"] == 6
     # recheck the certificate numbers from scratch
-    steps = minimal_generators(make_shi(2), 2, cert["degree"])
+    steps = sweep_steps(make_shi(2), 2, cert["degree"])
     assert sum(s.new_count for s in steps) == cert["cumulative_generators"]
 
 
@@ -336,6 +349,27 @@ def test_sweep_calls_nullspace_through_the_module_binding(monkeypatch):
     assert report.certificate["kind"] == "generator_overflow"
     assert len(calls) == len(report.degrees_examined)
     assert all(kind is list and size > 0 for kind, size, _ in calls)
+
+
+def test_sweep_builds_operators_only_for_a_candidate_basis(monkeypatch):
+    # generators become operators only when their count reaches the rank:
+    # none for Shi-2 at m=2 (an overflow at degree 4), the three basis
+    # operators for Shi-2 at m=1
+    calls = []
+    real = graded._vector_to_operator
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graded, "_vector_to_operator", counting)
+    report = decide_free(make_shi(2), 2)
+    assert report.certificate["kind"] == "generator_overflow"
+    assert report.certificate["degree"] == 4
+    assert calls == []
+    report = decide_free(make_shi(2), 1)
+    assert report.verdict == FREE and report.rank == 3
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("fast_filters", [True, False])
@@ -486,6 +520,41 @@ def test_holm_free_product_never_m_free_from_two_on():
         assert report.verdict == NOT_FREE
         assert report.certificate["reason"] == "product-factor-not-free"
         assert report.certificate["failing_order"] == 2
+
+
+@st.composite
+def plane_arrangements(draw):
+    """One to four distinct lines in the plane."""
+    vectors = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=2, max_size=2).filter(any),
+        min_size=1, max_size=4))
+    return Arrangement(2, list(dict.fromkeys(LinearForm(v) for v in vectors)))
+
+
+@given(plane_arrangements(),
+       st.sampled_from([Arrangement(1, ()), arr_of(1, "x")]),
+       st.sampled_from([1, 2]))
+@example(RANK2, arr_of(2, "x", "y"), 1)
+@settings(max_examples=40, deadline=None)
+def test_product_theorem_matches_the_sweep(first, second, order):
+    # a product is m-free exactly when every factor is k-free for every
+    # k <= m, and its exponents are then the sums a + b of the factors'
+    # order-i and order-j exponents over i + j = m (order 0 gives {0});
+    # factors of rank at most 2 are free at every order, so the product
+    # route answers
+    arr = product(first, second)
+    swept = decide_free(arr, order, fast_filters=False)
+    routed = decide_free(arr, order)
+    assert routed.certificate.get("via") == "product-decomposition"
+    assert (swept.verdict, swept.exponents) \
+        == (routed.verdict, routed.exponents)
+    profiles = [decide_orders(factor, order) for factor in (first, second)]
+    assert (swept.verdict == FREE) == all(map(all, profiles))
+    first_exps, second_exps = ([(0,)] + [r.exponents for r in reports]
+                               for reports in profiles)
+    assert Counter(swept.exponents) == Counter(
+        a + b for i in range(order + 1)
+        for a in first_exps[i] for b in second_exps[order - i])
 
 
 def reference_localization_filter(arr):

@@ -8,6 +8,7 @@ import ast
 import importlib.util
 import sys
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "arrdiff"
@@ -51,6 +52,21 @@ def test_no_private_imports_across_modules():
                       for alias in node.names
                       if internal and alias.name.startswith("_")]
     assert found == []
+
+
+def test_every_export_has_a_library_caller():
+    # an export that no library module uses is API the library does not
+    # need; the submodules that __all__ also lists are skipped
+    import arrdiff
+    used = set()
+    for name, tree in modules():
+        if name != "__init__.py":
+            used.update(node.id if isinstance(node, ast.Name) else node.attr
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Name, ast.Attribute)))
+    exports = [name for name in arrdiff.__all__
+               if not isinstance(getattr(arrdiff, name), ModuleType)]
+    assert [name for name in exports if name not in used] == []
 
 
 def test_readme_library_example_runs():
