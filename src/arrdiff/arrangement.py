@@ -183,13 +183,14 @@ def decompose(arr: Arrangement) -> Decomposition:
     linear matroid on their normal vectors, read off one nullspace: that of
     the matrix whose columns are the normals.  Its canonical basis has one
     vector per normal i outside the greedy basis B (the pivot columns),
-    with a 1 at i, its last nonzero entry, and -c_p at each p in B, where
-    v_i = sum c_p v_p: the fundamental circuit of i with respect to B
-    (Oxley, Matroid Theory, ch. 4).  Hyperplanes that share a circuit share
-    a component.  The normals of B in a component span its coordinate
-    block, in which a normal of B is a unit vector and any other normal
-    has the coordinates c; unit vectors complete the coordinates, and any
-    rank deficiency becomes an empty factor on them.
+    with a positive entry e at i, its last nonzero entry, and -e * c_p at
+    each p in B, where v_i = sum c_p v_p: the fundamental circuit of i with
+    respect to B (Oxley, Matroid Theory, ch. 4).  Hyperplanes that share a
+    circuit share a component.  The normals of B in a component span its
+    coordinate block, in which a normal of B is a unit vector and any other
+    normal has the coordinates c, up to the factor e that its linear form
+    drops; unit vectors complete the coordinates, and any rank deficiency
+    becomes an empty factor on them.
     """
     dim = arr.dim
     n = len(arr)
@@ -197,8 +198,8 @@ def decompose(arr: Arrangement) -> Decomposition:
 
     circuits = nullspace_basis([[v[j] for v in vectors] for j in range(dim)],
                                n)
-    # normal outside B -> its coordinates {p: c_p} over B
-    coordinates: dict[int, dict[int, Fraction]] = {}
+    # normal outside B -> its coordinates {p: e * c_p} over B
+    coordinates: dict[int, dict[int, int]] = {}
     for circuit in circuits:
         support = sorted(circuit)  # the keys are not in column order
         coordinates[support[-1]] = {p: -circuit[p] for p in support[:-1]}

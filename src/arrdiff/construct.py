@@ -176,7 +176,8 @@ def find_flat_point(arr: Arrangement, flat: FlatRef) -> list[Fraction]:
                                          repeat=len(directions))
                  if max(map(abs, c), default=0) == radius]
         for combo in shell:
-            point = [sum((Fraction(c) * d.get(j, 0)
+            # each direction over its last entry, so that it has a 1 there
+            point = [sum((Fraction(c * d.get(j, 0), d[max(d)])
                           for c, d in zip(combo, directions)),
                          Fraction(0)) for j in range(arr.dim)]
             if all(form.evaluate(point) for form in outside):

@@ -10,20 +10,22 @@ rows come from one table per form and degree: the reductions of the
 degree-d monomials by the form's reduction kernel
 (:meth:`arrdiff.qpoly.LinearForm.table`), scaled to integers.  Solving
 that system exactly gives the graded piece as a vector space, kept as
-sparse coefficient vectors.  Stacking graded pieces degree by degree gives
-minimal generator counts: the multiples x^mu * gen of the generators found
-so far are their vectors with each column (a, nu) shifted to (a, nu + mu),
-and operators are built only for a candidate basis.  A degree-bounded
-sweep of those counts decides freeness outright:
+sparse integer coefficient vectors.  Stacking graded pieces degree by
+degree gives minimal generator counts: the multiples x^mu * gen of the
+generators found so far are their vectors with each column (a, nu) shifted
+to (a, nu + mu), and operators are built only for a candidate basis.  A
+degree-bounded sweep of those counts decides freeness outright:
 
+* the count reaches s = rank by degree |A|: for m >= 1 the s operators
+  Q * d^a with |a| = m are independent members of that degree, and at
+  m = 0 the constant is a member of degree 0;
 * if the arrangement is free, every basis degree is bounded by t * |A|
-  (degrees are nonnegative and sum to t * |A|), so all s = rank minimal
+  (degrees are nonnegative and sum to t * |A|), so all s minimal
   generators appear by that bound and the determinant criterion certifies
   them as a basis;
 * conversely an overflow past s generators, exactly s generators whose
-  degrees do not sum to t * |A| (a basis's degrees do), a failed
-  determinant check at exactly s, or fewer than s generators by the bound
-  each refute freeness.
+  degrees do not sum to t * |A| (a basis's degrees do), or a failed
+  determinant check at exactly s each refute freeness.
 
 Three fast filters (see :func:`decide_free`) may answer before the sweep.
 """
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Iterator
 
 from .arrangement import (Arrangement, decompose, flat_closure, is_generic,
@@ -54,15 +55,15 @@ UNDECIDED = "UNDECIDED"
 class GradedBasis:
     """A vector-space basis of one graded piece of the operator module.
 
-    The basis is kept as the canonical nullspace vectors: sparse dicts from
-    coordinate (see :func:`operator_vector`) to nonzero coefficient.  The
+    The basis is kept as the integral nullspace vectors: sparse dicts from
+    coordinate (see :func:`operator_vector`) to nonzero ``int``.  The
     operators are built from them on first read.
     """
 
     dim: int
     order: int
     degree: int
-    vectors: tuple[dict[int, Fraction], ...]
+    vectors: tuple[dict[int, int], ...]
 
     @property
     def dimension(self) -> int:
@@ -95,15 +96,16 @@ def operator_vector(op: DiffOp, degree: int) -> list[Fraction]:
     return vec
 
 
-def _vector_to_operator(vec: dict[int, Fraction], dim: int, order: int,
+def _vector_to_operator(vec: dict[int, int], dim: int, order: int,
                         degree: int) -> DiffOp:
-    """The operator of a sparse coefficient vector (its nonzero entries)."""
+    """The operator of a nullspace vector, scaled to a 1 in its last column."""
     omega = monomial_exponents(dim, order)
     mons = monomial_exponents(dim, degree)
+    free = vec[max(vec)]
     coeffs: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
     for col in sorted(vec):
         ai, mi = divmod(col, len(mons))
-        coeffs.setdefault(omega[ai], {})[mons[mi]] = vec[col]
+        coeffs.setdefault(omega[ai], {})[mons[mi]] = Fraction(vec[col], free)
     return DiffOp(dim, order, {a: Poly(dim, terms)
                                for a, terms in coeffs.items()})
 
@@ -162,17 +164,8 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
 # ---------------------------------------------------------------------------
 # minimal generators
 
-def _generator_entries(vec: dict[int, Fraction], nmons: int
-                       ) -> list[tuple[int, int, int]]:
-    """(derivative index, monomial index, entry) of the vector times the
-    lcm of its denominators, an integral vector on the same line."""
-    scale = lcm(*[c.denominator for c in vec.values()])
-    return [(*divmod(col, nmons), c.numerator * (scale // c.denominator))
-            for col, c in vec.items()]
-
-
 def _generator_sweep(arr: Arrangement, order: int, bound: int
-                     ) -> Iterator[tuple[int, int, list[dict[int, Fraction]]]]:
+                     ) -> Iterator[tuple[int, int, list[dict[int, int]]]]:
     """Yield (degree, piece dimension, new generator vectors) per degree.
 
     At each degree the span of all multiples of previously found
@@ -186,7 +179,7 @@ def _generator_sweep(arr: Arrangement, order: int, bound: int
     built by shifting columns, and no generator becomes an operator here.
     """
     dim = arr.dim
-    found: dict[int, list[list[tuple[int, int, int]]]] = {}  # by degree
+    found: dict[int, list[dict[int, int]]] = {}  # by degree
     for degree in range(bound + 1):
         piece = graded_dimension(arr, order, degree)
         mons = monomial_exponents(dim, degree)
@@ -196,10 +189,12 @@ def _generator_sweep(arr: Arrangement, order: int, bound: int
         for gen_degree, gens in found.items():
             gen_mons = monomial_exponents(dim, gen_degree)
             for mu in monomial_exponents(dim, degree - gen_degree):
-                moved = [index[mi_add(nu, mu)] for nu in gen_mons]
+                # the column of (a, nu) -> that of (a, nu + mu)
+                shifted = [index[mi_add(nu, mu)] for nu in gen_mons]
+                moved = [base + mi for base in range(0, span.ncols, nmons)
+                         for mi in shifted]
                 for gen in gens:
-                    span.add({ai * nmons + moved[mi]: c
-                              for ai, mi, c in gen})
+                    span.add({moved[col]: c for col, c in gen.items()})
         new = [vec for vec in piece.vectors if span.add(vec)]
         # the old span is inside the graded piece, so ranks must line up
         if span.rank != piece.dimension:
@@ -207,7 +202,7 @@ def _generator_sweep(arr: Arrangement, order: int, bound: int
                                f"degree {degree}, expected "
                                f"{piece.dimension}")
         if new:
-            found[degree] = [_generator_entries(vec, nmons) for vec in new]
+            found[degree] = new
         yield degree, piece.dimension, new
 
 
@@ -271,8 +266,8 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
 
     The generator sweep up to t * |A| is complete on its own.
     ``max_degree`` overrides the sweep bound; any verdict the sweep
-    reaches is sound for any bound, but an exhausted sweep below t * |A|
-    reports UNDECIDED rather than claiming a generator deficit.
+    reaches is sound for any bound, and a sweep that ends below the rank
+    count, which only a bound below |A| allows, reports UNDECIDED.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -294,7 +289,7 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
             return filtered
 
     records: list[tuple[int, int, int]] = []
-    generators: list[tuple[int, dict[int, Fraction]]] = []  # (degree, vector)
+    generators: list[tuple[int, dict[int, int]]] = []  # (degree, vector)
     degrees: list[int] = []
     for degree, dimension, new in _generator_sweep(arr, order, bound):
         records.append((degree, dimension, len(new)))
@@ -345,15 +340,9 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
                 "saito": result.to_json(),
             }, records=records)
     if bound >= complete_bound:
-        audit.append(f"sweep: only {len(generators)} generators up to the "
-                     f"complete bound {bound}")
-        return report(NOT_FREE, {
-            "kind": "generator_deficit",
-            "degree_bound": bound,
-            "cumulative_generators": len(generators),
-            "rank": rank,
-            "generator_degrees": degrees,
-        }, records=records)
+        # unreachable: the members Q * d^a give rank generators by degree |A|
+        raise RuntimeError(f"sweep found {len(generators)} generators up to "
+                           f"degree {bound}, fewer than the rank {rank}")
     audit.append(f"sweep: degree bound {bound} is below the complete bound "
                  f"{complete_bound}; result inconclusive")
     return report(UNDECIDED, {

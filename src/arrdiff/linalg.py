@@ -8,16 +8,16 @@ and each stored row is divided by the gcd of its entries and has a
 positive pivot.  A stored row is thus the unique primitive positive
 multiple of the corresponding row of the reduced row echelon form of what
 was inserted, so results do not depend on insertion order.  Nullspace
-bases and matrix inverses read their answers off the stored rows, dividing
-by the pivot only there, so they are the exact rational answers;
-determinants read theirs off the residuals of the rows as they go in.
+bases (scaled to integers) and matrix inverses (divided by the pivots)
+read their answers off the stored rows; determinants read theirs off the
+residuals of the rows as they go in.
 
 Vectors go in as dense sequences or as sparse dicts from column to
 rational.  Integer rows are the native input: a vector whose entries are
 all ``int`` is taken as it is, and only one with another rational entry
 has its denominators cleared, once, where it enters.  Nullspace vectors
-come out sparse, as dicts from column to nonzero
-:class:`fractions.Fraction`; residuals and inverses come out dense.
+come out sparse, as dicts from column to nonzero ``int``; residuals and
+inverses come out dense, as :class:`fractions.Fraction`.
 
 Insertion order changes only the cost.  A row whose pivot lies left of
 every stored pivot changes no stored row, since stored rows are zero left
@@ -197,16 +197,17 @@ def determinant(rows: Sequence[Sequence[Rational]]) -> Fraction:
 
 
 def nullspace_basis(rows: Iterable[Sequence[Rational] | SparseRow],
-                    ncols: int) -> list[dict[int, Fraction]]:
-    """Basis of the right nullspace, one sparse vector per free column.
+                    ncols: int) -> list[IntRow]:
+    """Basis of the right nullspace, one integer vector per free column.
 
-    Each basis vector is a dict from column to nonzero entry with a 1 in
-    its free column, so the output is canonical for a fixed constraint
-    matrix, whatever the order of its rows.  Its other entries lie in
-    pivot columns before the free column, which is therefore its last
-    nonzero column: a stored row is zero left of its pivot.  The vectors
-    come in the order of their free columns; the keys of one vector are
-    not in column order.
+    Each basis vector is a dict from column to nonzero ``int``: the vector
+    with a 1 in its free column times the lcm of the pivots of the stored
+    rows with an entry there, so the output is canonical for a fixed
+    constraint matrix, whatever the order of its rows.  Its other entries
+    lie in pivot columns before the free column, which is therefore its
+    last nonzero column and holds a positive entry: a stored row is zero
+    left of its pivot.  The vectors come in the order of their free
+    columns; the keys of one vector are not in column order.
     """
     basis = RowBasis(ncols)
     # by descending leading column: a row whose leading column is no
@@ -215,13 +216,16 @@ def nullspace_basis(rows: Iterable[Sequence[Rational] | SparseRow],
     for row in sorted(rows, key=_leading, reverse=True):
         basis.add(row)
     reduced = basis._rows
-    vectors = {free: {free: Fraction(1)} for free in range(ncols)
+    vectors = {free: {free: 1} for free in range(ncols)
                if free not in reduced}
     for pivot, row in reduced.items():
-        p = row[pivot]
-        for j, x in row.items():
+        for j in row:
             if j != pivot:  # every other entry lies in a free column
-                vectors[j][pivot] = Fraction(-x, p)
+                vectors[j][j] = lcm(vectors[j][j], row[pivot])
+    for pivot, row in reduced.items():
+        for j, x in row.items():
+            if j != pivot:
+                vectors[j][pivot] = -x * (vectors[j][j] // row[pivot])
     return list(vectors.values())
 
 

@@ -399,8 +399,11 @@ def exponent_from_json(data: Iterable) -> MultiIndex:
 
 def poly_from_json(data: list, dim: int) -> Poly:
     """Parse the [[exponents, "p/q"], ...] serialization."""
-    return Poly(dim, [(exponent_from_json(entry[0]), as_fraction(entry[1]))
-                      for entry in json_array(data, "a polynomial")])
+    terms = json_array(data, "a polynomial")
+    if not all(isinstance(term, list) and len(term) == 2 for term in terms):
+        raise ValueError("a polynomial term must be [exponents, coefficient]")
+    return Poly(dim, [(exponent_from_json(e), as_fraction(c))
+                      for e, c in terms])
 
 
 def variables(dim: int) -> tuple[Poly, ...]:
@@ -649,12 +652,7 @@ class LinearForm:
         below = max(j for j in powers if j < k)
         current = powers[below]
         for _ in range(k - below):
-            step: dict[MultiIndex, int] = {}
-            for e, c in current.items():
-                for f, rc in self._r:
-                    key = tuple(map(add, e, f))
-                    step[key] = step.get(key, 0) + c * rc
-            current = step
+            current = _mul_terms(current.items(), self._r)
         powers[k] = current
         return current
 
@@ -726,6 +724,8 @@ def parse_linear_form(text: str, dim: int) -> LinearForm:
             if text[pos:].strip():
                 raise ValueError(f"cannot parse linear form {text!r} at {pos}")
             break
+        if seen_any and not sign:
+            raise ValueError(f"expected + or - at {pos} in {text!r}")
         if name is None:
             raise ValueError(f"constant term {number!r} in linear form {text!r}")
         if name.startswith("x") and name[1:].isdigit():

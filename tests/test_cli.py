@@ -377,6 +377,41 @@ def test_decide_shi2_refutations_golden_digests(capsys, tmp_path):
         == certificates[1]["kind"] == "generator_overflow"
 
 
+B4_JSON = {"dim": 4, "forms": D4_JSON["forms"] + [
+    ["1" if i == j else "0" for j in range(4)] for i in range(4)]}
+
+
+def test_decide_sweep_and_product_golden_digests(capsys, tmp_path):
+    # whole decide outputs (stdout, stderr, exit code), pinned byte for
+    # byte: B4 at m=2 and Shi-3 at m=1 found FREE by the sweep and Shi-3
+    # at m=2 refuted by it, with or without the filters, and braid-4 at
+    # m=2, FREE through the product filter (its circuits come from
+    # decompose) or through the sweep
+    both = ([], ["--no-fast-filters"])
+    for doc, order, flags, expected in (
+            (B4_JSON, "2", both,
+             (0, 37049, "2e104fcaa907f87ae6b782116d07ddac3af4753a62961133bb"
+                        "247247cd0251b1")),
+            (make_shi(3).to_json(), "1", both,
+             (0, 12775, "981b21db87db7ec32844995ba4cf6fcdf606fd303fedf457e0"
+                        "e0b1b317654e55")),
+            (make_shi(3).to_json(), "2", both,
+             (1, 802, "08e0e4bad14033d784340146ff742e0f52e5a5573ca77c719e93"
+                      "a678f9201921")),
+            (make_named("braid", 4).to_json(), "2", ([],),
+             (0, 45992, "8705a59dcae996e6adfc246505c578fb46f1893a3081dc02f9"
+                        "37aabfd803382c")),
+            (make_named("braid", 4).to_json(), "2", (["--no-fast-filters"],),
+             (0, 37505, "7fd316dd1ee2130b48cf957ae9172881bd94e238b6b04c930f"
+                        "a2e3e9efcd5cc0"))):
+        arr = write_json(tmp_path / "arr.json", doc)
+        for flag in flags:
+            code, out, err = run_cli(capsys, "decide", "-a", arr, "-m",
+                                     order, *flag)
+            assert err == "", (order, flag)
+            assert (code, *output_digest(out)) == expected, (order, flag)
+
+
 def holm_q1_decide_json(order, rank, det_exponent, degree_bound):
     return {
         "verdict": "NOT_FREE",
@@ -544,6 +579,30 @@ def test_strings_where_arrays_are_required_exit_two(capsys, tmp_path):
                                  "-o", ops)
         assert code == 2 and out == "", op
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_juxtaposed_terms_in_a_form_exit_two(capsys, tmp_path):
+    # "x y" would otherwise be read as x + y, whose arrangement is FREE
+    arr = write_json(tmp_path / "a.json", {"dim": 2, "forms": ["x y"]})
+    code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_polynomial_term_shape_exits_two(capsys, tmp_path):
+    # an extra entry would otherwise be dropped ([[0, 0], "1", "2"] read as
+    # the constant 1, a member of no arrangement), a missing one raise an
+    # IndexError
+    rank2 = write_json(tmp_path / "r.json", RANK2_JSON)
+    for term in ([[0, 0], "1", "2"], [[0, 0]]):
+        ops = write_json(tmp_path / "ops.json", {
+            "dim": 2, "order": 1,
+            "terms": [{"a": [1, 0], "coef": [term]}]})
+        code, out, err = run_cli(capsys, "check-member", "-a", rank2,
+                                 "-o", ops)
+        assert code == 2 and out == "", term
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "[exponents, coefficient]" in err
 
 
 def test_boolean_rational_exits_two(capsys, tmp_path):

@@ -372,6 +372,57 @@ def test_sweep_builds_operators_only_for_a_candidate_basis(monkeypatch):
     assert len(calls) == 3
 
 
+def test_shi2_order2_sweep_builds_no_fraction(monkeypatch):
+    # the graded vectors are integral from the elimination to the span,
+    # and a refutation builds no operator
+    arr = make_shi(2)
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    report = decide_free(arr, 2, fast_filters=False)
+    monkeypatch.undo()
+    assert report.certificate["kind"] == "generator_overflow"
+    assert built == []
+
+
+B3 = arr_of(3, "x", "y", "z", "x+y", "x-y", "x+z", "x-z", "y+z", "y-z")
+
+
+@pytest.mark.parametrize("fast_filters", [True, False])
+def test_sweep_ends_by_degree_size_of_arrangement(fast_filters):
+    # for m >= 1 the s operators Q * d^a with |a| = m are independent
+    # members of degree |A|, and at m = 0 the constant lies in degree 0,
+    # so every decision is reached by degree |A|, far below t * |A|
+    for arr, order in ((RANK2, 1), (RANK2, 3), (make_shi(2), 1),
+                       (make_shi(2), 2), (make_shi(2), 3), (GENERIC3, 0),
+                       (GENERIC3, 1), (GENERIC3, 2), (make_shi(3), 1),
+                       (B3, 2), (make_named("braid", 4), 2),
+                       (Arrangement(2, ()), 2)):
+        report = decide_free(arr, order, fast_filters=fast_filters)
+        assert report.verdict in (FREE, NOT_FREE), (arr, order)
+        assert all(degree <= len(arr)
+                   for degree, _, _ in report.degrees_examined)
+        assert all(e <= len(arr) for e in report.exponents or ())
+
+
+def test_sweep_without_generators_by_the_bound_is_a_fault(monkeypatch):
+    # the sweep always finds rank generators by degree |A|, so running out
+    # of degrees short of them is a fault, not a refutation
+    monkeypatch.setattr(graded, "graded_dimension",
+                        lambda arr, order, degree:
+                        GradedBasis(arr.dim, order, degree, ()))
+    with pytest.raises(RuntimeError, match="generators"):
+        decide_free(RANK2, 1, fast_filters=False)
+    # below the complete bound the sweep stays inconclusive
+    report = decide_free(RANK2, 1, max_degree=2, fast_filters=False)
+    assert report.verdict == UNDECIDED
+
+
 @pytest.mark.parametrize("fast_filters", [True, False])
 def test_decide_shi3_order2_degree_sum_mismatch(fast_filters):
     # rank = 10 generators by degree 6 whose degrees sum to 53, not

@@ -76,6 +76,18 @@ def dense(basis, ncols):
             for vec in basis]
 
 
+def canonical(basis, ncols):
+    """Nullspace vectors, checked to be integral and positive in their last
+    nonzero column, divided by that entry: the reference's scaling."""
+    assert all(type(x) is int for vec in basis for x in vec.values())
+    out = []
+    for vec in dense(basis, ncols):
+        free = vec[max(j for j, x in enumerate(vec) if x)]
+        assert free > 0
+        out.append(tuple(Fraction(x, free) for x in vec))
+    return out
+
+
 def reference_invert(rows):
     n = len(rows)
     augmented = [list(row) + [1 if i == j else 0 for j in range(n)]
@@ -150,12 +162,10 @@ def square_matrices(draw, max_n=5):
 @settings(max_examples=100, deadline=None)
 def test_nullspace_matches_dense_reference(case):
     ncols, rows = case
-    basis = dense(nullspace_basis(rows, ncols), ncols)
-    assert basis == reference_nullspace(rows, ncols)
+    basis = nullspace_basis(rows, ncols)
+    assert canonical(basis, ncols) == reference_nullspace(rows, ncols)
     # each vector's free column is its last nonzero entry, in increasing order
-    last = [max(j for j, x in enumerate(vec) if x) for vec in basis]
-    assert all(vec[j] == 1 for vec, j in zip(basis, last))
-    assert last == sorted(set(last))
+    assert [max(vec) for vec in basis] == sorted({max(vec) for vec in basis})
 
 
 @given(sparse_matrices(max_cols=6, entries=WIDE_ENTRIES))
@@ -200,9 +210,9 @@ def test_row_basis_invariants_match_dense_reference(data):
                                max_size=ncols))
     assert basis.residual(probe) == sparse.residual(as_dict(probe)) \
         == reference_residual(rows, ncols, probe)
-    assert dense(nullspace_basis(rows, ncols), ncols) \
-        == dense(nullspace_basis([as_dict(row) for row in rows], ncols),
-                 ncols) \
+    assert canonical(nullspace_basis(rows, ncols), ncols) \
+        == canonical(nullspace_basis([as_dict(row) for row in rows], ncols),
+                     ncols) \
         == reference_nullspace(rows, ncols)
 
 

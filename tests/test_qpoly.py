@@ -181,6 +181,20 @@ def test_parse_linear_form():
         parse_linear_form("x + 1", 2)
     with pytest.raises(ValueError):
         parse_linear_form("w", 4)
+    # a sign must join the terms: juxtaposed terms are no sum
+    assert parse_linear_form("2 x - 3*y", 2) == LinearForm([2, -3])
+    for text in ("x1 x2", "x 2y", "x + y z", "2x 3"):
+        with pytest.raises(ValueError, match="expected"):
+            parse_linear_form(text, 3)
+
+
+def test_poly_from_json_requires_exponents_and_coefficient():
+    assert poly_from_json([[[1, 0], "2"], [[0, 0], 3]], 2) \
+        == 2 * variables(2)[0] + Poly.constant(2, 3)
+    for data in ([[[0, 0], "1", "2"]], [[[0, 0]]], [[]], ["1"],
+                 [{"a": [0, 0]}]):
+        with pytest.raises(ValueError, match=r"\[exponents, coefficient\]"):
+            poly_from_json(data, 2)
 
 
 # ---------------------------------------------------------------------------
