@@ -448,6 +448,8 @@ def _localization_filter(arr: Arrangement) -> dict | None:
     share a rank-2 flat.  Flats are tried in the order of their first
     non-collinear hyperplane triple.
     """
+    if arr.dim <= 3:  # then no proper flat has rank 3
+        return None
     n = len(arr)
     # pair -> hyperplane count of the rank-2 flat it spans; a triple
     # inside a closed flat spans that flat or a line, so none is closed twice

@@ -62,12 +62,10 @@ def is_member(op: DiffOp, arr: Arrangement) -> MembershipResult:
         raise ValueError(f"dimension mismatch: {op.dim} vs {arr.dim}")
     if op.order == 0:
         return MembershipResult(True)
-    coefficients = {a: list(p.terms()) for a, p in op.terms()}
-    op_scale = lcm(*[c.denominator for terms in coefficients.values()
-                     for _, c in terms])
-    coefficients = {a: [(mu, c.numerator * (op_scale // c.denominator))
-                        for mu, c in terms]
-                    for a, terms in coefficients.items()}
+    coefficients = {a: p.integer_terms() for a, p in op.terms()}
+    op_scale = lcm(*[den for _, den in coefficients.values()])
+    coefficients = {a: [(mu, c * (op_scale // den)) for mu, c in terms.items()]
+                    for a, (terms, den) in coefficients.items()}
     for index, form in enumerate(arr.forms):
         alphas = [(j, c) for j, c in enumerate(form.integral_coefficients)
                   if c]

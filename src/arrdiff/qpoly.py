@@ -1,16 +1,20 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-A polynomial in ``dim`` variables is a mapping from exponent tuples (one
-entry per variable) to nonzero rational coefficients.  All arithmetic is
-exact: stored coefficients are :class:`fractions.Fraction` values, zero
-terms are never stored, and equality is plain term-by-term comparison.
+A polynomial in ``dim`` variables is stored as integer terms over one
+denominator: a mapping from exponent tuples (one entry per variable) to
+nonzero ``int`` coefficients, and an ``int`` den >= 1.  The stored form is
+in lowest terms: no zero term is kept, and the gcd of den and all the
+coefficients is 1 (the zero polynomial has den 1).  Each polynomial has
+exactly one such form, so equality and hashing compare it term by term.
 
-The kernels (products, exact division, substitution, evaluation and
-reduction modulo a linear form) do not compute on Fractions inside their
-loops.  Each operand is read once as integer terms over one common
-denominator (the lcm of its coefficients' denominators), the loops
-multiply and add Python ints, and every output coefficient becomes a
-normalized Fraction exactly once, so no loop step pays for a gcd.
+The arithmetic (sums, products, exact division, substitution,
+evaluation, derivatives and reduction modulo a linear form) loops on
+Python ints and divides out one gcd per result.  Rationals appear only at
+the boundary: the constructor and the scalar product accept ``int``,
+:class:`fractions.Fraction` or "p/q" coefficients, and :meth:`Poly.terms`,
+:meth:`Poly.coefficient`, :meth:`Poly.constant_value`,
+:meth:`Poly.evaluate` and the serialization hand out Fractions.
+:meth:`Poly.integer_terms` reads the stored form itself.
 
 Terms are iterated and serialized in a fixed order -- total degree first,
 then the exponent tuple, both descending -- so equal polynomials always
@@ -24,8 +28,9 @@ import heapq
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add, sub
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 MultiIndex = tuple[int, ...]
@@ -110,34 +115,38 @@ def monomial_exponents(dim: int, degree: int) -> tuple[MultiIndex, ...]:
 
 
 # ---------------------------------------------------------------------------
-# integer terms over a common denominator (the kernels' working form)
+# integer terms
 
-IntTerms = list[tuple[MultiIndex, int]]
-
-
-def _integral(terms: Mapping[MultiIndex, Fraction]) -> tuple[IntTerms, int]:
-    """(integer terms, den) with terms / den equal to the given terms.
-
-    den is the lcm of the denominators (1 for no terms).
-    """
-    den = lcm(*[c.denominator for c in terms.values()])
-    return [(a, c.numerator * (den // c.denominator))
-            for a, c in terms.items()], den
+IntTerms = dict[MultiIndex, int]
 
 
-def _fractions(terms: Mapping[MultiIndex, Rational],
-               den: int) -> dict[MultiIndex, Fraction]:
-    """The normalized Fraction terms of terms / den, zeros dropped."""
-    return {a: Fraction(c, den) for a, c in terms.items() if c}
+def _ratio(value: Rational) -> tuple[int, int]:
+    """(numerator, denominator) of an exact rational, as for as_fraction."""
+    if type(value) is int:
+        return value, 1
+    value = as_fraction(value)
+    return value.numerator, value.denominator
+
+
+def _lowest(terms: IntTerms, den: int) -> tuple[IntTerms, int]:
+    """terms / den (den >= 1) as stored: zero terms dropped, and the gcd of
+    den and the terms divided out."""
+    terms = {a: c for a, c in terms.items() if c}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {a: c // g for a, c in terms.items()}
+    return terms, den
 
 
 def _mul_terms(p: Iterable[tuple[MultiIndex, int]],
-               q: Iterable[tuple[MultiIndex, int]]) -> dict[MultiIndex, int]:
+               q: Iterable[tuple[MultiIndex, int]]) -> IntTerms:
     """The integer product of two term lists (cancelled terms stay as 0).
 
     q is iterated once per term of p, so it must not be an iterator.
     """
-    out: dict[MultiIndex, int] = {}
+    out: IntTerms = {}
     get = out.get
     for a, c in p:
         for b, d in q:
@@ -152,7 +161,7 @@ def _mul_terms(p: Iterable[tuple[MultiIndex, int]],
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_terms", "_den")
 
     def __init__(self, dim: int,
                  terms: Mapping[MultiIndex, Rational]
@@ -160,27 +169,36 @@ class Poly:
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[MultiIndex, Fraction] = {}
+        acc: IntTerms = {}
+        den = 1
         for exponent, coeff in items:
             exponent = tuple(exponent)
             if len(exponent) != dim or any(e < 0 for e in exponent):
                 raise ValueError(f"bad exponent {exponent} for dim {dim}")
-            c = as_fraction(coeff)
-            if exponent in acc:  # never for a mapping: its keys are distinct
-                c += acc[exponent]
-            if c:
-                acc[exponent] = c
-            else:
-                acc.pop(exponent, None)
+            num, q = _ratio(coeff)
+            if den % q:  # bring the terms so far to the new denominator
+                scale = q // gcd(den, q)
+                den *= scale
+                for a in acc:
+                    acc[a] *= scale
+            acc[exponent] = acc.get(exponent, 0) + num * (den // q)
+        acc, den = _lowest(acc, den)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_den", den)
 
     @classmethod
-    def _raw(cls, dim: int, terms: dict[MultiIndex, Fraction]) -> "Poly":
-        # internal fast path: terms already normalized (no zeros, right dim)
+    def _make(cls, dim: int, terms: IntTerms, den: int) -> "Poly":
+        # internal: terms / den for den >= 1, zero terms allowed
+        return cls._raw(dim, *_lowest(terms, den))
+
+    @classmethod
+    def _raw(cls, dim: int, terms: IntTerms, den: int) -> "Poly":
+        # internal fast path: terms and den already as _lowest leaves them
         self = object.__new__(cls)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_den", den)
         return self
 
     def __setattr__(self, name, value):
@@ -190,7 +208,7 @@ class Poly:
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls._raw(dim, {})
+        return cls._raw(dim, {}, 1)
 
     @classmethod
     def one(cls, dim: int) -> "Poly":
@@ -198,12 +216,12 @@ class Poly:
 
     @classmethod
     def constant(cls, dim: int, value: Rational) -> "Poly":
-        c = as_fraction(value)
-        return cls._raw(dim, {(0,) * dim: c} if c else {})
+        num, den = _ratio(value)
+        return cls._raw(dim, {(0,) * dim: num}, den) if num else cls.zero(dim)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
-        return cls._raw(dim, {mi_unit(dim, index): Fraction(1)})
+        return cls._raw(dim, {mi_unit(dim, index): 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exponent: MultiIndex,
@@ -215,10 +233,15 @@ class Poly:
     def terms(self) -> Iterator[tuple[MultiIndex, Fraction]]:
         """Yield (exponent, coefficient) pairs in canonical order."""
         for a in sorted(self._terms, key=term_order_key, reverse=True):
-            yield a, self._terms[a]
+            yield a, Fraction(self._terms[a], self._den)
+
+    def integer_terms(self) -> tuple[Mapping[MultiIndex, int], int]:
+        """(terms, den): the stored nonzero integer terms, read-only, and
+        the denominator they are over (the polynomial is terms / den)."""
+        return MappingProxyType(self._terms), self._den
 
     def coefficient(self, exponent: MultiIndex) -> Fraction:
-        return self._terms.get(tuple(exponent), Fraction(0))
+        return Fraction(self._terms.get(tuple(exponent), 0), self._den)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -249,7 +272,7 @@ class Poly:
         if len(self._terms) == 1:
             ((a, c),) = self._terms.items()
             if sum(a) == 0:
-                return c
+                return Fraction(c, self._den)
         return None
 
     # -- ring operations
@@ -262,14 +285,14 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_dim(other)
-        out = dict(self._terms)
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        out = (dict(self._terms) if s == 1 else
+               {a: c * s for a, c in self._terms.items()})
+        get = out.get
         for a, c in other._terms.items():
-            s = out.get(a, Fraction(0)) + c
-            if s:
-                out[a] = s
-            else:
-                out.pop(a, None)
-        return Poly._raw(self.dim, out)
+            out[a] = get(a, 0) + c * t
+        return Poly._make(self.dim, out, den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -277,19 +300,20 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.dim, {a: -c for a, c in self._terms.items()})
+        return Poly._raw(self.dim, {a: -c for a, c in self._terms.items()},
+                         self._den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check_dim(other)
-            p, sp = _integral(self._terms)
-            q, sq = _integral(other._terms)
-            return Poly._raw(self.dim, _fractions(_mul_terms(p, q), sp * sq))
+            return Poly._make(self.dim, _mul_terms(self._terms.items(),
+                                                   other._terms.items()),
+                              self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if not c:
-                return Poly.zero(self.dim)
-            return Poly._raw(self.dim, {a: v * c for a, v in self._terms.items()})
+            num, den = _ratio(other)
+            return Poly._make(self.dim, {a: c * num
+                                         for a, c in self._terms.items()},
+                              self._den * den)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -310,10 +334,11 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return (self.dim == other.dim and self._den == other._den
+                and self._terms == other._terms)
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
+        return hash((self.dim, self._den, frozenset(self._terms.items())))
 
     # -- calculus and substitution
 
@@ -322,21 +347,16 @@ class Poly:
         order = tuple(order)
         if len(order) != self.dim:
             raise ValueError("multi-index length must equal the dimension")
-        out: dict[MultiIndex, Fraction] = {}
+        out: IntTerms = {}
         for a, c in self._terms.items():
             if not mi_divides(order, a):
                 continue
-            factor = 1
             for e, k in zip(a, order):
                 for step in range(k):
-                    factor *= e - step
-            key = tuple(e - k for e, k in zip(a, order))
-            s = out.get(key, Fraction(0)) + c * factor
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Poly._raw(self.dim, out)
+                    c *= e - step
+            # distinct exponents stay distinct after the shift
+            out[tuple(map(sub, a, order))] = c
+        return Poly._make(self.dim, out, self._den)
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Replace every variable x_i by images[i] at once, exactly.
@@ -349,24 +369,23 @@ class Poly:
     def evaluate(self, point: Sequence[Rational]) -> Fraction:
         """Evaluate at an exact rational point.
 
-        With the point as integers v over den and the polynomial as
-        integer terms over sp, the term c * x^a contributes
-        c * v^a * den^(top - |a|) to one integer over sp * den^top.
+        With the point as integers v over den, the term c * x^a contributes
+        c * v^a * den^(top - |a|) to one integer over the polynomial's
+        denominator times den^top.
         """
         if len(point) != self.dim:
             raise ValueError("point length must equal the dimension")
-        values = [as_fraction(v) for v in point]
-        den = lcm(*[v.denominator for v in values])
-        ints = [v.numerator * (den // v.denominator) for v in values]
-        terms, sp = _integral(self._terms)
+        values = [_ratio(v) for v in point]
+        den = lcm(*[q for _, q in values])
+        ints = [v * (den // q) for v, q in values]
         top = max(map(sum, self._terms), default=0)
         total = 0
-        for a, c in terms:
+        for a, c in self._terms.items():
             for e, v in zip(a, ints):
                 if e:
                     c *= v ** e
             total += c * den ** (top - sum(a))
-        return Fraction(total, sp * den ** top)
+        return Fraction(total, self._den * den ** top)
 
     # -- presentation
 
@@ -454,20 +473,18 @@ def substituter(dim: int, images: Sequence[Poly]) -> Callable[[Poly], Poly]:
     for image in images:
         if image.dim != dim:
             raise ValueError(f"dimension mismatch: {image.dim} vs {dim}")
-    den = lcm(*[c.denominator for image in images
-                for c in image._terms.values()])
-    scaled = [[(b, c.numerator * (den // c.denominator))
-               for b, c in image._terms.items()] for image in images]
+    den = lcm(*[image._den for image in images])
+    scaled = [[(b, c * (den // image._den)) for b, c in image._terms.items()]
+              for image in images]
     one = {(0,) * dim: 1}
     powers = [[one] for _ in images]  # powers[i][e] = (den * images[i]) ** e
 
     def substitute(p: Poly) -> Poly:
         if p.dim != dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
-        terms, sp = _integral(p._terms)
         top = max(map(sum, p._terms), default=0)
-        out: dict[MultiIndex, int] = {}
-        for a, c in terms:
+        out: IntTerms = {}
+        for a, c in p._terms.items():
             product = one
             for i, e in enumerate(a):
                 if e:
@@ -479,7 +496,7 @@ def substituter(dim: int, images: Sequence[Poly]) -> Callable[[Poly], Poly]:
             c *= den ** (top - sum(a))
             for key, value in product.items():
                 out[key] = out.get(key, 0) + c * value
-        return Poly._raw(dim, _fractions(out, sp * den ** top))
+        return Poly._make(dim, out, p._den * den ** top)
 
     return substitute
 
@@ -492,19 +509,18 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
     The remainder is one term dict updated in place, and its leading term
     comes off a heap keyed by the term order.
 
-    With p = P / sp and q = Q / sq for integral P and Q, r = (sq / sp) *
-    (P / Q): the remainder starts integral, and a quotient coefficient
-    stays an int while the integral leading coefficient of Q divides it.
+    With p = P / sp and q = Q / sq as stored, r = (sq / sp) * (P / Q): the
+    remainder starts integral, and a quotient coefficient stays an int
+    while the integral leading coefficient of Q divides it.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    divisor, sq = _integral(q._terms)
-    lq, cq = max(divisor, key=lambda term: term_order_key(term[0]))
-    tail = [(b, c) for b, c in divisor if b != lq]
-    terms, sp = _integral(p._terms)
-    remainder: dict[MultiIndex, Rational] = dict(terms)
+    lq = max(q._terms, key=term_order_key)
+    cq = q._terms[lq]
+    tail = [(b, c) for b, c in q._terms.items() if b != lq]
+    remainder: dict[MultiIndex, Rational] = dict(p._terms)
     # negated keys make heapq's minimum the term order's maximum
     heap = [_heap_key(a) for a in remainder]
     heapq.heapify(heap)
@@ -535,8 +551,9 @@ def exact_divide(p: Poly, q: Poly) -> Poly | None:
                     remainder[key] = new
                 else:
                     del remainder[key]
-    return Poly._raw(p.dim, {a: Fraction(c * sq, sp)
-                             for a, c in quotient.items()})
+    den = lcm(*[c.denominator for c in quotient.values()])
+    return Poly._make(p.dim, {a: c.numerator * (den // c.denominator) * q._den
+                              for a, c in quotient.items()}, p._den * den)
 
 
 def _heap_key(a: MultiIndex) -> tuple[int, tuple[int, ...], MultiIndex]:
@@ -619,9 +636,8 @@ class LinearForm:
         """
         if p.dim != self.dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {self.dim}")
-        terms, sp = _integral(p._terms)
-        reduced, scale = self.scaled(terms)
-        return Poly._raw(self.dim, _fractions(reduced, sp * scale))
+        reduced, scale = self.scaled(p._terms.items())
+        return Poly._make(self.dim, reduced, p._den * scale)
 
     def divides(self, p: Poly) -> bool:
         """True iff p lies in the principal ideal generated by this form."""
@@ -656,11 +672,11 @@ class LinearForm:
         powers[k] = current
         return current
 
-    def scaled(self, terms: Sequence[tuple[MultiIndex, Rational]]
+    def scaled(self, terms: Iterable[tuple[MultiIndex, Rational]]
                ) -> tuple[dict[MultiIndex, Rational], int]:
         """(out, s) with out / s the terms of the reduction and s = D^K;
         out is integral when the terms are.  The input terms may repeat an
-        exponent."""
+        exponent, and are iterated twice unless D is 1."""
         pivot = self.pivot
         scale = 1
         if self._den != 1:  # bring every term to the scale D^K

@@ -10,7 +10,7 @@ then one of two routes.  Q^t divides the determinant of every member
 tuple, and for nonzero homogeneous members of degrees d_i the determinant
 is zero or homogeneous of degree sum(d_i).  If that sum is t * |A| (the
 degree of Q^t), the determinant is c * Q^t, and the point route reads c
-from one determinant of rational numbers at a point off the arrangement
+from one determinant at a point off the arrangement, computed on integers
 (:func:`point_constant`, which gives c without checking membership).
 Every other tuple (an inhomogeneous or zero operator, or another degree
 sum, never a basis) takes the symbolic route: :func:`det_poly` expands
@@ -23,14 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from itertools import count
-from math import comb, prod
+from math import comb, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .arrangement import Arrangement
 from .linalg import determinant
 from .membership import MembershipWitness, is_member
-from .qpoly import Poly, exact_divide, monomial_exponents
+from .qpoly import MultiIndex, Poly, exact_divide, monomial_exponents
 from .weyl import DiffOp, coefficient_matrix
 
 
@@ -180,15 +182,32 @@ def point_constant(ops: Sequence[DiffOp],
         return None
     for s in count(1):
         # each form is a nonzero polynomial in s of degree < dim, so
-        # only finitely many s are skipped
+        # only finitely many s are skipped; each value is the form's value
+        # at the point times the form's denominator, its pivot entry
         point = [s ** i for i in range(arr.dim)]
-        values = [form.evaluate(point) for form in arr.forms]
+        values = [sum(map(mul, form.integral_coefficients, point))
+                  for form in arr.forms]
         if all(values):
             break
-    exponents = monomial_exponents(arr.dim, order)
-    rows = [[op.coefficient(a).evaluate(point) for a in exponents]
-            for op in ops]  # the transpose of M(p), with the same determinant
-    return determinant(rows) / prod(values) ** exponent
+    form_scale = prod(form.integral_coefficients[form.pivot]
+                      for form in arr.forms)
+
+    @cache
+    def monomial(mu: MultiIndex) -> int:  # x^mu at the point
+        return prod(map(pow, point, mu))
+
+    rows = []  # the transpose of M(p), each row scaled to integers
+    row_scale = 1
+    for op in ops:
+        entries = [op.coefficient(a).integer_terms()
+                   for a in monomial_exponents(arr.dim, order)]
+        den = lcm(*[d for _, d in entries])
+        rows.append([sum(c * monomial(mu) for mu, c in terms.items())
+                     * (den // d) for terms, d in entries])
+        row_scale *= den
+    det = determinant(rows)  # det M(p) times row_scale
+    return Fraction(det.numerator * form_scale ** exponent,
+                    det.denominator * row_scale * prod(values) ** exponent)
 
 
 def saito_check(ops: Sequence[DiffOp], arr: Arrangement) -> SaitoResult:

@@ -666,6 +666,27 @@ def test_localization_filter_matches_brute_force(vectors):
     assert _localization_filter(arr) == reference_localization_filter(arr)
 
 
+def test_localization_filter_closes_no_flat_in_dimension_three(
+        monkeypatch):
+    # in dimension 3 the only rank-3 flat is the origin, which holds every
+    # hyperplane, so the filter has nothing to close; the report is the
+    # one pinned before the filter returned early
+    calls = []
+    real = graded.flat_closure
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(graded, "flat_closure", counting)
+    report = decide_free(make_shi(2), 2)
+    assert calls == []
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert len(text) == 407
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == "2fdf0ace67ff878725962eb53da5640340eedde20dfd7f4910e8c347e3e2aeb9"
+
+
 def random_forms(dim, max_size):
     return st.lists(st.lists(st.integers(-1, 1), min_size=dim,
                              max_size=dim).filter(any),

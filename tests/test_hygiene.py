@@ -54,6 +54,16 @@ def test_no_private_imports_across_modules():
     assert found == []
 
 
+def test_poly_storage_stays_inside_qpoly():
+    # other modules read a polynomial's integer terms and denominator
+    # through Poly.integer_terms, never through its private slots
+    found = [f"{name}:{node.lineno} {node.attr}" for name, tree in modules()
+             if name != "qpoly.py" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("_terms", "_den")]
+    assert found == []
+
+
 def test_every_export_has_a_library_caller():
     # an export that no library module uses is API the library does not
     # need; the submodules that __all__ also lists are skipped

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -331,9 +331,16 @@ def test_reduce_matches_pivot_substitution(data):
 # the integer kernels against plain-Fraction references
 
 def fraction_terms(p: Poly) -> dict:
-    """The stored terms, checked to be Fractions (never int or float)."""
+    """The terms as Fractions (never int or float), after checking that the
+    stored form is in lowest terms: nonzero int terms over a den >= 1
+    that shares no factor with all of them."""
+    ints, den = p.integer_terms()
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c for c in ints.values())
+    assert gcd(den, *ints.values()) == 1
     terms = dict(p.terms())
     assert all(type(c) is Fraction for c in terms.values())
+    assert terms == {a: Fraction(c, den) for a, c in ints.items()}
     return terms
 
 
@@ -390,10 +397,86 @@ def reference_evaluate(p: dict, point: list) -> Fraction:
     return total
 
 
+def reference_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for a, c in q.items():
+        out[a] = out.get(a, Fraction(0)) + c
+    return {a: c for a, c in out.items() if c}
+
+
+def reference_derivative(p: dict, order: tuple) -> dict:
+    out = {}
+    for a, c in p.items():
+        if all(k <= e for e, k in zip(a, order)):
+            for e, k in zip(a, order):
+                for step in range(k):
+                    c *= e - step
+            out[tuple(e - k for e, k in zip(a, order))] = c
+    return out
+
+
 def rational_scalar():
     """Nonzero rationals, among them integers other than +-1."""
     return st.fractions(min_value=-5, max_value=5,
                         max_denominator=4).filter(bool)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_poly_matches_fraction_reference(data):
+    # construction from ints, Fractions and "p/q" strings, repeated
+    # exponents included, then every ring and calculus operation
+    dim = data.draw(st.integers(0, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * dim)
+    fraction = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    coeff = st.one_of(st.integers(-6, 6), fraction, fraction.map(str))
+    pairs = data.draw(st.lists(st.tuples(exponent, coeff), max_size=6))
+    expected: dict = {}
+    for a, c in pairs:
+        expected[a] = expected.get(a, Fraction(0)) + Fraction(c)
+    p = Poly(dim, pairs)
+    assert fraction_terms(p) == {a: c for a, c in expected.items() if c}
+    q = data.draw(poly_strategy(dim, max_terms=5))
+    fp, fq = fraction_terms(p), fraction_terms(q)
+    assert fraction_terms(p + q) == reference_add(fp, fq)
+    assert fraction_terms(p - q) == reference_add(
+        fp, {a: -c for a, c in fq.items()})
+    assert fraction_terms(-p) == {a: -c for a, c in fp.items()}
+    for k in (data.draw(st.integers(-6, 6)), data.draw(fraction)):
+        product = {a: c * k for a, c in fp.items() if c * k}
+        assert fraction_terms(p * k) == fraction_terms(k * p) == product
+    assert fraction_terms(p * q) == reference_mul(fp, fq)
+    e = data.draw(st.integers(0, 3))
+    power = {(0,) * dim: Fraction(1)}
+    for _ in range(e):
+        power = reference_mul(power, fp)
+    assert fraction_terms(p ** e) == power
+    order = data.draw(st.tuples(*[st.integers(0, 2)] * dim))
+    assert fraction_terms(p.partial_derivative(order)) \
+        == reference_derivative(fp, order)
+
+
+def test_equal_polys_by_different_routes_compare_and_hash_equal():
+    x, y = variables(2)
+    routes = [
+        (Poly(2, {(1, 0): "1/2"}) * 2, Poly.variable(2, 0)),
+        (Poly(2, {(1, 0): Fraction(1, 3), (0, 1): Fraction(1, 6)}) * 6,
+         2 * x + y),
+        (x * Fraction(1, 2) + x * Fraction(1, 2), x),
+        (Poly(2, [((1, 0), "2/4"), ((1, 0), Fraction(1, 2))]), x),
+        ((Fraction(2, 3) * x * y).partial_derivative((1, 1)),
+         Poly.constant(2, "2/3")),
+        (exact_divide(Fraction(1, 2) * x * x, 3 * x), Fraction(1, 6) * x),
+        (LinearForm([2, 1]).reduce(x * y),
+         Poly(2, {(0, 2): Fraction(-1, 2)})),
+        (x - x, Poly.zero(2)),
+    ]
+    for built, expected in routes:
+        assert built == expected and hash(built) == hash(expected)
+        assert built.integer_terms()[1] == expected.integer_terms()[1]
+        assert fraction_terms(built) == fraction_terms(expected)
+    assert Poly.zero(2).integer_terms()[1] == 1
+    assert (x * 0).integer_terms() == ({}, 1)
 
 
 @given(st.data())

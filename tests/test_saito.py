@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import count
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,8 @@ from arrdiff.construct import basis_rank_two
 from arrdiff.graded import decide_free
 from arrdiff.linalg import determinant
 from arrdiff.membership import shi2_order2_members
-from arrdiff.qpoly import Poly, exact_divide, variables
+from arrdiff.qpoly import (LinearForm, Poly, exact_divide, monomial_exponents,
+                           variables)
 from arrdiff.saito import (SaitoResult, SaitoVerdict, det_poly, point_constant,
                            saito_check, saito_counts)
 from arrdiff.weyl import (DiffOp, change_variables, coefficient_matrix,
@@ -210,6 +213,109 @@ def test_point_constant_off_the_degree_form():
         point_constant([theta_1, theta_2], RANK2)
     with pytest.raises(ValueError):
         point_constant([euler_operator(2, 1), theta_1, theta_2], RANK2)
+
+
+def fraction_det(matrix):
+    """Gaussian elimination on Fractions, with row swaps."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
+    return det
+
+
+def reference_point_constant(ops, arr):
+    """det M(p) / Q(p)^t on Fractions, at the first point (1, s, s^2, ...)
+    off every hyperplane."""
+    order = ops[0].order
+    _, exponent = saito_counts(arr.dim, order)
+    for s in count(1):
+        point = [Fraction(s) ** i for i in range(arr.dim)]
+        values = [sum((c * v for c, v in zip(form.coefficients, point)),
+                      Fraction(0)) for form in arr.forms]
+        if all(values):
+            break
+    matrix = [[sum((c * prod(v ** e for v, e in zip(point, mu))
+                    for mu, c in op.coefficient(a).terms()), Fraction(0))
+               for op in ops] for a in monomial_exponents(arr.dim, order)]
+    return fraction_det(matrix) / prod(values) ** exponent
+
+
+def split(data, total, parts):
+    """A random list of parts nonnegative ints summing to total."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, total),
+                                     min_size=parts - 1, max_size=parts - 1)))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_constant_matches_fraction_reference(data):
+    # degree-matched tuples, members or not, of operators with rational
+    # coefficients for forms with rational coefficients; a dependent
+    # tuple has constant 0
+    dim = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(1, 2))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    forms = data.draw(st.lists(st.tuples(*[coeff] * dim).filter(any),
+                               min_size=1, max_size=3))
+    arr = Arrangement(dim, dict.fromkeys(map(LinearForm, forms)))
+    rank, exponent = saito_counts(dim, order)
+    total = exponent * len(arr)
+    dependent = rank >= 3 and data.draw(st.booleans())
+    if dependent:  # the first and last operators get one degree
+        first = data.draw(st.integers(0, total // 2))
+        degrees = [first] + split(data, total - 2 * first, rank - 2) \
+            + [first]
+    else:
+        degrees = split(data, total, rank)
+    ops = []
+    for degree in degrees:
+        terms = data.draw(st.dictionaries(
+            st.tuples(st.sampled_from(monomial_exponents(dim, order)),
+                      st.sampled_from(monomial_exponents(dim, degree))),
+            coeff.filter(bool), min_size=1, max_size=4))
+        coefficients = {}
+        for (a, mu), c in terms.items():
+            coefficients.setdefault(a, {})[mu] = c
+        ops.append(DiffOp(dim, order, {a: Poly(dim, p)
+                                       for a, p in coefficients.items()}))
+    if dependent:
+        ops[-1] = Fraction(-2, 3) * ops[0]
+    constant = point_constant(ops, arr)
+    assert type(constant) is Fraction
+    assert constant == reference_point_constant(ops, arr)
+    if dependent:
+        assert constant == 0
+
+
+def test_point_constant_builds_few_fractions(monkeypatch):
+    # the point check evaluates on integers: besides the constant, only
+    # the determinant builds Fractions, a few per row
+    arr = make_shi(2)
+    basis = list(decide_free(arr, 3).basis)
+    rank, _ = saito_counts(arr.dim, 3)
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    constant = point_constant(basis, arr)
+    monkeypatch.undo()
+    assert constant == reference_point_constant(basis, arr) == 162
+    assert 0 < len(built) <= 3 * rank
 
 
 def test_basis_implies_degree_sum():
