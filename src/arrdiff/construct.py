@@ -222,15 +222,11 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
         if op.is_zero():
             raise ValueError(f"operator {index} is zero, so the operators "
                              "are not a basis")
-        shifted = DiffOp(op.dim, op.order,
-                         {a: translate(p) for a, p in op.terms()})
         by_degree: dict[int, dict] = {}
-        for a, p in shifted.terms():
-            for mu, c in p.terms():
-                by_degree.setdefault(sum(mu), {}).setdefault(a, {})[mu] = c
-        pieces = [(degree, DiffOp(op.dim, op.order,
-                                  {a: Poly(op.dim, terms)
-                                   for a, terms in groups.items()}))
+        for a, p in op.terms():
+            for degree, part in translate(p).homogeneous_components():
+                by_degree.setdefault(degree, {})[a] = part
+        pieces = [(degree, DiffOp(op.dim, op.order, groups))
                   for degree, groups in sorted(by_degree.items())]
         components.append(pieces)
 

@@ -8,13 +8,13 @@ coefficients is 1 (the zero polynomial has den 1).  Each polynomial has
 exactly one such form, so equality and hashing compare it term by term.
 
 The arithmetic (sums, products, exact division, substitution,
-evaluation, derivatives and reduction modulo a linear form) loops on
-Python ints and divides out one gcd per result.  Rationals appear only at
-the boundary: the constructor and the scalar product accept ``int``,
+derivatives and reduction modulo a linear form) loops on Python ints and
+divides out one gcd per result.  Rationals appear only at the boundary:
+the constructor and the scalar product accept ``int``,
 :class:`fractions.Fraction` or "p/q" coefficients, and :meth:`Poly.terms`,
-:meth:`Poly.coefficient`, :meth:`Poly.constant_value`,
-:meth:`Poly.evaluate` and the serialization hand out Fractions.
-:meth:`Poly.integer_terms` reads the stored form itself.
+:meth:`Poly.coefficient`, :meth:`Poly.constant_value` and the
+serialization hand out Fractions.  :meth:`Poly.integer_terms` reads the
+stored form itself.
 
 Terms are iterated and serialized in a fixed order -- total degree first,
 then the exponent tuple, both descending -- so equal polynomials always
@@ -265,6 +265,14 @@ class Poly:
             return None
         return degrees.pop()
 
+    def homogeneous_components(self) -> list[tuple[int, "Poly"]]:
+        """(degree, part) for each nonzero homogeneous part, by degree."""
+        parts: dict[int, IntTerms] = {}
+        for a, c in self._terms.items():
+            parts.setdefault(sum(a), {})[a] = c
+        return [(d, Poly._make(self.dim, parts[d], self._den))
+                for d in sorted(parts)]
+
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, or None if non-constant."""
         if not self._terms:
@@ -365,27 +373,6 @@ class Poly:
         many polynomials.
         """
         return substituter(self.dim, images)(self)
-
-    def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        """Evaluate at an exact rational point.
-
-        With the point as integers v over den, the term c * x^a contributes
-        c * v^a * den^(top - |a|) to one integer over the polynomial's
-        denominator times den^top.
-        """
-        if len(point) != self.dim:
-            raise ValueError("point length must equal the dimension")
-        values = [_ratio(v) for v in point]
-        den = lcm(*[q for _, q in values])
-        ints = [v * (den // q) for v, q in values]
-        top = max(map(sum, self._terms), default=0)
-        total = 0
-        for a, c in self._terms.items():
-            for e, v in zip(a, ints):
-                if e:
-                    c *= v ** e
-            total += c * den ** (top - sum(a))
-        return Fraction(total, self._den * den ** top)
 
     # -- presentation
 

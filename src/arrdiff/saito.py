@@ -12,10 +12,11 @@ is zero or homogeneous of degree sum(d_i).  If that sum is t * |A| (the
 degree of Q^t), the determinant is c * Q^t, and the point route reads c
 from one determinant at a point off the arrangement, computed on integers
 (:func:`point_constant`, which gives c without checking membership).
-Every other tuple (an inhomogeneous or zero operator, or another degree
-sum, never a basis) takes the symbolic route: :func:`det_poly` expands
-the determinant, which is divided exactly by Q^t, so that a refutation
-shows det / Q^t.
+Every other tuple takes the symbolic route: :func:`det_poly` expands the
+determinant, which is divided exactly by Q^t, so that a refutation shows
+det / Q^t.  A homogeneous tuple of another degree sum, or one with a zero
+operator, is never a basis, but an inhomogeneous one can be: replacing
+theta_i by theta_i + x * theta_j in a basis keeps the determinant.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cache
 from itertools import count
 from math import comb, lcm, prod
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arrangement import Arrangement
 from .linalg import determinant
@@ -50,13 +51,26 @@ def saito_counts(dim: int, order: int) -> tuple[int, int]:
     return rank, exponent
 
 
+def _lines(rows: list[list[Poly]]) -> Iterator[list[tuple[int, int]]]:
+    """Positions of the nonzero entries of each column, then of each row."""
+    n = len(rows)
+    for j in range(n):
+        yield [(i, j) for i in range(n) if rows[i][j]]
+    for i in range(n):
+        yield [(i, j) for j in range(n) if rows[i][j]]
+
+
 def det_poly(matrix: Sequence[Sequence[Poly]]) -> Poly:
     """Exact determinant of a square polynomial matrix.
 
-    Fraction-free (Bareiss) elimination: every division by the previous
-    pivot is exact over the polynomial ring.  Pivoting always takes the
-    first row with a nonzero entry, so the result (including its sign) is
-    reproducible.
+    First the sparse lines are peeled.  While some column, or else some
+    row, has at most one nonzero entry: with none, the determinant is 0;
+    with one, a at (i, j), it is (-1)^(i+j) * a times the minor without
+    row i and column j.  Coefficient matrices are mostly zeros, and a
+    diagonal or triangular one peels completely.  The block that is left
+    runs through fraction-free (Bareiss) elimination, where every
+    division by the previous pivot is exact over the polynomial ring;
+    pivoting takes the first row with a nonzero entry.
     """
     rows = [list(r) for r in matrix]
     n = len(rows)
@@ -64,6 +78,20 @@ def det_poly(matrix: Sequence[Sequence[Poly]]) -> Poly:
         raise ValueError("matrix must be square and nonempty")
     dim = rows[0][0].dim
     sign = 1
+    factors = []
+    while rows:
+        line = next((s for s in _lines(rows) if len(s) <= 1), None)
+        if line is None:
+            break
+        if not line:
+            return Poly.zero(dim)
+        ((i, j),) = line
+        factors.append(rows.pop(i)[j])
+        for row in rows:
+            del row[j]
+        if (i + j) % 2:
+            sign = -sign
+    n = len(rows)
     previous = Poly.one(dim)
     for k in range(n - 1):
         if rows[k][k].is_zero():
@@ -83,7 +111,9 @@ def det_poly(matrix: Sequence[Sequence[Poly]]) -> Poly:
                 rows[i][j] = quotient
             rows[i][k] = Poly.zero(dim)
         previous = rows[k][k]
-    result = rows[n - 1][n - 1]
+    if rows:
+        factors.append(rows[n - 1][n - 1])
+    result = prod(factors, start=Poly.one(dim))
     return result if sign == 1 else -result
 
 

@@ -237,8 +237,9 @@ def output_digest(out: str) -> tuple[int, str]:
 
 
 def test_saito_shi2_order2_members_golden_digest(capsys, tmp_path):
-    # the six members expand one 6x6 polynomial determinant (det_poly and
-    # exact_divide) and fail as det / Q^t = -4y + 4z; pinned byte for byte
+    # the six members expand one 6x6 polynomial determinant (det_poly peels
+    # it to a 2x2 block, then exact_divide by Q^t) and fail as
+    # det / Q^t = -4y + 4z; pinned byte for byte
     arr = write_json(tmp_path / "shi2.json", make_shi(2).to_json())
     basis = write_json(tmp_path / "ops.json", {"operators": [
         op.to_json() for op in shi2_order2_members()]})

