@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
+from math import lcm
+from operator import mul
 
 from .arrangement import Arrangement, FlatRef, localize, make_shi
 from .graded import (FreenessReport, decide_free, graded_dimension,
@@ -161,27 +163,33 @@ def find_flat_point(arr: Arrangement, flat: FlatRef) -> list[Fraction]:
     """An exact rational point on the flat avoiding all other hyperplanes.
 
     Enumerates integer combinations of a nullspace basis of the flat's
-    forms by increasing max-norm and returns the first point where no
-    non-containing form vanishes.
+    forms, each direction scaled to a 1 in its last entry, by increasing
+    max-norm and returns the first point where no non-containing form
+    vanishes.  The points are tested on integers, as scale * point with
+    scale the lcm of the directions' last entries, against the forms'
+    integral coefficients; only the point returned becomes Fractions.
     """
     localize(arr, flat)  # rejects a flat that is not closed
-    outside = [form for i, form in enumerate(arr.forms)
+    outside = [form.integral_coefficients for i, form in enumerate(arr.forms)
                if i not in flat.generators]
     directions = nullspace_basis([list(arr.forms[i].coefficients)
                                   for i in sorted(flat.generators)], arr.dim)
     if len(directions) != arr.dim - flat.rank:
         raise RuntimeError("flat directions do not match the flat's rank")
+    lasts = [d[max(d)] for d in directions]
+    scale = lcm(*lasts)
+    # columns[j][k]: coordinate j of direction k, times scale / its last
+    columns = [[d.get(j, 0) * (scale // last)
+                for d, last in zip(directions, lasts)]
+               for j in range(arr.dim)]
     for radius in range(51):
         shell = [c for c in iter_product(range(-radius, radius + 1),
                                          repeat=len(directions))
                  if max(map(abs, c), default=0) == radius]
         for combo in shell:
-            # each direction over its last entry, so that it has a 1 there
-            point = [sum((Fraction(c * d.get(j, 0), d[max(d)])
-                          for c, d in zip(combo, directions)),
-                         Fraction(0)) for j in range(arr.dim)]
-            if all(form.evaluate(point) for form in outside):
-                return point
+            scaled = [sum(map(mul, combo, column)) for column in columns]
+            if all(sum(map(mul, form, scaled)) for form in outside):
+                return [Fraction(v, scale) for v in scaled]
     raise RuntimeError("no suitable point found on the flat")  # unreachable
 
 

@@ -38,8 +38,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
-from .arrangement import (Arrangement, decompose, flat_closure, is_generic,
-                          localize)
+from .arrangement import (Arrangement, Decomposition, decompose,
+                          flat_closure, is_generic, localize)
 from .linalg import RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
                     monomial_exponents)
@@ -269,6 +269,14 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
     reaches is sound for any bound, and a sweep that ends below the rank
     count, which only a bound below |A| allows, reports UNDECIDED.
     """
+    return _decide(arr, order, max_degree,
+                   _FilterFacts(arr) if fast_filters else None)
+
+
+def _decide(arr: Arrangement, order: int, max_degree: int | None,
+            facts: _FilterFacts | None) -> FreenessReport:
+    """decide_free, with the fast filters reading ``facts`` (None: no
+    filters)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     rank, det_exponent = saito_counts(arr.dim, order)
@@ -283,8 +291,8 @@ def decide_free(arr: Arrangement, order: int, *, max_degree: int | None = None,
                               exponents, basis, certificate,
                               tuple(records), tuple(audit))
 
-    if fast_filters and order >= 1:
-        filtered = _fast_filters(arr, order, audit, report)
+    if facts is not None and order >= 1:
+        filtered = _fast_filters(facts, order, audit, report)
         if filtered is not None:
             return filtered
 
@@ -360,11 +368,14 @@ def decide_orders(arr: Arrangement, top: int) -> list[FreenessReport]:
     when every factor is free at every order 1..m, and not free when some
     factor is not.  The reports run up to and including the first one
     that is not FREE; with no degree bound each is FREE or NOT_FREE.  A
-    top below 1 gives no report.
+    top below 1 gives no report.  The fast filters' order-independent
+    work (genericity, the decomposition, the localization search) is done
+    once for all the orders.
     """
+    facts = _FilterFacts(arr)
     reports: list[FreenessReport] = []
     for order in range(1, top + 1):
-        reports.append(decide_free(arr, order))
+        reports.append(_decide(arr, order, None, facts))
         if not reports[-1]:
             break
     return reports
@@ -373,9 +384,30 @@ def decide_orders(arr: Arrangement, top: int) -> list[FreenessReport]:
 # ---------------------------------------------------------------------------
 # fast filters
 
-def _fast_filters(arr, order, audit, report):
+class _FilterFacts:
+    """What the fast filters know of one arrangement at every order, each
+    computed on first use."""
+
+    def __init__(self, arr: Arrangement):
+        self.arr = arr
+
+    @cached_property
+    def generic(self) -> bool:
+        return is_generic(self.arr)
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        return decompose(self.arr)
+
+    @cached_property
+    def localization_certificate(self) -> dict | None:
+        return _localization_filter(self.arr)
+
+
+def _fast_filters(facts, order, audit, report):
+    arr = facts.arr
     # closed-form formula for generic arrangements
-    if is_generic(arr):
+    if facts.generic:
         threshold = len(arr) - arr.dim + 1
         if order < threshold:
             audit.append(f"filter: generic arrangement is free only from "
@@ -391,13 +423,19 @@ def _fast_filters(arr, order, audit, report):
                      f"{threshold}; sweeping for a basis")
 
     # product decomposition: recurse into the factors
-    dec = decompose(arr)
+    dec = facts.decomposition
     if len(dec.factors) >= 2:
         from .construct import product_basis  # local import to avoid a cycle
         audit.append(f"filter: decomposes into {len(dec.factors)} factors")
         factor_bases: list[list[list[DiffOp]]] = []
+        # equal factors are decided once; the key keeps the forms' order,
+        # which fixes the indices a factor's certificate names
+        decided: dict[tuple, list[FreenessReport]] = {}
         for fi, factor in enumerate(dec.factors):
-            reports = decide_orders(factor.arrangement, order)
+            key = (factor.arrangement.dim, factor.arrangement.forms)
+            if key not in decided:
+                decided[key] = decide_orders(factor.arrangement, order)
+            reports = decided[key]
             sub = reports[-1]  # order >= 1, so there is one
             if not sub:
                 audit.append(f"filter: factor {fi} is not free at order "
@@ -429,7 +467,7 @@ def _fast_filters(arr, order, audit, report):
             basis=basis)
 
     # a generic rank-3 localization refutes
-    certificate = _localization_filter(arr)
+    certificate = facts.localization_certificate
     if certificate is not None:
         audit.append("filter: a localization is not free, so the "
                      "arrangement is not free")

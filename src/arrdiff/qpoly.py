@@ -12,9 +12,9 @@ derivatives and reduction modulo a linear form) loops on Python ints and
 divides out one gcd per result.  Rationals appear only at the boundary:
 the constructor and the scalar product accept ``int``,
 :class:`fractions.Fraction` or "p/q" coefficients, and :meth:`Poly.terms`,
-:meth:`Poly.coefficient`, :meth:`Poly.constant_value` and the
-serialization hand out Fractions.  :meth:`Poly.integer_terms` reads the
-stored form itself.
+:meth:`Poly.coefficient`, :meth:`Poly.constant_value`, the content of
+:meth:`Poly.primitive` and the serialization hand out Fractions.
+:meth:`Poly.integer_terms` reads the stored form itself.
 
 Terms are iterated and serialized in a fixed order -- total degree first,
 then the exponent tuple, both descending -- so equal polynomials always
@@ -273,6 +273,23 @@ class Poly:
         return [(d, Poly._make(self.dim, parts[d], self._den))
                 for d in sorted(parts)]
 
+    def primitive(self) -> tuple[Fraction, "Poly"]:
+        """(content, part) with self = content * part, where part has
+        integer coefficients without a common factor and a positive
+        leading coefficient, so every nonzero rational multiple of self
+        has the same part.  The zero polynomial gives (0, itself)."""
+        if not self._terms:
+            return Fraction(0), self
+        g = gcd(*self._terms.values())
+        if self._terms[max(self._terms, key=term_order_key)] < 0:
+            g = -g
+        if g == 1 and self._den == 1:
+            return Fraction(1), self
+        # the stored gcd of den and the terms is 1, so g / den is in
+        # lowest terms
+        return Fraction(g, self._den), Poly._raw(
+            self.dim, {a: c // g for a, c in self._terms.items()}, 1)
+
     def constant_value(self) -> Fraction | None:
         """The value of a constant polynomial, or None if non-constant."""
         if not self._terms:
@@ -369,8 +386,8 @@ class Poly:
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Replace every variable x_i by images[i] at once, exactly.
 
-        See :func:`substituter`, which keeps the powers of the images for
-        many polynomials.
+        See :func:`substituter`, which keeps the powers of the images and
+        the monomial images for many polynomials.
         """
         return substituter(self.dim, images)(self)
 
@@ -449,11 +466,14 @@ def substituter(dim: int, images: Sequence[Poly]) -> Callable[[Poly], Poly]:
     """The substitution x_i -> images[i], for many polynomials in dim vars.
 
     The images are read once as integer terms over their common
-    denominator den, and the powers of each image are built as the
-    substituted terms ask for them and kept as long as the returned
-    function lives.  A term c * x^a goes to c * den^(top - |a|) times the
-    product of the integer powers, summed into one integer result over
-    sp * den^top (top: the polynomial's degree, sp: its denominator).
+    denominator den.  A term c * x^a goes to c * den^(top - |a|) times the
+    integer image of x^a, summed into one integer result over
+    sp * den^top (top: the polynomial's degree, sp: its denominator).  The
+    image of x^a is that of its exponent prefix a[:dim-1] times a power of
+    (den * images[dim-1]), and so on down to the empty prefix.  The powers
+    and the prefix images are built as the substituted terms ask for them
+    and kept as long as the returned function lives, so a monomial or
+    prefix that many polynomials share is multiplied out once.
     """
     if len(images) != dim:
         raise ValueError("need one image per variable")
@@ -465,27 +485,57 @@ def substituter(dim: int, images: Sequence[Poly]) -> Callable[[Poly], Poly]:
               for image in images]
     one = {(0,) * dim: 1}
     powers = [[one] for _ in images]  # powers[i][e] = (den * images[i]) ** e
+    prefixes: dict[MultiIndex, IntTerms] = {(): one}  # a[:k] -> its image
+
+    def monomial_image(a: MultiIndex) -> IntTerms:
+        k = dim
+        while a[:k] not in prefixes:
+            k -= 1
+        product = prefixes[a[:k]]
+        for i in range(k, dim):
+            e = a[i]
+            if e:
+                table = powers[i]
+                while len(table) <= e:
+                    table.append(_mul_terms(table[-1].items(), scaled[i]))
+                product = (table[e] if product is one else
+                           _mul_terms(product.items(), table[e].items()))
+            prefixes[a[:i + 1]] = product
+        return product
 
     def substitute(p: Poly) -> Poly:
         if p.dim != dim:
             raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
         top = max(map(sum, p._terms), default=0)
         out: IntTerms = {}
+        get = out.get
         for a, c in p._terms.items():
-            product = one
-            for i, e in enumerate(a):
-                if e:
-                    table = powers[i]
-                    while len(table) <= e:
-                        table.append(_mul_terms(table[-1].items(), scaled[i]))
-                    product = (table[e] if product is one else
-                               _mul_terms(product.items(), table[e].items()))
             c *= den ** (top - sum(a))
-            for key, value in product.items():
-                out[key] = out.get(key, 0) + c * value
+            for key, value in monomial_image(a).items():
+                out[key] = get(key, 0) + c * value
         return Poly._make(dim, out, p._den * den ** top)
 
     return substitute
+
+
+def linear_combination(dim: int, pairs: Iterable[tuple[Rational, Poly]]
+                       ) -> Poly:
+    """The sum of scalar * p over (scalar, p) pairs, summed on integer
+    terms over one common denominator and reduced once."""
+    scaled = []
+    for scalar, p in pairs:
+        if p.dim != dim:
+            raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
+        num, den = _ratio(scalar)
+        scaled.append((num, den * p._den, p._terms))
+    den = lcm(*[d for _, d, _ in scaled])
+    out: IntTerms = {}
+    get = out.get
+    for num, d, terms in scaled:
+        factor = num * (den // d)
+        for a, c in terms.items():
+            out[a] = get(a, 0) + c * factor
+    return Poly._make(dim, out, den)
 
 
 def exact_divide(p: Poly, q: Poly) -> Poly | None:
@@ -609,12 +659,6 @@ class LinearForm:
     def to_poly(self) -> Poly:
         return Poly(self.dim, {mi_unit(self.dim, i): c
                                for i, c in enumerate(self._coeffs) if c})
-
-    def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        if len(point) != self.dim:
-            raise ValueError("point length must equal the dimension")
-        return sum((c * as_fraction(v) for c, v in zip(self._coeffs, point)),
-                   Fraction(0))
 
     def reduce(self, p: Poly) -> Poly:
         """Image of p modulo this form.

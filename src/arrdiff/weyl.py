@@ -15,9 +15,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .linalg import invert
 from .qpoly import (LinearForm, MultiIndex, Poly, Rational, as_fraction,
-                    exponent_from_json, format_poly, json_array, mi_add,
-                    mi_degree, mi_factorial, monomial_exponents,
-                    poly_from_json, substituter, term_order_key)
+                    exponent_from_json, format_poly, json_array,
+                    linear_combination, mi_add, mi_degree, mi_factorial,
+                    monomial_exponents, poly_from_json, substituter,
+                    term_order_key)
 
 
 class DiffOp:
@@ -315,9 +316,16 @@ def change_variables(ops: Sequence[DiffOp],
     substituted by the row forms of R (y_i = sum_j R[i][j] x_j), and each
     derivative symbol d^a, a polynomial in the commuting d/dy_i, by the
     column forms of R^-1 (d/dy_i = sum_j R^-1[j][i] d/dx_j); the products
-    of the two are summed per derivative exponent.  R is inverted, each
-    symbol substituted, and the powers of the forms built, once for all
-    the operators.
+    of the two are summed per derivative exponent.
+
+    Each coefficient is split as content * primitive part
+    (:meth:`Poly.primitive`), and the terms of one operator that share a
+    part become one: the part times the sum of content * symbol.  The
+    image of the part, over the denominator of that summed symbol, is
+    multiplied by each of its integer coefficients, and the products are
+    summed per derivative exponent (:func:`linear_combination`).  R is
+    inverted, each symbol substituted, each distinct part substituted, and
+    the powers of the forms built, once for all the operators.
     """
     matrix = [[as_fraction(c) for c in row] for row in rows]
     dim = len(matrix)
@@ -331,13 +339,29 @@ def change_variables(ops: Sequence[DiffOp],
     by_columns = substituter(dim, [Poly(dim, zip(units, column))
                                    for column in zip(*inverse)])
     symbols: dict[MultiIndex, Poly] = {}
+    images: dict[Poly, Poly] = {}  # primitive part -> its substitution
     moved = []
     for op in ops:
-        terms = []
+        # primitive part -> [(content, symbol)] of the terms it is in
+        groups: dict[Poly, list[tuple[Fraction, Poly]]] = {}
         for a, p in op.terms():
-            if a not in symbols:
-                symbols[a] = by_columns(Poly.monomial(dim, a))
-            coeff = by_rows(p)
-            terms += [(b, coeff * scalar) for b, scalar in symbols[a].terms()]
-        moved.append(DiffOp(dim, op.order, terms))
+            symbol = symbols.get(a)
+            if symbol is None:
+                symbol = symbols[a] = by_columns(Poly.monomial(dim, a))
+            content, part = p.primitive()
+            groups.setdefault(part, []).append((content, symbol))
+        # derivative exponent -> [(integer scalar, scaled image)]
+        products: dict[MultiIndex, list[tuple[int, Poly]]] = {}
+        for part, pairs in groups.items():
+            image = images.get(part)
+            if image is None:
+                image = images[part] = by_rows(part)
+            scalars, den = linear_combination(dim, pairs).integer_terms()
+            if den != 1:
+                image = image * Fraction(1, den)
+            for b, c in scalars.items():
+                products.setdefault(b, []).append((c, image))
+        moved.append(DiffOp(dim, op.order,
+                            [(b, linear_combination(dim, pairs))
+                             for b, pairs in products.items()]))
     return moved

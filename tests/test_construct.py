@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
 
@@ -15,6 +16,7 @@ from arrdiff.construct import (basis_rank_two, find_flat_point,
                                localize_basis, product_basis,
                                shi2_nonfreeness_certificate)
 from arrdiff.graded import FREE, NOT_FREE, decide_free
+from arrdiff.linalg import nullspace_basis
 from arrdiff.qpoly import Poly, monomial_exponents, variables
 from arrdiff.saito import (SaitoVerdict, point_constant, saito_check,
                            saito_counts)
@@ -23,6 +25,11 @@ from arrdiff.weyl import DiffOp, block_product, embed, euler_operator
 
 def arr_of(dim, *texts):
     return arrangement_from_json({"dim": dim, "forms": list(texts)})
+
+
+def form_value(form, point):
+    """The value of a linear form at a point, on Fractions."""
+    return sum(c * v for c, v in zip(form.coefficients, point))
 
 
 RANK2 = arr_of(2, "x", "y", "x+y")
@@ -249,11 +256,64 @@ def test_find_flat_point_avoids_other_hyperplanes():
     point = find_flat_point(shi, flat)
     sub = localize(shi, flat)
     for i, form in enumerate(shi.forms):
-        value = form.evaluate(point)
+        value = form_value(form, point)
         if i in flat.generators:
             assert value == 0
         else:
             assert value != 0
+
+
+def reference_flat_point(arr, flat):
+    """The same search on Fractions: each integer combination of the
+    flat's directions becomes a rational point, and each form outside the
+    flat is evaluated there."""
+    outside = [form for i, form in enumerate(arr.forms)
+               if i not in flat.generators]
+    directions = nullspace_basis([list(arr.forms[i].coefficients)
+                                  for i in sorted(flat.generators)], arr.dim)
+    for radius in range(51):
+        for combo in iter_product(range(-radius, radius + 1),
+                                  repeat=len(directions)):
+            if max(map(abs, combo), default=0) != radius:
+                continue
+            point = [sum((Fraction(c * d.get(j, 0), d[max(d)])
+                          for c, d in zip(combo, directions)), Fraction(0))
+                     for j in range(arr.dim)]
+            if all(form_value(form, point) for form in outside):
+                return point
+    return None
+
+
+def sheared_b3(i, j, shear):
+    """The type-B3 arrangement after x_j -> x_j + shear * x_i."""
+    normals = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, -1, 0),
+               (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1)]
+    forms = [[str(n[k] + (shear * n[j] if k == i else 0)) for k in range(3)]
+             for n in normals]
+    return arrangement_from_json({"dim": 3, "forms": forms})
+
+
+@st.composite
+def arrangement_and_flat(draw):
+    if draw(st.booleans()):
+        arr = make_shi(3)
+    else:
+        i, j = draw(st.permutations(range(3)))[:2]
+        shear = draw(st.fractions(min_value=-2, max_value=2,
+                                  max_denominator=3).filter(bool))
+        arr = sheared_b3(i, j, shear)
+    seed = draw(st.lists(st.integers(0, len(arr) - 1), min_size=1,
+                         max_size=arr.dim - 1))
+    return arr, flat_closure(arr, seed)
+
+
+@given(arrangement_and_flat())
+@settings(max_examples=40, deadline=None)
+def test_find_flat_point_matches_fraction_reference(case):
+    arr, flat = case
+    point = find_flat_point(arr, flat)
+    assert all(type(v) is Fraction for v in point)
+    assert point == reference_flat_point(arr, flat)
 
 
 def test_localize_basis_rank2_to_line():

@@ -687,6 +687,40 @@ def test_localization_filter_closes_no_flat_in_dimension_three(
         == "2fdf0ace67ff878725962eb53da5640340eedde20dfd7f4910e8c347e3e2aeb9"
 
 
+def counting_calls(monkeypatch, name):
+    """Wrap the graded module's binding of name; return the call list."""
+    calls = []
+    real = getattr(graded, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graded, name, counting)
+    return calls
+
+
+def test_decide_orders_runs_the_filters_once_for_all_orders(monkeypatch):
+    # the Shi-3 factor is decided at orders 1 and 2; its localization
+    # search closes flats once, as many as deciding Shi-3 at order 1 alone
+    calls = counting_calls(monkeypatch, "flat_closure")
+    decide_free(make_shi(3), 1)
+    assert len(calls) == 73
+    calls.clear()
+    report = decide_free(product(make_shi(3), make_named("empty", 1)), 2)
+    assert report.verdict == NOT_FREE
+    assert len(calls) == 73
+
+
+def test_equal_factors_are_decided_once(monkeypatch):
+    # boolean-4 is four copies of the one-dimensional factor {x = 0}
+    calls = counting_calls(monkeypatch, "decide_orders")
+    report = decide_free(make_named("boolean", 4), 2)
+    assert report.verdict == FREE
+    assert report.certificate["via"] == "product-decomposition"
+    assert len(calls) == 1
+
+
 def random_forms(dim, max_size):
     return st.lists(st.lists(st.integers(-1, 1), min_size=dim,
                              max_size=dim).filter(any),

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrdiff.qpoly import (LinearForm, Poly, exact_divide, format_fraction,
-                           format_poly, mi_unit, monomial_exponents,
-                           parse_linear_form, poly_from_json, substituter,
-                           variables)
+                           format_poly, linear_combination, mi_unit,
+                           monomial_exponents, parse_linear_form,
+                           poly_from_json, substituter, variables)
 
 
 def poly_strategy(dim: int, max_degree: int = 3, max_terms: int = 4):
@@ -538,6 +538,70 @@ def test_substitute_matches_fraction_reference(data):
     assert fraction_terms(substitute(p * p)) == reference_substitute(
         fraction_terms(p * p), [fraction_terms(g) for g in images], dim)
     assert fraction_terms(substitute(p)) == expected
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_substituter_serves_polynomials_with_shared_prefixes(data):
+    # the exponents share their first dim - 1 entries among a few heads,
+    # so the polynomials share monomials and exponent prefixes, whose
+    # images the substituter keeps between calls
+    dim = data.draw(st.integers(1, 4))
+    images = data.draw(st.lists(poly_strategy(dim, max_degree=2),
+                                min_size=dim, max_size=dim))
+    heads = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * (dim - 1)),
+                               min_size=1, max_size=3))
+    exponent = st.tuples(st.sampled_from(heads), st.integers(0, 2)).map(
+        lambda pair: pair[0] + (pair[1],))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    polys = data.draw(st.lists(
+        st.lists(st.tuples(exponent, coeff), max_size=4).map(
+            lambda ts: Poly(dim, ts)), min_size=2, max_size=5))
+    image_terms = [fraction_terms(g) for g in images]
+    substitute = substituter(dim, images)
+    for p in polys + polys[::-1]:
+        assert fraction_terms(substitute(p)) == reference_substitute(
+            fraction_terms(p), image_terms, dim)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_primitive_part_is_shared_by_rational_multiples(data):
+    dim = data.draw(st.integers(0, 3))
+    p = data.draw(poly_strategy(dim))
+    content, part = p.primitive()
+    assert type(content) is Fraction
+    assert part * content == p
+    if p.is_zero():
+        assert content == 0 and part.is_zero()
+        return
+    ints, den = part.integer_terms()
+    assert den == 1 and gcd(*ints.values()) == 1
+    assert next(part.terms())[1] > 0  # the leading coefficient
+    scalar = data.draw(rational_scalar())
+    assert (p * scalar).primitive() == (content * scalar, part)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_linear_combination_matches_fraction_reference(data):
+    dim = data.draw(st.integers(0, 3))
+    pairs = data.draw(st.lists(st.tuples(rational_scalar(),
+                                         poly_strategy(dim)), max_size=4))
+    expected: dict = {}
+    for scalar, p in pairs:
+        expected = reference_add(expected, {a: c * scalar for a, c in
+                                            fraction_terms(p).items()})
+    assert fraction_terms(linear_combination(dim, pairs)) == expected
+
+
+def test_primitive_part_golden():
+    x, y = variables(2)
+    p = Fraction(-2, 3) * x * x + Fraction(4, 9) * y
+    assert p.primitive() == (Fraction(-2, 9), 3 * x * x - 2 * y)
+    assert (-p).primitive() == (Fraction(2, 9), 3 * x * x - 2 * y)
+    assert (x - y).primitive() == (Fraction(1), x - y)
+    assert Poly.zero(2).primitive() == (Fraction(0), Poly.zero(2))
 
 
 @given(st.data())

@@ -9,12 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrdiff import construct, weyl
+from arrdiff.arrangement import arrangement_from_json
+from arrdiff.construct import basis_rank_two
 from arrdiff.linalg import invert
 from arrdiff.qpoly import LinearForm, Poly, monomial_exponents, variables
 from arrdiff.weyl import (DiffOp, block_product, change_variables,
                           coefficient_matrix, diffop_from_json, embed,
                           euler_operator)
-from tests.test_qpoly import poly_strategy
+from tests.test_qpoly import (fraction_terms, poly_strategy,
+                              reference_substitute)
 
 
 def op_strategy(dim: int, order: int, max_terms: int = 3):
@@ -233,6 +237,104 @@ def test_change_variables_conjugates_random_operators(data):
     for op, image in zip(ops, moved):
         upstairs = op.apply(f.substitute(linear_images(inverse)))
         assert image.apply(f) == upstairs.substitute(linear_images(rows))
+
+
+def reference_change_variables(ops, rows):
+    """Term by term, on Fraction reference substitutions: every
+    coefficient goes through the row forms, every symbol through the
+    column forms of the inverse, and the image coefficient is multiplied
+    by each Fraction coefficient of the image symbol."""
+    dim = len(rows)
+    row_images = [fraction_terms(g) for g in linear_images(rows)]
+    column_images = [fraction_terms(g) for g in
+                     linear_images([list(c) for c in zip(*invert(rows))])]
+    moved = []
+    for op in ops:
+        terms = []
+        for a, p in op.terms():
+            coeff = Poly(dim, reference_substitute(fraction_terms(p),
+                                                   row_images, dim))
+            symbol = reference_substitute({a: Fraction(1)}, column_images,
+                                          dim)
+            terms += [(b, coeff * scalar) for b, scalar in symbol.items()]
+        moved.append(DiffOp(dim, op.order, terms))
+    return moved
+
+
+def constant_op_strategy(dim: int, order: int):
+    scalar = st.fractions(min_value=-3, max_value=3,
+                          max_denominator=3).filter(bool)
+    exponent = st.sampled_from(monomial_exponents(dim, order))
+    return st.lists(st.tuples(exponent, scalar), min_size=1,
+                    max_size=3).map(lambda ts: DiffOp(
+                        dim, order, [(a, Poly.constant(dim, c))
+                                     for a, c in ts]))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_change_variables_matches_term_by_term_reference(data):
+    # sums of P * L with L a constant-coefficient operator: coefficients
+    # repeat up to rational and negative scalars, and order 0 is drawn too
+    dim = data.draw(st.integers(1, 3))
+    order = data.draw(st.integers(0, 2))
+    parts = data.draw(st.lists(poly_strategy(dim, max_degree=2),
+                               min_size=1, max_size=3))
+    ops = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = DiffOp.zero(dim, order)
+        for _ in range(data.draw(st.integers(1, 2))):
+            op = op + (data.draw(st.sampled_from(parts))
+                       * data.draw(constant_op_strategy(dim, order)))
+        ops.append(op)
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                              min_size=dim, max_size=dim))
+    assume(invert(rows) is not None)
+    moved = change_variables(ops, rows)
+    expected = reference_change_variables(ops, rows)
+    assert moved == expected
+    assert [op.to_json() for op in moved] == [op.to_json() for op in expected]
+
+
+def monic(p: Poly) -> Poly:
+    """p over its leading coefficient: equal for p and its multiples."""
+    return p * (1 / next(p.terms())[1])
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_change_variables_substitutes_each_primitive_part_once(monkeypatch,
+                                                               order):
+    # the first form is not a coordinate, so basis_rank_two changes
+    # coordinates and the row and column forms differ
+    arr = arrangement_from_json({"dim": 2, "forms": [
+        "x+2y", "x", "y", "x+y", "x-y", "2x-3y"]})
+    real_substituter, real_change = weyl.substituter, weyl.change_variables
+    substituted = {}  # images -> the polynomials substituted by them
+    transported = []
+
+    def counting_substituter(dim, images):
+        substitute = real_substituter(dim, images)
+        calls = substituted.setdefault(tuple(images), [])
+
+        def counted(p):
+            calls.append(p)
+            return substitute(p)
+        return counted
+
+    def recording_change(ops, rows):
+        transported.append((ops, rows))
+        return real_change(ops, rows)
+
+    monkeypatch.setattr(weyl, "substituter", counting_substituter)
+    monkeypatch.setattr(construct, "change_variables", recording_change)
+    basis_rank_two(arr, order)
+    [(ops, rows)] = transported
+    coefficients = [p for op in ops for _, p in op.terms()]
+    parts = {monic(p) for p in coefficients}
+    by_rows = substituted[tuple(linear_images(rows))]
+    assert len(by_rows) == len(parts)
+    assert {monic(p) for p in by_rows} == parts
 
 
 def test_operator_json_roundtrip():
