@@ -34,8 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterator
 
 from .arrangement import (Arrangement, Decomposition, decompose,
@@ -128,10 +129,9 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be nonnegative")
     dim = arr.dim
-    omega = monomial_exponents(dim, order)
     nmons = len(monomial_exponents(dim, degree))
-    ncols = len(omega) * nmons
-    omega_index = {a: i for i, a in enumerate(omega)}
+    ncols = len(monomial_exponents(dim, order)) * nmons
+    raised = _raised_exponents(dim, order)
 
     rows: list[dict[int, int]] = []
     for form in arr.forms:
@@ -141,15 +141,13 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
         for mi, terms in enumerate(form.table(degree)):
             for nu, rc in terms:
                 by_nu.setdefault(nu, []).append((mi, rc))
-        for b in monomial_exponents(dim, order - 1):
+        coefficients = form.integral_coefficients
+        for shifts in raised:
             # image of form * x^b: only the entries at exponents b + e_j
-            # act, each through the scalar coefficient * (b + e_j)!
-            acting = []  # (first column of the block of a, scalar)
-            for j, c in enumerate(form.integral_coefficients):
-                if c:
-                    a = mi_add(b, mi_unit(dim, j))
-                    acting.append((omega_index[a] * nmons,
-                                   c * mi_factorial(a)))
+            # act, each through the scalar coefficient * (b + e_j)!;
+            # acting holds (first column of the block of a, scalar)
+            acting = [(ai * nmons, c * weight)
+                      for (ai, weight), c in zip(shifts, coefficients) if c]
             # one row per nu; its entries are nonzero (c, (b + e_j)! and
             # the table terms are) and its columns distinct (one block per
             # j, one mu per term of x^mu's reduction at nu), so nothing
@@ -159,6 +157,18 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
 
     return GradedBasis(dim, order, degree,
                        tuple(nullspace_basis(rows, ncols)))
+
+
+@lru_cache(maxsize=None)
+def _raised_exponents(dim: int, order: int
+                      ) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each degree-(m-1) exponent b, in canonical order, and each
+    variable j: (index of a = b + e_j among the order-m exponents, a!)."""
+    omega_index = {a: i for i, a in enumerate(monomial_exponents(dim, order))}
+    return tuple(tuple((omega_index[a], mi_factorial(a))
+                       for a in (mi_add(b, mi_unit(dim, j))
+                                 for j in range(dim)))
+                 for b in monomial_exponents(dim, order - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -177,33 +187,64 @@ def _generator_sweep(arr: Arrangement, order: int, bound: int
     x^mu * gen of a degree-g generator moves the entry at (a, nu) of the
     degree-g layout to (a, nu + mu) of the degree-d layout, so the span is
     built by shifting columns, and no generator becomes an operator here.
+
+    The span is built in the piece's k free-column coordinates, not in all
+    columns.  Piece vector i has a positive entry L_i at its free column
+    f_i (its last) and zeros at the other free columns, so a vector w of
+    the piece is sum_i (w[f_i] / L_i) * v_i, and reading off the entries
+    w[f_i] is injective on the piece.  A multiple goes in as those entries,
+    and piece vector i is tested as the unit vector e_i, which picks the
+    same generators as testing v_i in all columns.  That map shows nothing
+    about a vector outside the piece, so each multiple is first checked to
+    equal its combination, on integers times the lcm of the L_i involved.
     """
     dim = arr.dim
     found: dict[int, list[dict[int, int]]] = {}  # by degree
     for degree in range(bound + 1):
         piece = graded_dimension(arr, order, degree)
+        vectors = piece.vectors
+        free = {max(vec): i for i, vec in enumerate(vectors)}
+        lead = [vec[max(vec)] for vec in vectors]
         mons = monomial_exponents(dim, degree)
         nmons = len(mons)
         index = {nu: i for i, nu in enumerate(mons)}
-        span = RowBasis(len(monomial_exponents(dim, order)) * nmons)
+        ncols = len(monomial_exponents(dim, order)) * nmons
+        span = RowBasis(len(vectors))
         for gen_degree, gens in found.items():
             gen_mons = monomial_exponents(dim, gen_degree)
             for mu in monomial_exponents(dim, degree - gen_degree):
                 # the column of (a, nu) -> that of (a, nu + mu)
                 shifted = [index[mi_add(nu, mu)] for nu in gen_mons]
-                moved = [base + mi for base in range(0, span.ncols, nmons)
+                moved = [base + mi for base in range(0, ncols, nmons)
                          for mi in shifted]
                 for gen in gens:
-                    span.add({moved[col]: c for col, c in gen.items()})
-        new = [vec for vec in piece.vectors if span.add(vec)]
-        # the old span is inside the graded piece, so ranks must line up
-        if span.rank != piece.dimension:
-            raise RuntimeError(f"generator span has rank {span.rank} in "
-                               f"degree {degree}, expected "
-                               f"{piece.dimension}")
+                    multiple = {moved[col]: c for col, c in gen.items()}
+                    coords = {free[col]: c for col, c in multiple.items()
+                              if col in free}
+                    if not _is_combination(multiple, coords, vectors, lead):
+                        raise RuntimeError(f"a generator multiple in degree "
+                                           f"{degree} is not in the graded "
+                                           f"piece")
+                    span.add(coords)
+        new = [vec for i, vec in enumerate(vectors) if span.add({i: 1})]
         if new:
             found[degree] = new
         yield degree, piece.dimension, new
+
+
+def _is_combination(vector: dict[int, int], coords: dict[int, int],
+                    vectors: tuple[dict[int, int], ...], lead: list[int]
+                    ) -> bool:
+    """Whether vector = sum_i (coords[i] / lead[i]) * vectors[i]; both sides
+    are taken times the lcm of the lead[i] involved, so all stays integral."""
+    scale = lcm(*(lead[i] for i in coords))
+    total: dict[int, int] = {}
+    for i, x in coords.items():
+        x *= scale // lead[i]
+        for col, y in vectors[i].items():
+            total[col] = total.get(col, 0) + x * y
+    return ({col: x for col, x in total.items() if x}
+            == {col: scale * x for col, x in vector.items()})
 
 
 # ---------------------------------------------------------------------------

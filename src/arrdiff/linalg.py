@@ -25,6 +25,12 @@ of their pivots; a pivot further right must be cleared from every stored
 row with an entry in its column.  :func:`nullspace_basis` therefore
 inserts its rows by descending leading (first nonzero) column, while
 :func:`determinant` keeps the given order, whose parity its sign counts.
+
+Most stored rows of the graded systems have pivot 1, and many are unit
+rows, so reducing takes two short cuts that compute the same rows: a
+stored row of length one is {pivot: 1} (primitive, positive pivot), and
+reducing by it deletes the entry; a stored row with pivot 1 is subtracted
+x times as it is, with no gcd and no scaling of the vector.
 """
 
 from __future__ import annotations
@@ -72,7 +78,9 @@ def _int_row(vector: Sequence[Rational] | SparseRow, ncols: int
     rational entry has its denominators cleared, so s is 1 on integer rows.
     """
     if isinstance(vector, dict):
-        vec = {j: x for j, x in vector.items() if x}
+        vec = dict(vector)
+        if 0 in vec.values():
+            vec = {j: x for j, x in vec.items() if x}
         if vec and (min(vec) < 0 or max(vec) >= ncols):
             raise ValueError("column index out of range")
     else:
@@ -118,12 +126,21 @@ class RowBasis:
         """Reduce an integer row in place against the stored rows; returns
         the factor by which the row was scaled on the way."""
         scale = 1
-        for col in [c for c in vec if c in self._rows]:
-            row = self._rows[col]
+        rows = self._rows
+        # combining with a stored row changes the vector at no other pivot,
+        # so the pivots it must be reduced at are known from the start
+        for col in rows.keys() & vec.keys():
+            row = rows[col]
+            if len(row) == 1:  # primitive with a positive pivot: {col: 1}
+                del vec[col]
+                continue
             p, x = row[col], vec[col]
-            g = gcd(p, x)
-            _combine(vec, p // g, x // g, row)
-            scale *= p // g
+            if p == 1:
+                _combine(vec, 1, x, row)
+            else:
+                g = gcd(p, x)
+                _combine(vec, p // g, x // g, row)
+                scale *= p // g
         return scale
 
     def _insert(self, vec: IntRow) -> None:

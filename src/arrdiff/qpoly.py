@@ -12,8 +12,9 @@ derivatives and reduction modulo a linear form) loops on Python ints and
 divides out one gcd per result.  Rationals appear only at the boundary:
 the constructor and the scalar product accept ``int``,
 :class:`fractions.Fraction` or "p/q" coefficients, and :meth:`Poly.terms`,
-:meth:`Poly.coefficient`, :meth:`Poly.constant_value`, the content of
-:meth:`Poly.primitive` and the serialization hand out Fractions.
+:meth:`Poly.coefficient`, :meth:`Poly.constant_value` and the content of
+:meth:`Poly.primitive` hand out Fractions.  The serialization writes each
+stored term over den as "p/q" in lowest terms, and
 :meth:`Poly.integer_terms` reads the stored form itself.
 
 Terms are iterated and serialized in a fixed order -- total degree first,
@@ -401,7 +402,14 @@ class Poly:
 
     def to_json(self) -> list:
         """Serialize as [[exponents, "p/q"], ...] in canonical term order."""
-        return [[list(a), format_fraction(c)] for a, c in self.terms()]
+        terms, den = self._terms, self._den
+        out = []
+        for a in sorted(terms, key=term_order_key, reverse=True):
+            c = terms[a]
+            g = gcd(c, den)
+            num, q = c // g, den // g
+            out.append([list(a), f"{num}/{q}" if q != 1 else str(num)])
+        return out
 
 
 def json_array(data, what: str) -> list:

@@ -14,7 +14,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import invert
-from .qpoly import (LinearForm, MultiIndex, Poly, Rational, as_fraction,
+from .qpoly import (MultiIndex, Poly, Rational, as_fraction,
                     exponent_from_json, format_poly, json_array,
                     linear_combination, mi_add, mi_degree, mi_factorial,
                     monomial_exponents, poly_from_json, substituter,
@@ -150,30 +150,6 @@ class DiffOp:
                 out = out + coeff * derived
         return out
 
-    def commutator_with_form(self, form: LinearForm) -> "DiffOp":
-        """The commutator with multiplication by a linear form.
-
-        Bracketing d^a against one variable replaces a factor of that
-        derivative by its multiplicity, so the result has order m-1.
-        """
-        if self.order == 0:
-            raise ValueError("order-0 operators commute with multiplication")
-        if form.dim != self.dim:
-            raise ValueError("form dimension mismatch")
-        out: dict[MultiIndex, Poly] = {}
-        for a, coeff in self._coeffs.items():
-            for i, c in enumerate(form.coefficients):
-                if not c or not a[i]:
-                    continue
-                key = tuple(e - 1 if j == i else e for j, e in enumerate(a))
-                contribution = coeff * (c * a[i])
-                s = out.get(key, Poly.zero(self.dim)) + contribution
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return DiffOp(self.dim, self.order - 1, out)
-
     # -- presentation
 
     def __str__(self) -> str:
@@ -230,14 +206,16 @@ def directional_power(direction: Sequence[Rational], order: int) -> DiffOp:
     """
     coeffs_in = [as_fraction(c) for c in direction]
     dim = len(coeffs_in)
+    top = factorial(order)
     out: dict[MultiIndex, Poly] = {}
     for a in monomial_exponents(dim, order):
-        scalar = Fraction(factorial(order), mi_factorial(a))
+        num, den = top // mi_factorial(a), 1
         for c, e in zip(coeffs_in, a):
             if e:
-                scalar *= c ** e
-        if scalar:
-            out[a] = Poly.constant(dim, scalar)
+                num *= c.numerator ** e
+                den *= c.denominator ** e
+        if num:
+            out[a] = Poly.constant(dim, Fraction(num, den))
     return DiffOp(dim, order, out)
 
 

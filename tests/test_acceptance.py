@@ -23,6 +23,7 @@ from tests.test_graded import sweep_steps
 from tests.test_membership import (_random_member_pool,
                                    _random_operator_pool,
                                    is_member_bruteforce, random_poly)
+from tests.weyl_reference import commutator_with_form
 
 
 def arr_of(dim, *texts):
@@ -200,7 +201,7 @@ def test_criterion_10b_commutator_closure():
                         coeffs = [rng.randint(-2, 2) for _ in range(arr.dim)]
                         if not any(coeffs):
                             coeffs[0] = 1
-                        bracket = op.commutator_with_form(LinearForm(coeffs))
+                        bracket = commutator_with_form(op, LinearForm(coeffs))
                         assert is_member(bracket, arr)
                         checked += 1
         assert checked >= 200

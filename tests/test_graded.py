@@ -290,6 +290,7 @@ def reference_generator_sweep(arr, order, bound):
 @example(Arrangement(3, [LinearForm([2, 3, 0]), LinearForm([0, 5, 7]),
                          LinearForm([3, 0, 1])]), 2, 4)
 @example(Arrangement(2, ()), 2, 3)
+@example(make_shi(3), 1, 4)
 @settings(max_examples=60, deadline=None)
 def test_sweep_matches_operator_span_reference(arr, order, bound):
     # the sweep shifts columns of integral generator vectors; the
@@ -421,6 +422,24 @@ def test_sweep_without_generators_by_the_bound_is_a_fault(monkeypatch):
     # below the complete bound the sweep stays inconclusive
     report = decide_free(RANK2, 1, max_degree=2, fast_filters=False)
     assert report.verdict == UNDECIDED
+
+
+def test_sweep_rejects_a_multiple_outside_the_piece(monkeypatch):
+    # Shi-2 at order 2: the multiples of the degree-2 generator span the
+    # whole degree-3 piece, so a piece short of one vector misses some of
+    # them; the span, built in the piece's own coordinates, cannot tell,
+    # so the containment check must
+    full = graded.graded_dimension
+
+    def short(arr, order, degree):
+        piece = full(arr, order, degree)
+        if degree == 3:
+            return GradedBasis(arr.dim, order, degree, piece.vectors[1:])
+        return piece
+
+    monkeypatch.setattr(graded, "graded_dimension", short)
+    with pytest.raises(RuntimeError, match="degree 3"):
+        decide_free(make_shi(2), 2, fast_filters=False)
 
 
 @pytest.mark.parametrize("fast_filters", [True, False])

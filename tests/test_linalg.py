@@ -217,6 +217,81 @@ def test_row_basis_invariants_match_dense_reference(data):
 
 
 # ---------------------------------------------------------------------------
+# unit rows and pivot-1 rows, the kernel's short cuts
+
+SMALL = st.sampled_from([0, 0, 1, 1, -1, 2, -3, Fraction(1, 2),
+                         Fraction(-2, 3)])
+
+
+@st.composite
+def unit_heavy_rows(draw, ncols, nrows):
+    """Rows of which some are unit vectors and some have a leading 1, so
+    that stored rows of length one and with pivot 1 are common."""
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["unit", "lead1", "any"]))
+        if kind == "unit":
+            row = [0] * ncols
+            row[draw(st.integers(0, ncols - 1))] = 1
+        else:
+            row = draw(st.lists(SMALL, min_size=ncols, max_size=ncols))
+            if kind == "lead1":
+                lead = draw(st.integers(0, ncols - 1))
+                row[:lead + 1] = [0] * lead + [1]
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def with_zeros(draw, row):
+    """A row as a dict that keeps some of its zero entries, as int or
+    Fraction zeros."""
+    return {j: x for j, x in enumerate(row)
+            if x or draw(st.booleans())} | {
+        j: Fraction(0) for j, x in enumerate(row)
+        if not x and draw(st.booleans())}
+
+
+def gauss_determinant(rows):
+    """Fraction Gauss elimination with row swaps, each swap a sign."""
+    m = frac_rows(rows)
+    det = Fraction(1)
+    for c in range(len(m)):
+        r = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if r is None:
+            return Fraction(0)
+        if r != c:
+            m[c], m[r] = m[r], m[c]
+            det = -det
+        det *= m[c][c]
+        for i in range(c + 1, len(m)):
+            factor = m[i][c] / m[c][c]
+            m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_short_cuts_match_fraction_reference(data):
+    ncols = data.draw(st.integers(1, 6))
+    rows = data.draw(unit_heavy_rows(ncols, data.draw(st.integers(0, 7))))
+    basis = RowBasis(ncols)
+    for row in rows:
+        basis.add(data.draw(with_zeros(row)))
+    assert basis.rank == rank_of(rows, ncols)
+    for probe in data.draw(unit_heavy_rows(ncols, 3)) + rows:
+        expected = reference_residual(rows, ncols, probe)
+        assert basis.residual(data.draw(with_zeros(probe))) == expected
+        assert basis.contains(data.draw(with_zeros(probe))) \
+            == (not any(expected))
+    assert canonical(nullspace_basis([data.draw(with_zeros(row))
+                                      for row in rows], ncols), ncols) \
+        == reference_nullspace(rows, ncols)
+    square = data.draw(unit_heavy_rows(ncols, ncols))
+    assert determinant(square) == gauss_determinant(square)
+
+
+# ---------------------------------------------------------------------------
 # fixed cases
 
 def test_rank_and_rref():

@@ -595,6 +595,20 @@ def test_linear_combination_matches_fraction_reference(data):
     assert fraction_terms(linear_combination(dim, pairs)) == expected
 
 
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_to_json_matches_fraction_formatting(data):
+    # to_json writes each stored integer term over the denominator itself;
+    # the entries are those of the Fraction coefficients, as format_fraction
+    # writes them
+    dim = data.draw(st.integers(0, 3))
+    p = Poly.zero(dim)
+    for _ in range(data.draw(st.integers(0, 3))):
+        p = p + data.draw(poly_strategy(dim)) * data.draw(rational_scalar())
+    assert p.to_json() == [[list(a), format_fraction(c)]
+                           for a, c in p.terms()]
+
+
 def test_primitive_part_golden():
     x, y = variables(2)
     p = Fraction(-2, 3) * x * x + Fraction(4, 9) * y

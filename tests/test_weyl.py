@@ -13,12 +13,14 @@ from arrdiff import construct, weyl
 from arrdiff.arrangement import arrangement_from_json
 from arrdiff.construct import basis_rank_two
 from arrdiff.linalg import invert
-from arrdiff.qpoly import LinearForm, Poly, monomial_exponents, variables
+from arrdiff.qpoly import (LinearForm, Poly, mi_factorial, monomial_exponents,
+                           variables)
 from arrdiff.weyl import (DiffOp, block_product, change_variables,
-                          coefficient_matrix, diffop_from_json, embed,
-                          euler_operator)
+                          coefficient_matrix, diffop_from_json,
+                          directional_power, embed, euler_operator)
 from tests.test_qpoly import (fraction_terms, poly_strategy,
                               reference_substitute)
+from tests.weyl_reference import commutator_with_form
 
 
 def op_strategy(dim: int, order: int, max_terms: int = 3):
@@ -70,25 +72,40 @@ def test_euler_displays():
     assert three.coefficient((1, 1, 0)) == 2 * xs[0] * xs[1]
 
 
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                min_size=1, max_size=3), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_directional_power_matches_fraction_multinomials(direction, order):
+    # the coefficient of d^a is (m!/a!) * prod(c_i^{a_i}), here on Fractions
+    dim = len(direction)
+    expected = {}
+    for a in monomial_exponents(dim, order):
+        scalar = Fraction(factorial(order), mi_factorial(a))
+        for c, e in zip(direction, a):
+            scalar *= c ** e
+        expected[a] = Poly.constant(dim, scalar)
+    assert directional_power(direction, order) == DiffOp(dim, order, expected)
+
+
 # ---------------------------------------------------------------------------
 # commutators
 
 def test_commutator_golden():
     x, y = variables(2)
     ddx2 = DiffOp.single(2, (2, 0), Poly.one(2))
-    assert ddx2.commutator_with_form(LinearForm([1, 0])) \
+    assert commutator_with_form(ddx2, LinearForm([1, 0])) \
         == DiffOp.single(2, (1, 0), Poly.constant(2, 2))
     # bracketing against a variable missing from the derivative gives zero
-    assert ddx2.commutator_with_form(LinearForm([0, 1])).is_zero()
+    assert commutator_with_form(ddx2, LinearForm([0, 1])).is_zero()
     f = x * (x + y)
     fdx = DiffOp.single(2, (1, 0), f)
-    bracket = fdx.commutator_with_form(LinearForm([1, 0]))
+    bracket = commutator_with_form(fdx, LinearForm([1, 0]))
     assert bracket == DiffOp.single(2, (0, 0), f)
 
 
 def test_commutator_of_order_zero_rejected():
     with pytest.raises(ValueError):
-        DiffOp.identity(2).commutator_with_form(LinearForm([1, 0]))
+        commutator_with_form(DiffOp.identity(2), LinearForm([1, 0]))
 
 
 @given(st.data())
@@ -102,7 +119,7 @@ def test_commutator_defining_identity(data):
     form = LinearForm(coeffs)
     f = data.draw(poly_strategy(dim))
     alpha = form.to_poly()
-    lhs = op.commutator_with_form(form).apply(f)
+    lhs = commutator_with_form(op, form).apply(f)
     assert lhs == op.apply(alpha * f) - alpha * op.apply(f)
 
 
