@@ -176,36 +176,54 @@ class Decomposition:
     hyperplane_components: tuple[tuple[int, ...], ...]
 
 
-def decompose(arr: Arrangement) -> Decomposition:
-    """Finest decomposition of an arrangement into product factors.
+@dataclass(frozen=True)
+class Circuits:
+    """The fundamental circuits of an arrangement's normals, and the
+    connected components of their matroid.
 
-    The hyperplanes are partitioned into the connected components of the
-    linear matroid on their normal vectors, read off one nullspace: that of
-    the matrix whose columns are the normals.  Its canonical basis has one
-    vector per normal i outside the greedy basis B (the pivot columns),
-    with a positive entry e at i, its last nonzero entry, and -e * c_p at
-    each p in B, where v_i = sum c_p v_p: the fundamental circuit of i with
-    respect to B (Oxley, Matroid Theory, ch. 4).  Hyperplanes that share a
-    circuit share a component.  The normals of B in a component span its
-    coordinate block, in which a normal of B is a unit vector and any other
-    normal has the coordinates c, up to the factor e that its linear form
-    drops; unit vectors complete the coordinates, and any rank deficiency
-    becomes an empty factor on them.
+    ``coordinates`` maps each normal i outside the greedy basis B to its
+    coordinates over B, up to one nonzero factor: v_i is proportional to
+    the sum of coordinates[i][p] * v_p.  The components are ordered by
+    their smallest hyperplane index.
     """
-    dim = arr.dim
-    n = len(arr)
-    vectors = [form.coefficients for form in arr.forms]
 
-    circuits = nullspace_basis([[v[j] for v in vectors] for j in range(dim)],
-                               n)
-    # normal outside B -> its coordinates {p: e * c_p} over B
+    dim: int
+    rank: int
+    coordinates: dict[int, dict[int, int]]
+    components: tuple[tuple[int, ...], ...]
+
+    @property
+    def factor_count(self) -> int:
+        """The number of factors of the finest decomposition: one per
+        component, and an empty one when the rank is below the dimension."""
+        return len(self.components) + (self.rank < self.dim)
+
+
+def fundamental_circuits(arr: Arrangement) -> Circuits:
+    """The fundamental circuits and components of the normals' matroid.
+
+    They are read off one nullspace on integers: that of the matrix whose
+    columns are the forms' integral coefficients w_i = D_i * v_i (D_i the
+    pivot entry, see :class:`LinearForm`).  Its canonical basis has one
+    vector per normal i outside the greedy basis B (the pivot columns,
+    which no column scaling moves), with a positive entry e at i, its last
+    nonzero entry, and -e * c'_p at each p in B, where w_i = sum c'_p w_p:
+    the fundamental circuit of i with respect to B (Oxley, Matroid Theory,
+    ch. 4).  Then v_i = sum (c'_p * D_p / D_i) * v_p, so the coordinates
+    of v_i are the c'_p rescaled by D_p.  Hyperplanes that share a circuit
+    share a component, found by union-find.
+    """
+    n = len(arr)
+    normals = [form.integral_coefficients for form in arr.forms]
+    circuits = nullspace_basis([[w[j] for w in normals]
+                                for j in range(arr.dim)], n)
     coordinates: dict[int, dict[int, int]] = {}
     for circuit in circuits:
         support = sorted(circuit)  # the keys are not in column order
-        coordinates[support[-1]] = {p: -circuit[p] for p in support[:-1]}
-    rank = n - len(coordinates)
+        coordinates[support[-1]] = {
+            p: -circuit[p] * normals[p][arr.forms[p].pivot]
+            for p in support[:-1]}
 
-    # union-find over hyperplanes, fused along fundamental circuits
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -222,7 +240,29 @@ def decompose(arr: Arrangement) -> Decomposition:
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    components = tuple(tuple(groups[root]) for root in sorted(groups))
+    return Circuits(arr.dim, n - len(coordinates), coordinates,
+                    tuple(tuple(groups[root]) for root in sorted(groups)))
+
+
+def decompose(arr: Arrangement, circuits: Circuits | None = None
+              ) -> Decomposition:
+    """Finest decomposition of an arrangement into product factors.
+
+    The hyperplanes are partitioned into the components of
+    :func:`fundamental_circuits`, which a caller that has them already may
+    pass in.  The normals of B in a component span its coordinate block,
+    in which a normal of B is a unit vector and any other normal has its
+    circuit coordinates, up to the factor that its linear form drops; unit
+    vectors complete the coordinates, and any rank deficiency becomes an
+    empty factor on them.
+    """
+    if circuits is None:
+        circuits = fundamental_circuits(arr)
+    dim = arr.dim
+    vectors = [form.coefficients for form in arr.forms]
+    coordinates = circuits.coordinates
+    components = circuits.components
+    rank = circuits.rank
 
     # adapted coordinates: per-component blocks of B, then unit vectors
     change: list[list[Fraction]] = []

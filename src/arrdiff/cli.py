@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand reads and writes JSON with rationals as "p/q" strings,
-in canonical orders, so outputs are byte-stable across runs.  Exit codes:
+in canonical orders, so outputs are byte-stable across runs.  Output is
+written by a one-pass writer whose bytes are those of
+``json.dumps(payload, indent=2)``.  Exit codes:
 0 success (or FREE), 1 negative decision (NOT_FREE, non-member, failed
 check), 2 invalid input, 3 inconclusive (a ``--max-degree`` below the
 complete bound t * |A|).
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .arrangement import (Arrangement, FlatRef, arrangement_from_json,
                           flat_closure, localize, make_named, make_shi, product)
@@ -67,12 +70,70 @@ def _load_operators(path: str) -> list[DiffOp]:
 
 
 def _emit(payload, destination: str | None = None) -> None:
-    text = json.dumps(payload, indent=2)
+    text = _dumps(payload)
     if destination and destination != "-":
         with open(destination, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, written in one recursive pass.
+
+    With ``indent`` set the stdlib encodes in pure Python and starts one
+    generator per list and dict.  Here str and int elements are formatted
+    inline, only non-empty lists and dicts are recursed into, and every
+    other value (None, bools, floats, empty containers, and what JSON
+    cannot encode) is handed to ``json.dumps`` as it is, so the bytes are
+    the stdlib's for every JSON value.
+    """
+    if value and isinstance(value, (list, tuple, dict)):
+        chunks: list[str] = []
+        _write(value, "\n", chunks.append)
+        return "".join(chunks)
+    return json.dumps(value)
+
+
+def _json_key(key) -> str:
+    """A dict key as the stdlib writes it: a str, or the JSON text of an
+    int, float, bool or None, quoted."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not "
+                    f"{key.__class__.__name__}")
+
+
+def _write(value, newline: str, put) -> None:
+    """Write a non-empty list or dict whose first line ends in ``newline``
+    (a line break and the indent of the line the value opens on)."""
+    inner = newline + "  "
+    separator = "," + inner
+    keyed = isinstance(value, dict)
+    if keyed:
+        opener, closer, items = "{" + inner, newline + "}", value.items()
+    else:
+        opener, closer, items = "[" + inner, newline + "]", value
+    for item in items:
+        if keyed:
+            key, item = item
+            put(opener + (_quote(key) if type(key) is str
+                          else _json_key(key)) + ": ")
+        else:
+            put(opener)
+        opener = separator
+        kind = type(item)
+        if kind is str:
+            put(_quote(item))
+        elif kind is int:
+            put(int.__repr__(item))
+        elif item and isinstance(item, (list, tuple, dict)):
+            _write(item, inner, put)
+        else:
+            put(json.dumps(item))
+    put(closer)
 
 
 def _parse_indices(text: str) -> list[int]:

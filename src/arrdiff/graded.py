@@ -39,8 +39,9 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator
 
-from .arrangement import (Arrangement, Decomposition, decompose,
-                          flat_closure, is_generic, localize)
+from .arrangement import (Arrangement, Circuits, Decomposition, decompose,
+                          flat_closure, fundamental_circuits, is_generic,
+                          localize)
 from .linalg import RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
                     monomial_exponents)
@@ -99,16 +100,22 @@ def operator_vector(op: DiffOp, degree: int) -> list[Fraction]:
 
 def _vector_to_operator(vec: dict[int, int], dim: int, order: int,
                         degree: int) -> DiffOp:
-    """The operator of a nullspace vector, scaled to a 1 in its last column."""
+    """The operator of a nullspace vector, scaled to a 1 in its last column.
+
+    Each coefficient is built from its integer entries and divided by the
+    free entry once."""
     omega = monomial_exponents(dim, order)
     mons = monomial_exponents(dim, degree)
     free = vec[max(vec)]
-    coeffs: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
-    for col in sorted(vec):
+    coeffs: dict[MultiIndex, dict[MultiIndex, int]] = {}
+    for col, c in vec.items():
         ai, mi = divmod(col, len(mons))
-        coeffs.setdefault(omega[ai], {})[mons[mi]] = Fraction(vec[col], free)
-    return DiffOp(dim, order, {a: Poly(dim, terms)
-                               for a, terms in coeffs.items()})
+        coeffs.setdefault(omega[ai], {})[mons[mi]] = c
+    polys = {a: Poly(dim, terms) for a, terms in coeffs.items()}
+    if free != 1:
+        scale = Fraction(1, free)
+        polys = {a: p * scale for a, p in polys.items()}
+    return DiffOp(dim, order, polys)
 
 
 def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
@@ -427,7 +434,12 @@ def decide_orders(arr: Arrangement, top: int) -> list[FreenessReport]:
 
 class _FilterFacts:
     """What the fast filters know of one arrangement at every order, each
-    computed on first use."""
+    computed on first use.
+
+    Whether the arrangement is a product is read off its fundamental
+    circuits, an integer nullspace and a union-find; only an arrangement
+    with two or more factors is decomposed, from those same circuits.
+    """
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
@@ -437,8 +449,12 @@ class _FilterFacts:
         return is_generic(self.arr)
 
     @cached_property
+    def circuits(self) -> Circuits:
+        return fundamental_circuits(self.arr)
+
+    @cached_property
     def decomposition(self) -> Decomposition:
-        return decompose(self.arr)
+        return decompose(self.arr, self.circuits)
 
     @cached_property
     def localization_certificate(self) -> dict | None:
@@ -464,8 +480,8 @@ def _fast_filters(facts, order, audit, report):
                      f"{threshold}; sweeping for a basis")
 
     # product decomposition: recurse into the factors
-    dec = facts.decomposition
-    if len(dec.factors) >= 2:
+    if facts.circuits.factor_count >= 2:
+        dec = facts.decomposition
         from .construct import product_basis  # local import to avoid a cycle
         audit.append(f"filter: decomposes into {len(dec.factors)} factors")
         factor_bases: list[list[list[DiffOp]]] = []

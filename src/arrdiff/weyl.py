@@ -260,7 +260,9 @@ def embed(op: DiffOp, total_dim: int, offset: int) -> DiffOp:
 
     coeffs = {}
     for a, p in op.terms():
-        coeffs[pad(a)] = Poly(total_dim, [(pad(b), c) for b, c in p.terms()])
+        terms, den = p.integer_terms()
+        padded = Poly(total_dim, {pad(b): c for b, c in terms.items()})
+        coeffs[pad(a)] = padded * Fraction(1, den) if den != 1 else padded
     return DiffOp(total_dim, op.order, coeffs)
 
 

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
-                                 decompose, flat_closure, is_generic,
+                                 decompose, flat_closure,
+                                 fundamental_circuits, is_generic,
                                  localize, make_named, make_shi, product)
 from arrdiff.linalg import invert
 from arrdiff.qpoly import LinearForm, Poly, variables
@@ -375,3 +376,40 @@ def test_empty_arrangement_decomposition():
     line = decompose(Arrangement(1, ()))
     assert len(line.factors) == 1 and line.rank == 0
     assert line.factors[0].arrangement.dim == 1
+
+
+@st.composite
+def split_candidates(draw):
+    """Up to 7 distinct forms in dim 1-4 with entries in -3..3, so that a
+    form such as 2x + y is stored as x + y/2; the coordinates outside a
+    drawn support are zero in every form, which makes the arrangement
+    rank-deficient whenever the support is proper."""
+    dim = draw(st.integers(1, 4))
+    support = draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    entry = st.integers(-3, 3)
+    vectors = draw(st.lists(
+        st.tuples(*[entry if j in support else st.just(0)
+                    for j in range(dim)]).filter(any), max_size=7))
+    return Arrangement(dim, dict.fromkeys(LinearForm(v) for v in vectors))
+
+
+@given(split_candidates())
+@example(arr_of(2, "2x+y", "x", "y"))
+@example(arr_of(4, "2x1+x2", "x2", "3x3-x4", "x4"))
+@example(arr_of(3, "2x+3y", "x-2y"))
+@example(Arrangement(1, ()))
+@settings(max_examples=150, deadline=None)
+def test_factor_count_matches_decompose(arr):
+    # the cheap integer pass counts the factors that decompose builds,
+    # one per component (checked against the brute-force oracle) and one
+    # empty factor when the rank is below the dimension
+    circuits = fundamental_circuits(arr)
+    rank = rank_of([list(f.coefficients) for f in arr.forms], arr.dim)
+    assert circuits.rank == rank
+    assert {frozenset(c) for c in circuits.components} \
+        == oracle_components(arr)
+    assert circuits.factor_count == len(decompose(arr).factors) \
+        == len(circuits.components) + (rank < arr.dim)
+    assert pinned(decompose(arr, circuits)) == pinned(decompose(arr))
+    transformed, reassembled = reassembled_forms(arr, decompose(arr))
+    assert transformed == reassembled

@@ -13,12 +13,13 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  make_named, make_shi, product)
-from arrdiff.cli import main
+from arrdiff.cli import _dumps, _emit, main
 from arrdiff.construct import basis_rank_two
 from arrdiff.graded import FREE, decide_free
 from arrdiff.membership import shi2_order2_members
@@ -804,3 +805,56 @@ PAIR_COMMANDS = [(["product"], (None, None)),
 def test_fuzz_two_arrangement_commands_exit_cleanly(first, second, command):
     argv, (flag_first, flag_second) = command
     assert_exits_cleanly(argv, [(flag_first, first), (flag_second, second)])
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+JSON_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(["", "\u00e9", '"', "\\", "\x00\x1f\x7f\n\t\r\b\f",
+                     "\u2028\u2029", "\ud800", "\U0001f600", "a\"b\\c/d"]))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), JSON_TEXT, st.integers(),
+    st.integers(-10 ** 80, 10 ** 80), st.floats())
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.floats(), st.booleans(),
+                      st.none())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4)),
+    max_leaves=40)
+
+
+@given(JSON_VALUES)
+@example([[], {}, [[]], {"a": {}}, [{"b": []}], ()])
+@example({1: "x", 2.5: [True, False, None], True: 0, None: -1, "é": "é"})
+@example({"big": [2 ** 200, -(3 ** 150)], "nan": [float("nan"),
+                                                    float("-inf")]})
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_writer_rejects_what_json_rejects():
+    for value in ({(1, 2): 0}, [{1, 2}], {"a": object()}):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as raised:
+            _dumps(value)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_emit_to_a_file_writes_what_it_prints(tmp_path):
+    for value in (decide_free(make_shi(2), 1).to_json(),
+                  {"é": ["\x00", 2 ** 70, None, [], {}]}, [], "text", 7):
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            _emit(value)
+        target = tmp_path / "out.json"
+        _emit(value, str(target))
+        printed = buffer.getvalue()
+        assert printed == json.dumps(value, indent=2) + "\n"
+        assert target.read_bytes() == printed.encode("utf-8")

@@ -740,6 +740,23 @@ def test_equal_factors_are_decided_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("arr, order, expected", [
+    (make_shi(2), 2, 0),
+    (make_shi(3), 1, 0),
+    (B3, 2, 0),
+    # braid-3 splits off an empty line; its two factors do not split
+    (make_named("braid", 3), 3, 1),
+    # holm-q1 does not split; its localization certificate names the
+    # factor of the refuting flat
+    (make_named("holm-q1"), 1, 1),
+])
+def test_only_arrangements_that_split_are_decomposed(monkeypatch, arr,
+                                                     order, expected):
+    calls = counting_calls(monkeypatch, "decompose")
+    decide_free(arr, order)
+    assert len(calls) == expected
+
+
 def random_forms(dim, max_size):
     return st.lists(st.lists(st.integers(-1, 1), min_size=dim,
                              max_size=dim).filter(any),
