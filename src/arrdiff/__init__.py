@@ -1,7 +1,7 @@
 """Exact computer algebra for central hyperplane arrangements and the
 modules of higher-order differential operators attached to them."""
 
-from .arrangement import (Arrangement, Decomposition, Factor, FlatRef,
+from .arrangement import (Arrangement, Decomposition, FlatRef,
                           arrangement_from_json, decompose, flat_closure,
                           is_generic, localize, make_named, make_shi, product)
 from .construct import (Shi2Certificate, basis_rank_two, find_flat_point,

@@ -4,13 +4,16 @@ An arrangement is an ordered, duplicate-free collection of linear forms in
 a fixed ambient dimension.  Flats of the intersection lattice are stored
 by their hyperplane-index closure, which keeps everything exact and
 finite; geometric questions (containment, rank) reduce to rational rank
-computations on the coefficient vectors.
+computations on the coefficient vectors.  The finest product
+decomposition counts its factors from one integer nullspace and builds
+them only when they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -152,73 +155,105 @@ def is_generic(arr: Arrangement) -> bool:
 # product decomposition
 
 @dataclass(frozen=True)
-class Factor:
-    """One factor of a decomposition, in its own adapted coordinates."""
-
-    arrangement: Arrangement
-    coordinates: tuple[int, ...]  # indices of its block in the new coordinates
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """Finest product decomposition, together with the coordinate change.
-
-    ``basis_change`` holds the new coordinate covectors as rows in the old
-    coordinates; a form with old coefficient row a has new coefficients
-    a * basis_change^-1.  The essential factors come first, ordered by
-    their smallest hyperplane index; a rank-deficient arrangement gets one
-    trailing empty factor.
-    """
-
-    factors: tuple[Factor, ...]
-    basis_change: tuple[tuple[Fraction, ...], ...]
-    rank: int
-    hyperplane_components: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Circuits:
-    """The fundamental circuits of an arrangement's normals, and the
-    connected components of their matroid.
+    """Finest product decomposition of an arrangement.
 
     ``coordinates`` maps each normal i outside the greedy basis B to its
     coordinates over B, up to one nonzero factor: v_i is proportional to
-    the sum of coordinates[i][p] * v_p.  The components are ordered by
-    their smallest hyperplane index.
+    the sum of coordinates[i][p] * v_p.  The components partition the
+    hyperplanes and are ordered by their smallest index.
+
+    ``factors`` and ``basis_change`` are built together on first read.
+    The essential factors come first, one per component in order, each in
+    its own block of adapted coordinates; a rank-deficient arrangement
+    gets one trailing empty factor.  ``basis_change`` holds the new
+    coordinate covectors as rows in the old coordinates; a form with old
+    coefficient row a has new coefficients a * basis_change^-1.
     """
 
-    dim: int
+    arrangement: Arrangement
     rank: int
     coordinates: dict[int, dict[int, int]]
     components: tuple[tuple[int, ...], ...]
 
     @property
     def factor_count(self) -> int:
-        """The number of factors of the finest decomposition: one per
-        component, and an empty one when the rank is below the dimension."""
-        return len(self.components) + (self.rank < self.dim)
+        """One factor per component, and an empty one when the rank is
+        below the dimension."""
+        return len(self.components) + (self.rank < self.arrangement.dim)
+
+    @property
+    def factors(self) -> tuple[Arrangement, ...]:
+        return self._built[0]
+
+    @property
+    def basis_change(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._built[1]
+
+    @cached_property
+    def _built(self) -> tuple[tuple[Arrangement, ...],
+                              tuple[tuple[Fraction, ...], ...]]:
+        """The normals of B in a component span its coordinate block, in
+        which a normal of B is a unit vector and any other normal has its
+        circuit coordinates, up to the factor that its linear form drops;
+        unit vectors complete the coordinates, and any rank deficiency
+        becomes an empty factor on them."""
+        arr, coordinates = self.arrangement, self.coordinates
+        dim = arr.dim
+        # adapted coordinates: per-component blocks of B, then unit vectors
+        change: list[list[Fraction]] = []
+        row_of: dict[int, int] = {}
+        blocks: list[tuple[int, int]] = []
+        for component in self.components:
+            start = len(change)
+            for i in component:
+                if i not in coordinates:
+                    row_of[i] = len(change)
+                    change.append(list(arr.forms[i].coefficients))
+            blocks.append((start, len(change) - start))
+
+        extension = RowBasis(dim)
+        for row in change:
+            extension.add(row)
+        for k in range(dim):
+            unit = [Fraction(1 if j == k else 0) for j in range(dim)]
+            if extension.add(unit):
+                change.append(unit)
+
+        factors = []
+        for component, (start, size) in zip(self.components, blocks):
+            local_forms = []
+            for i in component:
+                coords = [Fraction(0)] * size
+                for p, c in coordinates.get(i, {i: Fraction(1)}).items():
+                    coords[row_of[p] - start] = c
+                local_forms.append(LinearForm(coords))
+            factors.append(Arrangement(size, local_forms))
+        if self.rank < dim:
+            factors.append(Arrangement(dim - self.rank, ()))
+        return tuple(factors), tuple(tuple(r) for r in change)
 
 
-def fundamental_circuits(arr: Arrangement) -> Circuits:
-    """The fundamental circuits and components of the normals' matroid.
+def decompose(arr: Arrangement) -> Decomposition:
+    """Finest decomposition of an arrangement into product factors.
 
-    They are read off one nullspace on integers: that of the matrix whose
-    columns are the forms' integral coefficients w_i = D_i * v_i (D_i the
-    pivot entry, see :class:`LinearForm`).  Its canonical basis has one
-    vector per normal i outside the greedy basis B (the pivot columns,
-    which no column scaling moves), with a positive entry e at i, its last
-    nonzero entry, and -e * c'_p at each p in B, where w_i = sum c'_p w_p:
-    the fundamental circuit of i with respect to B (Oxley, Matroid Theory,
-    ch. 4).  Then v_i = sum (c'_p * D_p / D_i) * v_p, so the coordinates
-    of v_i are the c'_p rescaled by D_p.  Hyperplanes that share a circuit
-    share a component, found by union-find.
+    The components are read off the fundamental circuits of the normals,
+    one nullspace on integers: that of the matrix whose columns are the
+    forms' integral coefficients w_i = D_i * v_i (D_i the pivot entry, see
+    :class:`LinearForm`).  Its canonical basis has one vector per normal i
+    outside the greedy basis B (the pivot columns, which no column scaling
+    moves), with a positive entry e at i, its last nonzero entry, and
+    -e * c'_p at each p in B, where w_i = sum c'_p w_p: the fundamental
+    circuit of i with respect to B (Oxley, Matroid Theory, ch. 4).  Then
+    v_i = sum (c'_p * D_p / D_i) * v_p, so the coordinates of v_i are the
+    c'_p rescaled by D_p.  Hyperplanes that share a circuit share a
+    component, found by union-find.  The factors are built only when read.
     """
     n = len(arr)
     normals = [form.integral_coefficients for form in arr.forms]
-    circuits = nullspace_basis([[w[j] for w in normals]
-                                for j in range(arr.dim)], n)
     coordinates: dict[int, dict[int, int]] = {}
-    for circuit in circuits:
+    for circuit in nullspace_basis([[w[j] for w in normals]
+                                    for j in range(arr.dim)], n):
         support = sorted(circuit)  # the keys are not in column order
         coordinates[support[-1]] = {
             p: -circuit[p] * normals[p][arr.forms[p].pivot]
@@ -240,66 +275,8 @@ def fundamental_circuits(arr: Arrangement) -> Circuits:
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    return Circuits(arr.dim, n - len(coordinates), coordinates,
-                    tuple(tuple(groups[root]) for root in sorted(groups)))
-
-
-def decompose(arr: Arrangement, circuits: Circuits | None = None
-              ) -> Decomposition:
-    """Finest decomposition of an arrangement into product factors.
-
-    The hyperplanes are partitioned into the components of
-    :func:`fundamental_circuits`, which a caller that has them already may
-    pass in.  The normals of B in a component span its coordinate block,
-    in which a normal of B is a unit vector and any other normal has its
-    circuit coordinates, up to the factor that its linear form drops; unit
-    vectors complete the coordinates, and any rank deficiency becomes an
-    empty factor on them.
-    """
-    if circuits is None:
-        circuits = fundamental_circuits(arr)
-    dim = arr.dim
-    vectors = [form.coefficients for form in arr.forms]
-    coordinates = circuits.coordinates
-    components = circuits.components
-    rank = circuits.rank
-
-    # adapted coordinates: per-component blocks of B, then unit vectors
-    change: list[list[Fraction]] = []
-    row_of: dict[int, int] = {}
-    blocks: list[tuple[int, int]] = []
-    for component in components:
-        start = len(change)
-        for i in component:
-            if i not in coordinates:
-                row_of[i] = len(change)
-                change.append(list(vectors[i]))
-        blocks.append((start, len(change) - start))
-
-    extension = RowBasis(dim)
-    for row in change:
-        extension.add(row)
-    for k in range(dim):
-        unit = [Fraction(1 if j == k else 0) for j in range(dim)]
-        if extension.add(unit):
-            change.append(unit)
-
-    factors = []
-    for component, (start, size) in zip(components, blocks):
-        local_forms = []
-        for i in component:
-            coords = [Fraction(0)] * size
-            for p, c in coordinates.get(i, {i: Fraction(1)}).items():
-                coords[row_of[p] - start] = c
-            local_forms.append(LinearForm(coords))
-        factors.append(Factor(Arrangement(size, local_forms),
-                              tuple(range(start, start + size))))
-    if rank < dim:
-        factors.append(Factor(Arrangement(dim - rank, ()),
-                              tuple(range(rank, dim))))
-    return Decomposition(tuple(factors),
-                         tuple(tuple(r) for r in change),
-                         rank, components)
+    return Decomposition(arr, n - len(coordinates), coordinates,
+                         tuple(tuple(groups[root]) for root in sorted(groups)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +335,9 @@ def make_named(name: str, dim: int | None = None) -> Arrangement:
             raise ValueError("shi arrangement needs the parameter ell")
         return make_shi(dim)
     if key in ("holm-q1-counterexample", "holm-q1"):
+        if dim is not None:
+            raise ValueError(f"{name} is fixed in dimension 4 and takes no "
+                             f"parameter")
         return arrangement_from_json({
             "dim": 4,
             "forms": [["1", "0", "0", "0"], ["0", "1", "0", "0"],

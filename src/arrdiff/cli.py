@@ -247,20 +247,26 @@ def _cmd_localize(args) -> int:
     return EXIT_OK
 
 
+def _emit_checked_basis(ops: list[DiffOp], arr: Arrangement, head: dict,
+                        degrees_key: str) -> int:
+    """Check a basis by the determinant criterion and emit the head keys,
+    then its sorted degrees under ``degrees_key``, the operators and the
+    check; exit 0 when the check passes and 1 when it fails."""
+    result = saito_check(ops, arr)
+    _emit({**head,
+           degrees_key: sorted(op.homogeneous_degree() for op in ops),
+           "operators": [op.to_json() for op in ops],
+           "saito": result.to_json()})
+    return EXIT_OK if result else EXIT_NEGATIVE
+
+
 def _cmd_basis_l2(args) -> int:
     arr = _load_arrangement(args.arrangement)
     try:
         ops = basis_rank_two(arr, args.order)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    result = saito_check(ops, arr)
-    _emit({
-        "order": args.order,
-        "degrees": sorted(op.homogeneous_degree() for op in ops),
-        "operators": [op.to_json() for op in ops],
-        "saito": result.to_json(),
-    })
-    return EXIT_OK if result else EXIT_NEGATIVE
+    return _emit_checked_basis(ops, arr, {"order": args.order}, "degrees")
 
 
 def _cmd_product_basis(args) -> int:
@@ -279,15 +285,10 @@ def _cmd_product_basis(args) -> int:
                             + [list(r.basis) for r in reports])
     ops = product_basis(factor_bases)
     combined = product(first, second)
-    result = saito_check(ops, combined)
-    _emit({
+    return _emit_checked_basis(ops, combined, {
         "order": args.order,
         "arrangement": combined.to_json(),
-        "exponents": sorted(op.homogeneous_degree() for op in ops),
-        "operators": [op.to_json() for op in ops],
-        "saito": result.to_json(),
-    })
-    return EXIT_OK if result else EXIT_NEGATIVE
+    }, "exponents")
 
 
 def _cmd_localize_basis(args) -> int:
@@ -309,16 +310,11 @@ def _cmd_localize_basis(args) -> int:
         ops = list(report.basis)
     transported = localize_basis(ops, arr, flat)
     sub = localize(arr, flat)
-    result = saito_check(transported, sub)
-    _emit({
+    return _emit_checked_basis(transported, sub, {
         "order": transported[0].order,
         "flat": described,
         "arrangement": sub.to_json(),
-        "degrees": sorted(op.homogeneous_degree() for op in transported),
-        "operators": [op.to_json() for op in transported],
-        "saito": result.to_json(),
-    })
-    return EXIT_OK if result else EXIT_NEGATIVE
+    }, "degrees")
 
 
 def _cmd_shi2_cert(args) -> int:

@@ -28,6 +28,9 @@ degree-bounded sweep of those counts decides freeness outright:
   determinant check at exactly s each refute freeness.
 
 Three fast filters (see :func:`decide_free`) may answer before the sweep.
+The product filter reads the factor count of
+:func:`arrdiff.arrangement.decompose`, and its factors only when there
+are two or more.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from itertools import combinations
 from math import lcm
 from typing import Iterator
 
-from .arrangement import (Arrangement, Circuits, Decomposition, decompose,
-                          flat_closure, fundamental_circuits, is_generic,
-                          localize)
+from .arrangement import (Arrangement, Decomposition, decompose,
+                          flat_closure, is_generic, localize)
 from .linalg import RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
                     monomial_exponents)
@@ -436,9 +438,9 @@ class _FilterFacts:
     """What the fast filters know of one arrangement at every order, each
     computed on first use.
 
-    Whether the arrangement is a product is read off its fundamental
-    circuits, an integer nullspace and a union-find; only an arrangement
-    with two or more factors is decomposed, from those same circuits.
+    Whether the arrangement is a product is read off its decomposition's
+    factor count, an integer nullspace and a union-find; the factors are
+    built only for an arrangement with two or more of them.
     """
 
     def __init__(self, arr: Arrangement):
@@ -449,12 +451,8 @@ class _FilterFacts:
         return is_generic(self.arr)
 
     @cached_property
-    def circuits(self) -> Circuits:
-        return fundamental_circuits(self.arr)
-
-    @cached_property
     def decomposition(self) -> Decomposition:
-        return decompose(self.arr, self.circuits)
+        return decompose(self.arr)
 
     @cached_property
     def localization_certificate(self) -> dict | None:
@@ -480,18 +478,18 @@ def _fast_filters(facts, order, audit, report):
                      f"{threshold}; sweeping for a basis")
 
     # product decomposition: recurse into the factors
-    if facts.circuits.factor_count >= 2:
-        dec = facts.decomposition
+    dec = facts.decomposition
+    if dec.factor_count >= 2:
         from .construct import product_basis  # local import to avoid a cycle
-        audit.append(f"filter: decomposes into {len(dec.factors)} factors")
+        audit.append(f"filter: decomposes into {dec.factor_count} factors")
         factor_bases: list[list[list[DiffOp]]] = []
         # equal factors are decided once; the key keeps the forms' order,
         # which fixes the indices a factor's certificate names
         decided: dict[tuple, list[FreenessReport]] = {}
         for fi, factor in enumerate(dec.factors):
-            key = (factor.arrangement.dim, factor.arrangement.forms)
+            key = (factor.dim, factor.forms)
             if key not in decided:
-                decided[key] = decide_orders(factor.arrangement, order)
+                decided[key] = decide_orders(factor, order)
             reports = decided[key]
             sub = reports[-1]  # order >= 1, so there is one
             if not sub:
@@ -501,12 +499,12 @@ def _fast_filters(facts, order, audit, report):
                     "kind": "fast_filter",
                     "reason": "product-factor-not-free",
                     "factor_index": fi,
-                    "factor_dim": factor.arrangement.dim,
-                    "factor_size": len(factor.arrangement),
+                    "factor_dim": factor.dim,
+                    "factor_size": len(factor),
                     "failing_order": sub.order,
                     "factor_certificate": sub.certificate,
                 })
-            factor_bases.append([[DiffOp.identity(factor.arrangement.dim)]]
+            factor_bases.append([[DiffOp.identity(factor.dim)]]
                                 + [list(r.basis) for r in reports])
         basis = tuple(change_variables(product_basis(factor_bases),
                                        dec.basis_change))
@@ -565,7 +563,7 @@ def _localization_filter(arr: Arrangement) -> dict | None:
                 line_size[pair] > 2 for pair in combinations(members, 2)):
             continue
         sub = localize(arr, flat)
-        factor = decompose(sub).factors[0].arrangement
+        factor = decompose(sub).factors[0]
         return {
             "kind": "fast_filter",
             "reason": "localization-not-free",

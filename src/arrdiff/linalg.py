@@ -16,8 +16,8 @@ Vectors go in as dense sequences or as sparse dicts from column to
 rational.  Integer rows are the native input: a vector whose entries are
 all ``int`` is taken as it is, and only one with another rational entry
 has its denominators cleared, once, where it enters.  Nullspace vectors
-come out sparse, as dicts from column to nonzero ``int``; residuals and
-inverses come out dense, as :class:`fractions.Fraction`.
+come out sparse, as dicts from column to nonzero ``int``; inverses come
+out dense, as :class:`fractions.Fraction`.
 
 Insertion order changes only the cost.  A row whose pivot lies left of
 every stored pivot changes no stored row, since stored rows are zero left
@@ -41,8 +41,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = int | Fraction
-Vector = list[Fraction]
-Matrix = list[Vector]
+Matrix = list[list[Fraction]]
 SparseRow = dict[int, Rational]
 IntRow = dict[int, int]
 
@@ -160,13 +159,6 @@ class RowBasis:
                 _make_primitive(row, col)
         self._pivots.insert(k, pivot)
         self._rows[pivot] = vec
-
-    def residual(self, vector: Sequence[Rational] | SparseRow) -> Vector:
-        """Reduce a vector against the stored rows (returns a copy)."""
-        vec, scale = _int_row(vector, self.ncols)
-        scale *= self._reduce(vec)
-        return [Fraction(vec[j], scale) if j in vec else Fraction(0)
-                for j in range(self.ncols)]
 
     def contains(self, vector: Sequence[Rational] | SparseRow) -> bool:
         vec, _ = _int_row(vector, self.ncols)

@@ -253,12 +253,6 @@ class Poly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(a) for a in self._terms)
-
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None (zero or mixed)."""
         degrees = {sum(a) for a in self._terms}
@@ -383,14 +377,6 @@ class Poly:
             # distinct exponents stay distinct after the shift
             out[tuple(map(sub, a, order))] = c
         return Poly._make(self.dim, out, self._den)
-
-    def substitute(self, images: Sequence["Poly"]) -> "Poly":
-        """Replace every variable x_i by images[i] at once, exactly.
-
-        See :func:`substituter`, which keeps the powers of the images and
-        the monomial images for many polynomials.
-        """
-        return substituter(self.dim, images)(self)
 
     # -- presentation
 

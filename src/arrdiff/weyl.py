@@ -56,10 +56,6 @@ class DiffOp:
         raise AttributeError("DiffOp is immutable")
 
     @classmethod
-    def zero(cls, dim: int, order: int) -> "DiffOp":
-        return cls(dim, order)
-
-    @classmethod
     def identity(cls, dim: int) -> "DiffOp":
         """The order-0 operator multiplying by 1."""
         return cls(dim, 0, {(0,) * dim: Poly.one(dim)})

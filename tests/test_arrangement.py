@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
-                                 decompose, flat_closure,
-                                 fundamental_circuits, is_generic,
+                                 decompose, flat_closure, is_generic,
                                  localize, make_named, make_shi, product)
 from arrdiff.linalg import invert
 from arrdiff.qpoly import LinearForm, Poly, variables
@@ -199,10 +198,8 @@ def test_is_generic():
 def test_decompose_splits_off_line():
     arr = arr_of(3, "x", "y", "z", "x+y")
     dec = decompose(arr)
-    assert {frozenset(c) for c in dec.hyperplane_components} \
-        == oracle_components(arr)
-    sizes = sorted((len(f.arrangement), f.arrangement.dim)
-                   for f in dec.factors)
+    assert {frozenset(c) for c in dec.components} == oracle_components(arr)
+    sizes = sorted((len(f), f.dim) for f in dec.factors)
     assert sizes == [(1, 1), (3, 2)]
     assert len(dec.factors) == 2 and dec.rank == 3
 
@@ -211,18 +208,17 @@ def test_decompose_shi2_irreducible():
     arr = make_shi(2)
     dec = decompose(arr)
     assert len(dec.factors) == 1 and dec.rank == arr.dim
-    assert {frozenset(c) for c in dec.hyperplane_components} \
-        == oracle_components(arr)
+    assert {frozenset(c) for c in dec.components} == oracle_components(arr)
 
 
 def test_decompose_rank_deficient_generic():
     arr = arr_of(4, "x1", "x2", "x3", "x1+x2+x3")
     dec = decompose(arr)
     assert dec.rank == 3 and len(dec.factors) == 2
-    essential = dec.factors[0].arrangement
+    essential = dec.factors[0]
     assert essential.dim == 3 and len(essential) == 4
     assert is_generic(essential)
-    empty = dec.factors[1].arrangement
+    empty = dec.factors[1]
     assert empty.dim == 1 and len(empty) == 0
 
 
@@ -237,7 +233,7 @@ def test_decompose_oracle_on_small_arrangements():
     ]
     for arr in cases:
         dec = decompose(arr)
-        assert {frozenset(c) for c in dec.hyperplane_components} \
+        assert {frozenset(c) for c in dec.components} \
             == oracle_components(arr)
 
 
@@ -247,6 +243,15 @@ def row_times(vector, rows):
                 Fraction(0)) for j in range(len(rows[0]))]
 
 
+def factor_blocks(dec):
+    """Each factor with its block of the new coordinates: the blocks follow
+    one another in factor order."""
+    start = 0
+    for factor in dec.factors:
+        yield factor, tuple(range(start, start + factor.dim))
+        start += factor.dim
+
+
 def reassembled_forms(arr, dec):
     """The forms mapped through invert(basis_change), and the factor forms
     padded back to the full coordinates; the two sets must agree."""
@@ -254,10 +259,10 @@ def reassembled_forms(arr, dec):
     transformed = {LinearForm(row_times(list(f.coefficients), inverse))
                    for f in arr.forms}
     reassembled = set()
-    for factor in dec.factors:
-        for form in factor.arrangement.forms:
+    for factor, coordinates in factor_blocks(dec):
+        for form in factor.forms:
             padded = [Fraction(0)] * arr.dim
-            for coord, value in zip(factor.coordinates, form.coefficients):
+            for coord, value in zip(coordinates, form.coefficients):
                 padded[coord] = value
             reassembled.add(LinearForm(padded))
     return transformed, reassembled
@@ -287,29 +292,27 @@ def small_arrangements(draw):
 @settings(max_examples=150, deadline=None)
 def test_decompose_properties(arr):
     dec = decompose(arr)
-    assert {frozenset(c) for c in dec.hyperplane_components} \
-        == oracle_components(arr)
+    assert {frozenset(c) for c in dec.components} == oracle_components(arr)
     transformed, reassembled = reassembled_forms(arr, dec)
     assert transformed == reassembled
     # the first rank rows are normals, one block per component in order
     normals = [f.coefficients for f in arr.forms]
     rows = iter(dec.basis_change[:dec.rank])
-    for component, factor in zip(dec.hyperplane_components, dec.factors):
-        block = [next(rows) for _ in factor.coordinates]
+    for component, factor in zip(dec.components, dec.factors):
+        block = [next(rows) for _ in range(factor.dim)]
         assert all(row in [normals[i] for i in component] for row in block)
     assert next(rows, None) is None
-    assert sum(f.arrangement.dim for f in dec.factors) == arr.dim
+    assert sum(f.dim for f in dec.factors) == arr.dim
 
 
 def pinned(dec):
     return {
         "factors": [([[str(c) for c in f.coefficients]
-                      for f in factor.arrangement.forms],
-                     factor.arrangement.dim, factor.coordinates)
-                    for factor in dec.factors],
+                      for f in factor.forms], factor.dim, coordinates)
+                    for factor, coordinates in factor_blocks(dec)],
         "basis_change": [[str(c) for c in row] for row in dec.basis_change],
         "rank": dec.rank,
-        "components": dec.hyperplane_components,
+        "components": dec.components,
     }
 
 
@@ -375,7 +378,7 @@ def test_empty_arrangement_decomposition():
     assert len(dec.factors) == 1 and dec.rank == 0
     line = decompose(Arrangement(1, ()))
     assert len(line.factors) == 1 and line.rank == 0
-    assert line.factors[0].arrangement.dim == 1
+    assert line.factors[0].dim == 1
 
 
 @st.composite
@@ -400,16 +403,14 @@ def split_candidates(draw):
 @example(Arrangement(1, ()))
 @settings(max_examples=150, deadline=None)
 def test_factor_count_matches_decompose(arr):
-    # the cheap integer pass counts the factors that decompose builds,
-    # one per component (checked against the brute-force oracle) and one
-    # empty factor when the rank is below the dimension
-    circuits = fundamental_circuits(arr)
+    # the cheap integer pass counts the factors that are built on first
+    # read, one per component (checked against the brute-force oracle) and
+    # one empty factor when the rank is below the dimension
+    dec = decompose(arr)
     rank = rank_of([list(f.coefficients) for f in arr.forms], arr.dim)
-    assert circuits.rank == rank
-    assert {frozenset(c) for c in circuits.components} \
-        == oracle_components(arr)
-    assert circuits.factor_count == len(decompose(arr).factors) \
-        == len(circuits.components) + (rank < arr.dim)
-    assert pinned(decompose(arr, circuits)) == pinned(decompose(arr))
-    transformed, reassembled = reassembled_forms(arr, decompose(arr))
+    assert dec.rank == rank
+    assert {frozenset(c) for c in dec.components} == oracle_components(arr)
+    assert dec.factor_count == len(dec.factors) \
+        == len(dec.components) + (rank < arr.dim)
+    transformed, reassembled = reassembled_forms(arr, dec)
     assert transformed == reassembled

@@ -467,6 +467,15 @@ def test_invalid_inputs_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_gen_bad_parameter_exits_two(capsys):
+    # holm-q1 is fixed in dimension 4, so any parameter is an error
+    for argv in (("holm-q1-counterexample", "5"), ("holm-q1", "4"),
+                 ("braid", "1"), ("shi", "1"), ("empty",), ("octagon",)):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_non_integer_dim_or_order_exits_two(capsys, tmp_path):
     # int() would read 2.7 as 2 and true or 1.5 as 1, and answer
     for value in (2.7, True, 1.5):

@@ -224,9 +224,9 @@ def test_shi3_localization_splits_into_shi2_and_a_line():
     sub = localize(arr, flat_closure(arr, seed))
     dec = decompose(sub)
     assert len(dec.factors) == 2
-    essential = dec.factors[0].arrangement
+    essential = dec.factors[0]
     assert (essential.dim, len(essential)) == (3, 7)
-    assert dec.factors[1].arrangement.dim == 1
+    assert dec.factors[1].dim == 1
     # the essential factor behaves exactly like the rank-3 coned Shi
     assert decide_free(essential, 1).verdict == FREE
     assert decide_free(essential, 2).verdict == NOT_FREE
@@ -355,7 +355,7 @@ def test_localize_basis_requires_a_basis():
 def test_localize_basis_names_a_zero_operator():
     x, y = variables(2)
     ops = [euler_operator(2, 2), DiffOp.single(2, (2, 0), x * (x + y)),
-           DiffOp.zero(2, 2)]
+           DiffOp(2, 2)]
     with pytest.raises(ValueError, match="operator 2 is zero"):
         localize_basis(ops, RANK2, flat_closure(RANK2, [0]))
 

@@ -18,9 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arrdiff import graded
-from arrdiff.arrangement import (Arrangement, arrangement_from_json,
-                                 decompose, flat_closure, is_generic,
-                                 localize, make_named, make_shi, product)
+from arrdiff.arrangement import (Arrangement, Decomposition,
+                                 arrangement_from_json, decompose,
+                                 flat_closure, is_generic, localize,
+                                 make_named, make_shi, product)
 from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, GradedBasis,
                             _localization_filter, decide_free, decide_orders,
                             graded_dimension, operator_vector)
@@ -641,7 +642,7 @@ def reference_localization_filter(arr):
             seen.add(flat.generators)
             sub = localize(arr, flat)
             for factor in decompose(sub).factors:
-                if is_generic(factor.arrangement):
+                if is_generic(factor):
                     return {
                         "kind": "fast_filter",
                         "reason": "localization-not-free",
@@ -650,10 +651,9 @@ def reference_localization_filter(arr):
                         "localization_size": len(sub),
                         "detail": {
                             "rule": "product-factor-not-free",
-                            "factor_forms": [str(f) for f in
-                                             factor.arrangement.forms],
-                            "factor_dim": factor.arrangement.dim,
-                            "factor_size": len(factor.arrangement),
+                            "factor_forms": [str(f) for f in factor.forms],
+                            "factor_dim": factor.dim,
+                            "factor_size": len(factor),
                             "failing_order": 1,
                         },
                     }
@@ -752,9 +752,20 @@ def test_equal_factors_are_decided_once(monkeypatch):
 ])
 def test_only_arrangements_that_split_are_decomposed(monkeypatch, arr,
                                                      order, expected):
-    calls = counting_calls(monkeypatch, "decompose")
+    # every filtered decision decomposes, but the factors and the
+    # coordinate change are built on first read, which the product filter
+    # does only for an arrangement that splits
+    built = Decomposition.__dict__["_built"]
+    builds = []
+    real = built.func
+
+    def counting(dec):
+        builds.append(dec)
+        return real(dec)
+
+    monkeypatch.setattr(built, "func", counting)
     decide_free(arr, order)
-    assert len(calls) == expected
+    assert len(builds) == expected
 
 
 def random_forms(dim, max_size):

@@ -79,6 +79,28 @@ def test_every_export_has_a_library_caller():
     assert [name for name in exports if name not in used] == []
 
 
+def test_every_public_member_has_a_library_reader():
+    # a public method or dataclass field of a library class that no library
+    # module reads as an attribute (obj.name; a def or a field annotation
+    # is no such read) is API the library does not need; by name, as above
+    read = {node.attr for name, tree in modules() if name != "__init__.py"
+            for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    found = []
+    for name, tree in modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            members = [node.name for node in cls.body
+                       if isinstance(node, ast.FunctionDef)]
+            if any(_dotted(getattr(d, "func", d)) == "dataclass"
+                   for d in cls.decorator_list):
+                members += [node.target.id for node in cls.body
+                            if isinstance(node, ast.AnnAssign)]
+            found += [f"{name}:{cls.name}.{member}" for member in members
+                      if not member.startswith("_") and member not in read]
+    assert found == []
+
+
 def test_readme_library_example_runs():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = text.split("```python\n")[1:]

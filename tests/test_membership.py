@@ -222,7 +222,7 @@ def operators_for(draw, arr, order):
         generators += [DiffOp.single(dim, a, q) for a in omega]
         picks = draw(st.lists(st.sampled_from(generators), min_size=1,
                               max_size=2))
-        op = DiffOp.zero(dim, order)
+        op = DiffOp(dim, order)
         for gen in picks:
             factor = draw(poly_strategy(dim, max_degree=1, max_terms=2)
                           .filter(bool))
@@ -332,7 +332,7 @@ def _random_member_pool(rng, arr, order, count):
                    for a in monomial_exponents(arr.dim, order)]
     ops = []
     for _ in range(count):
-        total = DiffOp.zero(arr.dim, order)
+        total = DiffOp(arr.dim, order)
         for gen in rng.sample(generators, k=min(2, len(generators))):
             factor = random_poly(rng, arr.dim, rng.randint(0, 1), terms=1)
             total = total + factor * gen

@@ -330,7 +330,7 @@ def test_point_constant_off_the_degree_form():
     _, theta_1, theta_2 = rank2_triple()
     mixed = DiffOp.single(2, (2, 0), x + x * y)
     assert point_constant([mixed, theta_1, theta_2], RANK2) is None
-    assert point_constant([DiffOp.zero(2, 2), theta_1, theta_2], RANK2) \
+    assert point_constant([DiffOp(2, 2), theta_1, theta_2], RANK2) \
         is None
     with pytest.raises(ValueError):
         point_constant([], RANK2)

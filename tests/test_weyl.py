@@ -14,7 +14,7 @@ from arrdiff.arrangement import arrangement_from_json
 from arrdiff.construct import basis_rank_two
 from arrdiff.linalg import invert
 from arrdiff.qpoly import (LinearForm, Poly, mi_factorial, monomial_exponents,
-                           variables)
+                           substituter, variables)
 from arrdiff.weyl import (DiffOp, block_product, change_variables,
                           coefficient_matrix, diffop_from_json,
                           directional_power, embed, euler_operator)
@@ -174,7 +174,7 @@ def test_coefficient_matrix_one_by_one():
 
 
 def test_coefficient_matrix_zero_column():
-    ops = [euler_operator(2, 1), DiffOp.zero(2, 1)]
+    ops = [euler_operator(2, 1), DiffOp(2, 1)]
     matrix = coefficient_matrix(ops)
     assert all(row[1].is_zero() for row in matrix)
 
@@ -215,7 +215,7 @@ def test_embed_and_block_product():
 
 
 def linear_images(matrix):
-    """The images x_i -> sum_j matrix[i][j] x_j, for Poly.substitute."""
+    """The images x_i -> sum_j matrix[i][j] x_j, for substituter."""
     dim = len(matrix)
     return [sum((c * x for c, x in zip(row, variables(dim))), Poly.zero(dim))
             for row in matrix]
@@ -229,8 +229,8 @@ def test_change_variables_extensionally():
     [moved] = change_variables([op], rows)
     for f in (x * x * y, (x + y) ** 3, x * x):
         # conjugation identity: moved(f) agrees with op acting upstairs
-        upstairs = op.apply(f.substitute(linear_images(inverse)))
-        assert moved.apply(f) == upstairs.substitute(linear_images(rows))
+        upstairs = op.apply(substituter(2, linear_images(inverse))(f))
+        assert moved.apply(f) == substituter(2, linear_images(rows))(upstairs)
     identity = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert change_variables([op], identity) == [op]
     assert change_variables([], rows) == []
@@ -252,8 +252,9 @@ def test_change_variables_conjugates_random_operators(data):
     moved = change_variables(ops, rows)
     assert len(moved) == len(ops)
     for op, image in zip(ops, moved):
-        upstairs = op.apply(f.substitute(linear_images(inverse)))
-        assert image.apply(f) == upstairs.substitute(linear_images(rows))
+        upstairs = op.apply(substituter(dim, linear_images(inverse))(f))
+        assert image.apply(f) \
+            == substituter(dim, linear_images(rows))(upstairs)
 
 
 def reference_change_variables(ops, rows):
@@ -299,7 +300,7 @@ def test_change_variables_matches_term_by_term_reference(data):
                                min_size=1, max_size=3))
     ops = []
     for _ in range(data.draw(st.integers(1, 4))):
-        op = DiffOp.zero(dim, order)
+        op = DiffOp(dim, order)
         for _ in range(data.draw(st.integers(1, 2))):
             op = op + (data.draw(st.sampled_from(parts))
                        * data.draw(constant_op_strategy(dim, order)))
