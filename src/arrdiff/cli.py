@@ -6,13 +6,17 @@ written by a one-pass writer whose bytes are those of
 ``json.dumps(payload, indent=2)``.  Exit codes:
 0 success (or FREE), 1 negative decision (NOT_FREE, non-member, failed
 check), 2 invalid input, 3 inconclusive (a ``--max-degree`` below the
-complete bound t * |A|).
+complete bound t * |A|), 141 standard output closed before all was
+written (as by ``arrdiff gen holm-q1 | head -1``; 128 + SIGPIPE, the
+status a shell shows for a writer that a closed pipe stops), with
+nothing on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -31,6 +35,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNDECIDED = 3
+EXIT_CLOSED_OUTPUT = 141
 
 
 class InputError(Exception):
@@ -541,10 +546,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to the null
+        # device, so that the flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
 
 
 if __name__ == "__main__":

@@ -8,13 +8,17 @@ criterion of :mod:`arrdiff.membership`; the rows use b! times it, the
 image of form * x^b) must vanish after reduction modulo the form.  The
 rows come from one table per form and degree: the reductions of the
 degree-d monomials by the form's reduction kernel
-(:meth:`arrdiff.qpoly.LinearForm.table`), scaled to integers.  Solving
-that system exactly gives the graded piece as a vector space, kept as
-sparse integer coefficient vectors.  Stacking graded pieces degree by
-degree gives minimal generator counts: the multiples x^mu * gen of the
-generators found so far are their vectors with each column (a, nu) shifted
-to (a, nu + mu), and operators are built only for a candidate basis.  A
-degree-bounded sweep of those counts decides freeness outright:
+(:meth:`arrdiff.qpoly.LinearForm.table`), scaled to integers.  A
+coordinate hyperplane x_p builds no table and no rows: each of its rows
+has one entry and forces one coefficient to zero, so the other forms'
+rows are built on the coefficients left free, which changes no vector
+(see :func:`graded_dimension`).  Solving that system exactly gives the
+graded piece as a vector space, kept as sparse integer coefficient
+vectors.  Stacking graded pieces degree by degree gives minimal generator
+counts: the multiples x^mu * gen of the generators found so far are their
+vectors with each column (a, nu) shifted to (a, nu + mu), and operators
+are built only for a candidate basis.  A degree-bounded sweep of those
+counts decides freeness outright:
 
 * the count reaches s = rank by degree |A|: for m >= 1 the s operators
   Q * d^a with |a| = m are independent members of that degree, and at
@@ -134,16 +138,35 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     regrouped by nu once per form, so each row is read off in one pass
     over its nonzero entries; :func:`arrdiff.linalg.nullspace_basis` takes
     the rows as native integer rows, in an order of its own.
+
+    A coordinate hyperplane x_p builds no table and no rows.  Its rows
+    say that x_p divides c_a whenever a_p >= 1, and each holds one entry:
+    they force to zero the columns (a, mu) with a_p >= 1 and mu_p = 0.  The
+    other forms' rows are built on the surviving columns only, renumbered
+    in increasing order, and a row left empty is dropped.  The vectors do
+    not change: the full system's reduced echelon form is those unit rows
+    plus the smaller system's form on the surviving columns, and an
+    order-keeping renumbering keeps the free columns, their order and the
+    pivots that scale each vector.
     """
     if order < 0 or degree < 0:
         raise ValueError("order and degree must be nonnegative")
     dim = arr.dim
-    nmons = len(monomial_exponents(dim, degree))
-    ncols = len(monomial_exponents(dim, order)) * nmons
+    mons = monomial_exponents(dim, degree)
+    nmons = len(mons)
+    omega = monomial_exponents(dim, order)
     raised = _raised_exponents(dim, order)
+    coordinates: set[int] = set()  # the p of each coordinate form x_p
+    forms = []  # the other forms
+    for form in arr.forms:
+        if form.integral_coefficients.count(0) == dim - 1:
+            coordinates.add(form.pivot)
+        else:
+            forms.append(form)
+    kept, column = _surviving_columns(omega, mons, coordinates)
 
     rows: list[dict[int, int]] = []
-    for form in arr.forms:
+    for form in forms:
         # the terms of D^d * x^mu modulo the form, for each degree-d mu,
         # regrouped by output monomial nu: nu -> [(index of mu, term)]
         by_nu: dict[MultiIndex, list[tuple[int, int]]] = {}
@@ -161,11 +184,38 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
             # the table terms are) and its columns distinct (one block per
             # j, one mu per term of x^mu's reduction at nu), so nothing
             # accumulates
-            rows.extend({base + mi: scale * rc for base, scale in acting
-                         for mi, rc in cells} for cells in by_nu.values())
+            for cells in by_nu.values():
+                row = {new: scale * rc for base, scale in acting
+                       for mi, rc in cells
+                       if (new := column[base + mi]) is not None}
+                if row:
+                    rows.append(row)
 
     return GradedBasis(dim, order, degree,
-                       tuple(nullspace_basis(rows, ncols)))
+                       tuple({kept[new]: x for new, x in vec.items()}
+                             for vec in nullspace_basis(rows, len(kept))))
+
+
+def _surviving_columns(omega: tuple[MultiIndex, ...],
+                       mons: tuple[MultiIndex, ...], coordinates: set[int]
+                       ) -> tuple[list[int], list[int | None]]:
+    """The columns (a, mu) that the coordinate hyperplanes x_p (p in
+    ``coordinates``) do not force to zero, those with mu_p >= 1 wherever
+    a_p >= 1, in increasing order; and each column's index among them,
+    None for a column forced to zero."""
+    nmons = len(mons)
+    kept: list[int] = []
+    column: list[int | None] = [None] * (len(omega) * nmons)
+    for ai, a in enumerate(omega):
+        hit = [p for p in coordinates if a[p]]
+        for mi, mu in enumerate(mons):
+            for p in hit:
+                if not mu[p]:
+                    break
+            else:
+                column[ai * nmons + mi] = len(kept)
+                kept.append(ai * nmons + mi)
+    return kept, column
 
 
 @lru_cache(maxsize=None)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -224,6 +225,25 @@ def test_paper_suite_golden_output_without_asserts():
         == (0, PAPER_SUITE_STDOUT, "")
 
 
+def test_closed_standard_output_exits_quietly():
+    # as in `arrdiff gen holm-q1 | head -1`: the reader takes one line and
+    # closes the pipe; no traceback, nothing on stderr.  The output is
+    # 249,334 bytes, more than a pipe holds, so a write always fails
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src),
+                                                      env.get("PYTHONPATH")]))
+    child = subprocess.Popen([sys.executable, "-m", "arrdiff.cli", "gen",
+                              "boolean", "150"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env=env)
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_shi2_cert_golden_digest(capsys):
     code, out, err = run_cli(capsys, "shi2-cert")
     assert code == 0 and err == ""
@@ -288,19 +308,25 @@ D4_JSON = {"dim": 4, "forms": [
 def test_sweep_route_golden_digests(capsys, tmp_path):
     # bases found by the generator sweep, pinned byte for byte: Shi-2 with
     # x1 -> 2 x1 and x2 -> 3 x2 (forms such as x1 - 3/2 x2) at m=3, B3 at
-    # m=2 and D4 = {x_i +- x_j} at m=2, all FREE by the sweep, and the
-    # graded pieces of three forms with non-integral normalized
-    # coefficients
+    # m=2, D4 = {x_i +- x_j} at m=2 and B4 at m=2 with its coordinate
+    # hyperplanes first, all FREE by the sweep, and the graded pieces of
+    # three forms with non-integral normalized coefficients and of B3
     scaled = {"dim": 3, "forms": [
         [str(2 * int(a)), str(3 * int(b)), c]
         for a, b, c in make_shi(2).to_json()["forms"]]}
+    b4 = {"dim": 4, "forms": [
+        ["1" if k == i else "0" for k in range(4)] for i in range(4)] + [
+        ["1" if k == i else sign if k == j else "0" for k in range(4)]
+        for i, j in combinations(range(4), 2) for sign in ("-1", "1")]}
     for doc, order, digest in (
             (scaled, "3", (40946, "fed8608c33ab0af781906c715f79f1f977e98912b0"
                                   "ad7a764a9115c94b7ed40e")),
             (B3_JSON, "2", (9580, "47d2689042819997f3437c0e1996603c2b9bf0e07f"
                                   "73632a00aaa1c4f1a598a2")),
             (D4_JSON, "2", (43172, "90631ad7ecc78d45f59eb0fa6f57c87e20401f6da"
-                                   "82771cf0f7b69fd1e7aba2a"))):
+                                   "82771cf0f7b69fd1e7aba2a")),
+            (b4, "2", (37049, "2e104fcaa907f87ae6b782116d07ddac3af4753a62961"
+                              "133bb247247cd0251b1"))):
         arr = write_json(tmp_path / "arr.json", doc)
         code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", order)
         assert (code, err) == (0, "")
@@ -314,6 +340,12 @@ def test_sweep_route_golden_digests(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert output_digest(out) == (106954, "3704051234d341f219c8e50c3ec79268795"
                                           "a1f7192b8fdbc7e5f0ad0e11c363a")
+    arr = write_json(tmp_path / "b3.json", B3_JSON)
+    code, out, err = run_cli(capsys, "graded-dim", "--operators", "-a", arr,
+                             "-m", "2", "-d", "0..4")
+    assert (code, err) == (0, "")
+    assert output_digest(out) == (24617, "fbcee01c94c934c84ce4aa53a0372f75b52"
+                                         "dd0d80086e31dff2637639efb50f6")
 
 
 def test_check_member_denominator_witness_golden_digest(capsys, tmp_path):

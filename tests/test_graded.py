@@ -41,6 +41,7 @@ def arr_of(dim, *texts):
 
 RANK2 = arr_of(2, "x", "y", "x+y")
 GENERIC3 = arr_of(3, "x", "y", "z", "x+y+z")
+B3 = arr_of(3, "x", "y", "z", "x+y", "x-y", "x+z", "x-z", "y+z", "y-z")
 
 
 def oracle_graded_dimension(arr, order, degree):
@@ -96,11 +97,17 @@ def reference_graded_vectors(arr, order, degree):
 @st.composite
 def small_arrangements(draw):
     """Up to 5 distinct forms in dim 2-3; their normalised coefficients
-    have denominators whenever the first nonzero entry is not +-1."""
+    have denominators whenever the first nonzero entry is not +-1.  About
+    one vector in three is a scaled unit normal, a coordinate hyperplane,
+    whose rows force columns to zero."""
     dim = draw(st.integers(2, 3))
+    unit_normals = st.builds(
+        lambda j, c: [c if i == j else 0 for i in range(dim)],
+        st.integers(0, dim - 1), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    dense = st.lists(st.integers(-3, 3), min_size=dim,
+                     max_size=dim).filter(any)
     vectors = draw(st.lists(
-        st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any),
-        min_size=1, max_size=5))
+        st.one_of(unit_normals, dense, dense), min_size=1, max_size=5))
     forms = list(dict.fromkeys(LinearForm(v) for v in vectors))
     return Arrangement(dim, forms)
 
@@ -108,8 +115,14 @@ def small_arrangements(draw):
 @given(small_arrangements(), st.integers(0, 2), st.integers(0, 3))
 @example(Arrangement(3, [LinearForm([2, 3, 0]), LinearForm([0, 5, 7]),
                          LinearForm([3, 0, 1])]), 2, 3)
+@example(B3, 2, 3)
+@example(arr_of(3, "x", "y", "z"), 2, 0)  # every column is forced to zero
+@example(Arrangement(3, [LinearForm([0, 3, 0]), LinearForm([2, 3, 0]),
+                         LinearForm([3, 0, 1])]), 2, 3)
 @settings(max_examples=60, deadline=None)
 def test_graded_dimension_matches_dense_reference(arr, order, degree):
+    # the reference builds every form's rows through form.reduce, the
+    # coordinate hyperplanes' unit rows among them
     piece = graded_dimension(arr, order, degree)
     assert [tuple(operator_vector(op, degree)) for op in piece.operators] \
         == reference_graded_vectors(arr, order, degree)
@@ -350,7 +363,26 @@ def test_sweep_calls_nullspace_through_the_module_binding(monkeypatch):
     report = decide_free(make_shi(2), 2)
     assert report.certificate["kind"] == "generator_overflow"
     assert len(calls) == len(report.degrees_examined)
-    assert all(kind is list and size > 0 for kind, size, _ in calls)
+    # the systems on the columns that x, y and z leave free, in degrees
+    # 0..4; in degree 0 no column is left, so that system is empty
+    assert calls == [(list, 0, 0), (list, 10, 3), (list, 22, 12),
+                     (list, 34, 27), (list, 46, 48)]
+
+
+def test_coordinate_hyperplanes_build_no_reduction_table(monkeypatch):
+    # Shi-2 has seven forms, three of them the coordinate hyperplanes x, y
+    # and z, which force columns to zero without a table or a row
+    degrees = []
+    real = LinearForm.table
+
+    def counting(form, degree):
+        degrees.append(degree)
+        return real(form, degree)
+
+    monkeypatch.setattr(LinearForm, "table", counting)
+    report = decide_free(make_shi(2), 2)
+    assert report.certificate["kind"] == "generator_overflow"
+    assert Counter(degrees) == {d: 4 for d, _, _ in report.degrees_examined}
 
 
 def test_sweep_builds_operators_only_for_a_candidate_basis(monkeypatch):
@@ -390,9 +422,6 @@ def test_shi2_order2_sweep_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
     assert report.certificate["kind"] == "generator_overflow"
     assert built == []
-
-
-B3 = arr_of(3, "x", "y", "z", "x+y", "x-y", "x+z", "x-z", "y+z", "y-z")
 
 
 @pytest.mark.parametrize("fast_filters", [True, False])
