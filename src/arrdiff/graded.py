@@ -7,17 +7,19 @@ coefficient at d^b of the commutator with the hyperplane's form (the
 criterion of :mod:`arrdiff.membership`; the rows use b! times it, the
 image of form * x^b) must vanish after reduction modulo the form.  The
 rows come from one table per form and degree: the reductions of the
-degree-d monomials by the form's reduction kernel
-(:meth:`arrdiff.qpoly.LinearForm.table`), scaled to integers.  A
-coordinate hyperplane x_p builds no table and no rows: each of its rows
-has one entry and forces one coefficient to zero, so the other forms'
-rows are built on the coefficients left free, which changes no vector
-(see :func:`graded_dimension`).  Solving that system exactly gives the
-graded piece as a vector space, kept as sparse integer coefficient
-vectors.  Stacking graded pieces degree by degree gives minimal generator
-counts: the multiples x^mu * gen of the generators found so far are their
-vectors with each column (a, nu) shifted to (a, nu + mu), and operators
-are built only for a candidate basis.  A degree-bounded sweep of those
+degree-d monomials by the form's reduction kernel, scaled to integers and
+grouped by output monomial (:meth:`arrdiff.qpoly.LinearForm.table`).  The
+kernel eliminates the form's last variable, so each output monomial is
+the first column of its own rows, and the rows of one form lead at
+distinct columns.  A coordinate hyperplane x_p builds no table and no
+rows: each of its rows has one entry and forces one coefficient to zero,
+so the other forms' rows are built on the coefficients left free, which
+changes no vector (see :func:`graded_dimension`).  Solving that system
+exactly gives the graded piece as a vector space, kept as sparse integer
+coefficient vectors.  Stacking graded pieces degree by degree gives
+minimal generator counts: the multiples x^mu * gen of the generators found
+so far are their vectors with each column (a, nu) shifted to (a, nu + mu),
+and operators are built only for a candidate basis.  A degree-bounded sweep of those
 counts decides freeness outright:
 
 * the count reaches s = rank by degree |A|: for m >= 1 the s operators
@@ -132,12 +134,23 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     contributes the linear equations that make the image polynomial vanish
     modulo the hyperplane's form, one equation per monomial nu of the
     reduced image.  Each equation is a sparse integer row: the form's
-    integral coefficients D * c and its reduction table (D^d times the
-    reductions) make it D^(d+1) times the rational equation, and the
-    elimination keeps rows only up to a positive scalar.  The table is
-    regrouped by nu once per form, so each row is read off in one pass
-    over its nonzero entries; :func:`arrdiff.linalg.nullspace_basis` takes
-    the rows as native integer rows, in an order of its own.
+    integral coefficients w = D * c and its reduction table (L^d times the
+    reductions, L = |w_q| for the eliminated variable q) make it D * L^d
+    times the rational equation, and the elimination keeps rows only up to
+    a positive scalar.  The table comes grouped by nu, so each row is read
+    off in one pass over its nonzero entries;
+    :func:`arrdiff.linalg.nullspace_basis` takes the rows as native integer
+    rows, in an order of its own.
+
+    The kernel eliminates the form's last variable x_q, which every other
+    variable of the form precedes.  So in each block of columns the least
+    column of the row for nu is (a, nu) itself, and the rows of one form
+    lead at distinct columns, where the elimination finds them nearly in
+    echelon form.  Eliminating the first variable instead led each row at
+    its monomial heaviest in that variable, and the forms sharing it (all
+    of F4's x1 +- x2 +- x3 +- x4) piled their rows onto the same few
+    leading columns.  Either way each (form, b) block spans the same rows,
+    so only the fill changes, not the vectors.
 
     A coordinate hyperplane x_p builds no table and no rows.  Its rows
     say that x_p divides c_a whenever a_p >= 1, and each holds one entry:
@@ -167,12 +180,8 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
 
     rows: list[dict[int, int]] = []
     for form in forms:
-        # the terms of D^d * x^mu modulo the form, for each degree-d mu,
-        # regrouped by output monomial nu: nu -> [(index of mu, term)]
-        by_nu: dict[MultiIndex, list[tuple[int, int]]] = {}
-        for mi, terms in enumerate(form.table(degree)):
-            for nu, rc in terms:
-                by_nu.setdefault(nu, []).append((mi, rc))
+        # per output monomial nu: [(index of mu, term of L^d * x^mu at nu)]
+        table = form.table(degree)
         coefficients = form.integral_coefficients
         for shifts in raised:
             # image of form * x^b: only the entries at exponents b + e_j
@@ -184,7 +193,7 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
             # the table terms are) and its columns distinct (one block per
             # j, one mu per term of x^mu's reduction at nu), so nothing
             # accumulates
-            for cells in by_nu.values():
+            for cells in table:
                 row = {new: scale * rc for base, scale in acting
                        for mi, rc in cells
                        if (new := column[base + mi]) is not None}

@@ -13,8 +13,9 @@ alpha_H * S" taken over every H and every degree-(m-1) monomial x^b.
 Divisibility does not change under a nonzero scalar, so the grid is
 checked on the integer-scaled operator (its coefficients times the lcm
 of their denominators) and integer-scaled forms: the g_b are then
-integral, and so is their reduction scaled by a power of the form's
-denominator (see :class:`arrdiff.qpoly.LinearForm`), which is what is
+integral, and so is their reduction scaled by a power of the integral
+form's coefficient at the variable it eliminates (see
+:class:`arrdiff.qpoly.LinearForm`), which is what is
 tested for zero.  A witness image is computed from the operator as given.
 """
 

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -601,22 +601,25 @@ class LinearForm:
     The first nonzero coefficient (the pivot) is normalized to 1, so two
     forms define the same hyperplane exactly when they compare equal.
 
-    Let D be the lcm of the denominators of the coefficients.  Then
-    r = -D * (the form without its pivot term) is integral, and the pivot
-    variable is r / D modulo the form, so a term c * x^mu goes to
-    c * x^(mu with the pivot exponent set to 0) * r^k / D^k with
-    k = mu_pivot; the result is empty exactly when the form divides p.
-    The kernel works on the integer powers of r and brings the terms to one
-    scale D^K (K the largest pivot exponent among them), so integral terms
-    stay on ints and the only division is by that scale.  D, r and the
-    integral coefficients are computed once; the powers of r that the terms
-    ask for are kept as long as the form lives, and only those
-    (intermediate powers are dropped, so one high power costs only its own
-    size).
+    Let D be the lcm of the denominators of the coefficients, so that the
+    integral coefficients w = D * (the coefficients) have no common factor.
+    The kernel eliminates the last variable q with a nonzero coefficient:
+    with L = |w_q| and r = -sign(w_q) * (the integral form without its
+    q term), x_q is r / L modulo the form, so a term c * x^mu goes to
+    c * x^(mu with the q exponent set to 0) * r^k / L^k with k = mu_q; the
+    result is empty exactly when the form divides p.  The kernel works on
+    the integer powers of r and brings the terms to one scale L^K (K the
+    largest exponent of x_q among them), so integral terms stay on ints
+    and the only division is by that scale.  Every variable in r comes
+    before x_q, which makes a monomial without x_q lead the table group it
+    belongs to (see :meth:`table`).  q, L and r are computed once; the
+    powers of r that the terms ask for are kept as long as the form lives,
+    and only those (intermediate powers are dropped, so one high power
+    costs only its own size).
     """
 
-    __slots__ = ("_coeffs", "pivot", "integral_coefficients", "_den", "_r",
-                 "_powers")
+    __slots__ = ("_coeffs", "pivot", "integral_coefficients", "_last",
+                 "_lead", "_r", "_powers")
 
     def __init__(self, coefficients: Sequence[Rational]):
         coeffs = tuple(as_fraction(c) for c in coefficients)
@@ -628,15 +631,18 @@ class LinearForm:
         den = lcm(*[c.denominator for c in coeffs])
         ints = tuple(c.numerator * (den // c.denominator) for c in coeffs)
         dim = len(coeffs)
+        last = max(i for i, c in enumerate(ints) if c)
+        sign = -1 if ints[last] > 0 else 1
         set_ = object.__setattr__
         set_(self, "_coeffs", coeffs)
         # the index of the first nonzero (hence unit) coefficient
         set_(self, "pivot", pivot)
         # the coefficients times D, as ints (so the pivot entry is D)
         set_(self, "integral_coefficients", ints)
-        set_(self, "_den", den)
-        set_(self, "_r", [(mi_unit(dim, j), -c) for j, c in enumerate(ints)
-                          if j != pivot and c])
+        set_(self, "_last", last)
+        set_(self, "_lead", abs(ints[last]))
+        set_(self, "_r", [(mi_unit(dim, j), sign * c)
+                          for j, c in enumerate(ints) if j != last and c])
         set_(self, "_powers", {0: {(0,) * dim: 1}})
 
     def __setattr__(self, name, value):
@@ -699,20 +705,20 @@ class LinearForm:
 
     def scaled(self, terms: Iterable[tuple[MultiIndex, Rational]]
                ) -> tuple[dict[MultiIndex, Rational], int]:
-        """(out, s) with out / s the terms of the reduction and s = D^K;
+        """(out, s) with out / s the terms of the reduction and s = L^K;
         out is integral when the terms are.  The input terms may repeat an
-        exponent, and are iterated twice unless D is 1."""
-        pivot = self.pivot
+        exponent, and are iterated twice unless L is 1."""
+        last = self._last
         scale = 1
-        if self._den != 1:  # bring every term to the scale D^K
-            top = max((mu[pivot] for mu, _ in terms), default=0)
-            lift = [self._den ** (top - k) for k in range(top + 1)]
-            terms = [(mu, c * lift[mu[pivot]]) for mu, c in terms]
+        if self._lead != 1:  # bring every term to the scale L^K
+            top = max((mu[last] for mu, _ in terms), default=0)
+            lift = [self._lead ** (top - k) for k in range(top + 1)]
+            terms = [(mu, c * lift[mu[last]]) for mu, c in terms]
             scale = lift[0]
         out: dict[MultiIndex, Rational] = {}
         for mu, c in terms:
-            base = mu[:pivot] + (0,) + mu[pivot + 1:]
-            for e, pc in self.power(mu[pivot]).items():
+            base = mu[:last] + (0,) + mu[last + 1:]
+            for e, pc in self.power(mu[last]).items():
                 key = tuple(map(add, base, e))
                 value = out.get(key, 0) + c * pc
                 if value:
@@ -721,26 +727,42 @@ class LinearForm:
                     out.pop(key, None)
         return out, scale
 
-    def table(self, degree: int) -> list[list[tuple[MultiIndex, int]]]:
-        """D^degree times the reduction of every degree-d monomial, as
-        integer terms, in the order of ``monomial_exponents(dim, degree)``.
+    def table(self, degree: int) -> list[list[tuple[int, int]]]:
+        """L^degree times the reductions of the degree-d monomials, grouped
+        by output monomial: one list of (index of mu, integer term) per
+        monomial nu of a reduction, where mu indexes
+        ``monomial_exponents(dim, degree)`` and the term is that of x^mu's
+        reduction at nu.
 
-        The powers r^0..r^d are built in turn, one step each, and the
-        reduction of x^mu is one pass over r^(mu_pivot), times
-        D^(d - mu_pivot): its monomials shifted by one base monomial stay
-        distinct.
+        Each nu is free of x_q, so x^nu is its own reduction; every other mu
+        in its group has mu_q > 0 where nu has variables of r, all before
+        x_q.  In the lexicographically descending order nu thus comes first
+        in its group: it opens the group, the groups come in the order of
+        their nu, and no two share their least index.
+
+        The monomials are coded as integers, sum of mu_i * (d + 1)^(n-1-i)
+        (every exponent is at most d), so shifting a term of r^k to its
+        base monomial is one addition.  The powers r^0..r^d are built in
+        turn, one step each; x^mu contributes r^(mu_q) times L^(d - mu_q).
         """
-        pivot = self.pivot
-        for k in range(degree + 1):
-            self.power(k)
-        lift = [self._den ** (degree - k) for k in range(degree + 1)]
-        out = []
-        for mu in monomial_exponents(self.dim, degree):
-            base = mu[:pivot] + (0,) + mu[pivot + 1:]
-            scale = lift[mu[pivot]]
-            out.append([(tuple(map(add, base, e)), scale * pc)
-                        for e, pc in self._powers[mu[pivot]].items()])
-        return out
+        dim, last = self.dim, self._last
+        weights = [(degree + 1) ** (dim - 1 - i) for i in range(dim)]
+        weights[last] = 0  # the code of mu is that of its base monomial
+        coded = [[(sum(map(mul, e, weights)), pc)
+                  for e, pc in self.power(k).items()]
+                 for k in range(degree + 1)]
+        lift = [self._lead ** (degree - k) for k in range(degree + 1)]
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for mi, mu in enumerate(monomial_exponents(dim, degree)):
+            base = sum(map(mul, mu, weights))
+            k = mu[last]
+            if k:
+                scale = lift[k]
+                for code, pc in coded[k]:
+                    groups[base + code].append((mi, scale * pc))
+            else:
+                groups[base] = [(mi, lift[0])]
+        return list(groups.values())
 
 
 _TERM_RE = re.compile(r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*\*?\s*([A-Za-z]\w*)?")

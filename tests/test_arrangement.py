@@ -143,6 +143,35 @@ def test_flat_closure_idempotent_and_monotone():
         assert small.generators <= bigger.generators
 
 
+@st.composite
+def seeded_arrangements(draw):
+    """An arrangement from :func:`split_candidates` and a seed drawn from its
+    indices: empty, independent or rank-deficient (more forms than the
+    rank they span)."""
+    arr = draw(split_candidates())
+    seed = draw(st.sets(st.integers(0, max(len(arr) - 1, 0)),
+                        max_size=len(arr)))
+    return arr, sorted(seed)
+
+
+@given(seeded_arrangements())
+@example((arr_of(3, "x", "y", "x+y", "z"), []))
+@example((arr_of(3, "x", "y", "x+y", "z"), [0, 1, 2]))
+@example((arr_of(4, "x1", "x2", "x1+x2", "2x1-x2+x3"), [0, 1, 2]))
+@settings(max_examples=150, deadline=None)
+def test_flat_closure_matches_fraction_rank_reference(case):
+    # a form lies on the flat exactly when adding it to the seed's rows
+    # leaves their rank as it is, on Fractions
+    arr, seed = case
+    rows = [list(arr.forms[i].coefficients) for i in seed]
+    rank = rank_of(rows, arr.dim)
+    flat = flat_closure(arr, seed)
+    assert flat.rank == rank
+    assert flat.generators == {
+        i for i, form in enumerate(arr.forms)
+        if rank_of(rows + [list(form.coefficients)], arr.dim) == rank}
+
+
 def test_localize_requires_closed_flat():
     from arrdiff.arrangement import FlatRef
     arr = arr_of(2, "x", "y", "x+y")

@@ -308,9 +308,11 @@ D4_JSON = {"dim": 4, "forms": [
 def test_sweep_route_golden_digests(capsys, tmp_path):
     # bases found by the generator sweep, pinned byte for byte: Shi-2 with
     # x1 -> 2 x1 and x2 -> 3 x2 (forms such as x1 - 3/2 x2) at m=3, B3 at
-    # m=2, D4 = {x_i +- x_j} at m=2 and B4 at m=2 with its coordinate
-    # hyperplanes first, all FREE by the sweep, and the graded pieces of
-    # three forms with non-integral normalized coefficients and of B3
+    # m=2, D4 = {x_i +- x_j} at m=2, B4 at m=2 with its coordinate
+    # hyperplanes first and F4 (B4's forms, then x1 +- x2 +- x3 +- x4) at
+    # m=1, all FREE by the sweep; the generator overflow of Shi-3 at m=3;
+    # and the graded pieces of three forms with non-integral normalized
+    # coefficients and of B3
     scaled = {"dim": 3, "forms": [
         [str(2 * int(a)), str(3 * int(b)), c]
         for a, b, c in make_shi(2).to_json()["forms"]]}
@@ -318,6 +320,9 @@ def test_sweep_route_golden_digests(capsys, tmp_path):
         ["1" if k == i else "0" for k in range(4)] for i in range(4)] + [
         ["1" if k == i else sign if k == j else "0" for k in range(4)]
         for i, j in combinations(range(4), 2) for sign in ("-1", "1")]}
+    f4 = {"dim": 4, "forms": b4["forms"] + [
+        ["1", a, b, c] for a in ("1", "-1") for b in ("1", "-1")
+        for c in ("1", "-1")]}
     for doc, order, digest in (
             (scaled, "3", (40946, "fed8608c33ab0af781906c715f79f1f977e98912b0"
                                   "ad7a764a9115c94b7ed40e")),
@@ -326,13 +331,21 @@ def test_sweep_route_golden_digests(capsys, tmp_path):
             (D4_JSON, "2", (43172, "90631ad7ecc78d45f59eb0fa6f57c87e20401f6da"
                                    "82771cf0f7b69fd1e7aba2a")),
             (b4, "2", (37049, "2e104fcaa907f87ae6b782116d07ddac3af4753a62961"
-                              "133bb247247cd0251b1"))):
+                              "133bb247247cd0251b1")),
+            (f4, "1", (22761, "300c25e4c0aa141c5c967634b2201fff8b72d12834f4e"
+                              "258766039bc279b52d8"))):
         arr = write_json(tmp_path / "arr.json", doc)
         code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", order)
         assert (code, err) == (0, "")
         certificate = json.loads(out)["certificate"]
         assert certificate["kind"] == "saito_basis" and "via" not in certificate
         assert output_digest(out) == digest
+    arr = write_json(tmp_path / "shi3.json", make_shi(3).to_json())
+    code, out, err = run_cli(capsys, "decide", "-a", arr, "-m", "3")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["certificate"]["kind"] == "generator_overflow"
+    assert output_digest(out) == (946, "0f7424170a7eed8e3e2eb0e68f0aec1dfdaceb1"
+                                       "94f9f42bf97be869fe839ffb7")
     arr = write_json(tmp_path / "forms.json", {"dim": 3, "forms": [
         ["2", "3", "0"], ["0", "5", "7"], ["3", "0", "1"]]})
     code, out, err = run_cli(capsys, "graded-dim", "--operators", "-a", arr,

@@ -38,6 +38,11 @@ def reduce_terms(form, terms) -> dict:
     return {mu: Fraction(c) / scale for mu, c in out.items()}
 
 
+def last_variable(form) -> int:
+    """The variable the reduction eliminates: the last one in the form."""
+    return max(j for j, c in enumerate(form.coefficients) if c)
+
+
 def small_exponent(dim: int):
     return st.tuples(*[st.integers(0, 2)] * dim)
 
@@ -91,9 +96,10 @@ def test_divides_linear_shi2_determinant_factor():
 
 def test_reduce_golden_with_denominators():
     x, y, z = variables(3)
-    form = LinearForm([2, 3, 0])  # normalised to x + 3/2 y
-    assert form.reduce(x) == Fraction(-3, 2) * y
-    assert form.reduce(x * x * z + y) == Fraction(9, 4) * y * y * z + y
+    form = LinearForm([2, 3, 0])  # normalised to x + 3/2 y; y = -2/3 x
+    assert form.reduce(x) == x
+    assert form.reduce(x * x * z + y) == x * x * z - Fraction(2, 3) * x
+    assert form.reduce(y * y * z + x) == Fraction(4, 9) * x * x * z + x
     assert form.reduce(2 * x + 3 * y).is_zero()
     assert reduce_terms(form, [((1, 0, 0), 2), ((0, 1, 0), 3)]) \
         == {}
@@ -317,14 +323,15 @@ def test_reduce_matches_pivot_substitution(data):
     dim = data.draw(st.integers(1, 4))
     form = data.draw(form_strategy(dim))
     p = data.draw(poly_strategy(dim, max_degree=4, max_terms=6))
-    pivot = form.pivot
-    r = Poly(dim, {mi_unit(dim, j): -c for j, c in enumerate(form.coefficients)
-                   if j != pivot and c})
-    expected = substituter(dim, [r if j == pivot else x
+    q = last_variable(form)
+    lead = form.coefficients[q]
+    r = Poly(dim, {mi_unit(dim, j): -c / lead
+                   for j, c in enumerate(form.coefficients) if j != q and c})
+    expected = substituter(dim, [r if j == q else x
                                  for j, x in enumerate(variables(dim))])(p)
     reduced = form.reduce(p)
     assert reduced == expected
-    assert all(type(c) is Fraction and mu[pivot] == 0
+    assert all(type(c) is Fraction and mu[q] == 0
                for mu, c in reduced.terms())
     # the kernel sums the terms it is given, repeated exponents included
     terms = list(p.terms())
@@ -473,8 +480,9 @@ def test_equal_polys_by_different_routes_compare_and_hash_equal():
         ((Fraction(2, 3) * x * y).partial_derivative((1, 1)),
          Poly.constant(2, "2/3")),
         (exact_divide(Fraction(1, 2) * x * x, 3 * x), Fraction(1, 6) * x),
-        (LinearForm([2, 1]).reduce(x * y),
-         Poly(2, {(0, 2): Fraction(-1, 2)})),
+        (LinearForm([2, 1]).reduce(x * y), Poly(2, {(2, 0): -2})),
+        (LinearForm([1, 2]).reduce(x * y),
+         Poly(2, {(2, 0): Fraction(-1, 2)})),
         (x - x, Poly.zero(2)),
     ]
     for built, expected in routes:
@@ -639,13 +647,16 @@ def test_reducer_matches_fraction_reference(data):
     dim = data.draw(st.integers(1, 4))
     form = data.draw(form_strategy(dim))
     p = data.draw(poly_strategy(dim, max_degree=4, max_terms=6))
-    pivot = form.pivot
-    r = {mi_unit(dim, j): -c for j, c in enumerate(form.coefficients)
-         if j != pivot and c}
-    images = [r if j == pivot else {mi_unit(dim, j): Fraction(1)}
+    q = last_variable(form)
+    lead = form.coefficients[q]
+    r = {mi_unit(dim, j): -c / lead for j, c in enumerate(form.coefficients)
+         if j != q and c}
+    images = [r if j == q else {mi_unit(dim, j): Fraction(1)}
               for j in range(dim)]
     expected = reference_substitute(fraction_terms(p), images, dim)
-    assert fraction_terms(form.reduce(p)) == expected
+    reduced = fraction_terms(form.reduce(p))
+    assert reduced == expected
+    assert all(mu[q] == 0 for mu in reduced)
     # integral input scaled by a common denominator reduces to the scaled
     # image, whether the kernel meets ints or Fractions
     den = lcm(*[c.denominator for c in fraction_terms(p).values()])
@@ -658,57 +669,94 @@ def test_reducer_matches_fraction_reference(data):
 @given(st.data())
 @settings(max_examples=60)
 def test_reducer_scaled_stays_on_integers(data):
-    # integral terms reduce to integral terms over D^K, K the largest
-    # pivot exponent among them
+    # integral terms reduce to integral terms over |w_q|^K, w the integral
+    # coefficients, q the eliminated (last) variable and K the largest
+    # exponent of x_q among the terms
     dim = data.draw(st.integers(1, 4))
     form = LinearForm(data.draw(st.tuples(*[st.integers(-3, 3)] * dim)
                                 .filter(any)))
     terms = data.draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * dim),
                                          st.integers(-5, 5)), max_size=5))
     out, scale = form.scaled(terms)
-    den = lcm(*[c.denominator for c in form.coefficients])
-    top = max((mu[form.pivot] for mu, _ in terms), default=0)
-    assert scale == den ** top
+    q = last_variable(form)
+    lead = abs(form.integral_coefficients[q])
+    top = max((mu[q] for mu, _ in terms), default=0)
+    assert scale == lead ** top
     assert all(type(c) is int and c for c in out.values())
     p = Poly(form.dim, terms)
     assert Poly(dim, {mu: Fraction(c, scale) for mu, c in out.items()}) \
         == form.reduce(p)
 
 
+def table_forms(dim: int):
+    return st.one_of(form_strategy(dim), st.tuples(
+        *[st.integers(-2, 2)] * dim).filter(any).map(LinearForm))
+
+
+def reference_table(form, degree) -> dict:
+    """The single reductions of the degree-d monomials regrouped by output
+    monomial nu, in order of first appearance: nu -> [(index of mu, term)].
+    The reductions run on a fresh equal form, which builds its powers anew."""
+    fresh = LinearForm(form.coefficients)
+    groups: dict = {}
+    for mi, mu in enumerate(monomial_exponents(form.dim, degree)):
+        for nu, c in reduce_terms(fresh, [(mu, 1)]).items():
+            groups.setdefault(nu, []).append((mi, c))
+    return groups
+
+
 @given(st.data())
 @settings(max_examples=40)
 def test_reducer_table_matches_single_reductions(data):
     dim = data.draw(st.integers(1, 4))
-    form = data.draw(st.one_of(form_strategy(dim), st.tuples(
-        *[st.integers(-2, 2)] * dim).filter(any).map(LinearForm)))
+    form = data.draw(table_forms(dim))
     degree = data.draw(st.integers(0, 4))
-    # the table states its scale: D^degree, D the lcm of the denominators
-    scale = lcm(*[c.denominator for c in form.coefficients]) ** degree
+    # the table states its scale: |w_q|^degree, w the integral coefficients
+    # and q the eliminated variable
+    scale = abs(form.integral_coefficients[last_variable(form)]) ** degree
     table = form.table(degree)
-    # a fresh equal form builds its powers anew
-    single = LinearForm(form.coefficients)
-    assert all(type(c) is int for terms in table for _, c in terms)
-    assert [[(mu, Fraction(c, scale)) for mu, c in terms] for terms in table] \
-        == [list(reduce_terms(single, [(mu, 1)]).items())
-            for mu in monomial_exponents(dim, degree)]
+    assert all(type(c) is int for cells in table for _, c in cells)
+    assert [[(mi, Fraction(c, scale)) for mi, c in cells] for cells in table] \
+        == list(reference_table(form, degree).values())
+
+
+@given(st.data())
+@settings(max_examples=40)
+def test_reducer_table_groups_lead_at_their_own_monomial(data):
+    # the group of an output monomial nu holds x^nu itself (nu is free of
+    # the eliminated variable), and every other monomial of the group comes
+    # after it in the canonical order; so the graded rows of one form lead
+    # at distinct columns
+    dim = data.draw(st.integers(1, 4))
+    form = data.draw(table_forms(dim))
+    degree = data.draw(st.integers(0, 4))
+    index = {mu: i for i, mu in enumerate(monomial_exponents(dim, degree))}
+    outputs = list(reference_table(form, degree))
+    table = form.table(degree)
+    assert len(table) == len(outputs)
+    leads = [min(mi for mi, _ in cells) for cells in table]
+    assert leads == [index[nu] for nu in outputs]
+    assert len(set(leads)) == len(leads)
 
 
 @given(st.data())
 @settings(max_examples=40)
 def test_warm_form_answers_as_a_fresh_one(data):
     # the powers a form keeps from earlier calls (a table at a higher
-    # degree, a jump to a high pivot exponent) change none of its answers
+    # degree, a jump to a high exponent of the eliminated variable) change
+    # none of its answers
     dim = data.draw(st.integers(1, 4))
     form = data.draw(form_strategy(dim))
     degree = data.draw(st.integers(0, 3))
     form.table(degree + data.draw(st.integers(1, 3)))
     high = data.draw(st.integers(6, 12))
-    form.scaled([(mi_unit(dim, form.pivot), 1),
-                 (tuple(high if j == form.pivot else 0 for j in range(dim)),
+    q = last_variable(form)
+    form.scaled([(mi_unit(dim, q), 1),
+                 (tuple(high if j == q else 0 for j in range(dim)),
                   Fraction(1, 2))])
     fresh = LinearForm(form.coefficients)
     p = data.draw(poly_strategy(dim, max_degree=4, max_terms=6))
-    terms = list(p.terms()) + [(tuple(high - 1 if j == form.pivot else 0
+    terms = list(p.terms()) + [(tuple(high - 1 if j == q else 0
                                       for j in range(dim)), 3)]
     assert form.scaled(terms) == fresh.scaled(terms)
     assert form.table(degree) == fresh.table(degree)
