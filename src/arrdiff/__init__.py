@@ -4,12 +4,10 @@ modules of higher-order differential operators attached to them."""
 from .arrangement import (Arrangement, Decomposition, FlatRef,
                           arrangement_from_json, decompose, flat_closure,
                           is_generic, localize, make_named, make_shi, product)
-from .construct import (Shi2Certificate, basis_rank_two, find_flat_point,
-                        localize_basis, product_basis,
-                        shi2_nonfreeness_certificate)
+from .construct import (basis_rank_two, find_flat_point, localize_basis,
+                        product_basis)
 from .graded import (FREE, NOT_FREE, UNDECIDED, FreenessReport, GradedBasis,
-                     decide_free, decide_orders, graded_dimension,
-                     operator_vector)
+                     decide_free, decide_orders, graded_dimension)
 from .membership import (MembershipResult, MembershipWitness, is_member,
                          shi2_order2_members)
 from .qpoly import (LinearForm, Poly, as_fraction, exact_divide,

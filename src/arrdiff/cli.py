@@ -22,11 +22,10 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .arrangement import (Arrangement, FlatRef, arrangement_from_json,
                           flat_closure, localize, make_named, make_shi, product)
-from .construct import (basis_rank_two, localize_basis, product_basis,
-                        shi2_nonfreeness_certificate)
+from .construct import basis_rank_two, localize_basis, product_basis
 from .graded import (FREE, NOT_FREE, decide_free, decide_orders,
                      graded_dimension)
-from .membership import is_member
+from .membership import is_member, shi2_order2_members
 from .qpoly import Poly, variables
 from .saito import det_poly, saito_check
 from .weyl import DiffOp, coefficient_matrix, diffop_from_json, euler_operator
@@ -322,20 +321,13 @@ def _cmd_localize_basis(args) -> int:
     }, "degrees")
 
 
-def _cmd_shi2_cert(args) -> int:
-    certificate = shi2_nonfreeness_certificate()
-    _emit(certificate.to_json())
-    return EXIT_OK if certificate.consistent else EXIT_NEGATIVE
-
-
 # ---------------------------------------------------------------------------
 # the bundled golden-example suite
 
 def _suite_checks():
     x, y = variables(2)
-    shi2 = shi2_nonfreeness_certificate()
-    shi2_dims = shi2.graded_dimensions
-    shi2_m2 = shi2.decision.verdict
+    shi2 = make_shi(2)
+    shi2_ops = shi2_order2_members()
     rank2 = arrangement_from_json(
         {"dim": 2, "forms": [["1", "0"], ["0", "1"], ["1", "1"]]})
 
@@ -348,8 +340,26 @@ def _suite_checks():
         ok = det in (2 * q2, -2 * q2)
         return ok, "det equals +/- 2*Q^2"
 
+    def golden_det_shi2():
+        det = det_poly(coefficient_matrix(shi2_ops))
+        _, y3, z3 = variables(3)
+        expected = 4 * (y3 - z3) * shi2.defining_polynomial() ** 3
+        return det in (expected, -expected), "det equals +/- 4*(y-z)*Q^3"
+
+    def shi2_members():
+        ok = all(is_member(op, shi2) for op in shi2_ops)
+        return ok, "all six explicit operators are members"
+
+    def shi2_graded_dims():
+        dims = tuple(graded_dimension(shi2, 2, d).dimension for d in range(4))
+        return dims == (0, 0, 1, 3), f"graded dimensions {dims}"
+
+    def shi2_decide_m2():
+        verdict = decide_free(shi2, 2).verdict
+        return verdict == NOT_FREE, f"verdict {verdict}"
+
     def shi2_decide_m1():
-        report = decide_free(make_shi(2), 1)
+        report = decide_free(shi2, 1)
         ok = (report.verdict == FREE
               and sum(report.exponents) == 7)
         return ok, f"verdict {report.verdict}, exponents {report.exponents}"
@@ -415,14 +425,10 @@ def _suite_checks():
 
     return [
         ("golden-det-rank2", golden_det_rank2),
-        ("golden-det-shi2", lambda: (shi2.determinant_matches,
-                                     "det equals +/- 4*(y-z)*Q^3")),
-        ("shi2-members", lambda: (all(shi2.memberships),
-                                  "all six explicit operators are members")),
-        ("shi2-graded-dims", lambda: (shi2_dims == (0, 0, 1, 3),
-                                      f"graded dimensions {shi2_dims}")),
-        ("shi2-decide-m2", lambda: (shi2_m2 == NOT_FREE,
-                                    f"verdict {shi2_m2}")),
+        ("golden-det-shi2", golden_det_shi2),
+        ("shi2-members", shi2_members),
+        ("shi2-graded-dims", shi2_graded_dims),
+        ("shi2-decide-m2", shi2_decide_m2),
         ("shi2-decide-m1", shi2_decide_m1),
         ("generic-formula", generic_formula),
         ("product-exponents", product_exponents),
@@ -459,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit a named arrangement as JSON")
     gen.add_argument("name", help="empty | boolean | braid | shi | "
-                                  "holm-q1-counterexample")
+                                  "holm-q1-counterexample (alias holm-q1)")
     gen.add_argument("param", nargs="?", type=int, default=None,
                      help="dimension (or ell for shi)")
     gen.add_argument("-o", "--output", default=None)
@@ -531,10 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="operator JSON of order -m to transport "
                          "(default: decide first)")
     lb.set_defaults(handler=_cmd_localize_basis)
-
-    cert = sub.add_parser("shi2-cert",
-                          help="order-2 non-freeness transcript for Shi-2")
-    cert.set_defaults(handler=_cmd_shi2_cert)
 
     suite = sub.add_parser("paper-suite",
                            help="run the bundled golden-example checks")

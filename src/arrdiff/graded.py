@@ -50,6 +50,7 @@ from typing import Iterator
 
 from .arrangement import (Arrangement, Decomposition, decompose,
                           flat_closure, is_generic, localize)
+from .construct import product_basis
 from .linalg import RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
                     monomial_exponents)
@@ -66,8 +67,11 @@ class GradedBasis:
     """A vector-space basis of one graded piece of the operator module.
 
     The basis is kept as the integral nullspace vectors: sparse dicts from
-    coordinate (see :func:`operator_vector`) to nonzero ``int``.  The
-    operators are built from them on first read.
+    column to nonzero ``int``.  The coefficient of x^mu at d^a is column
+    ai * |mons| + mi, with ai the index of a in
+    ``monomial_exponents(dim, order)``, mons the list
+    ``monomial_exponents(dim, degree)`` and mi the index of mu in mons.
+    The operators are built from them on first read.
     """
 
     dim: int
@@ -84,26 +88,6 @@ class GradedBasis:
         return tuple(_vector_to_operator(vec, self.dim, self.order,
                                          self.degree)
                      for vec in self.vectors)
-
-
-def operator_vector(op: DiffOp, degree: int) -> list[Fraction]:
-    """Flatten a degree-homogeneous operator to its coefficient vector.
-
-    Coordinates run over (derivative exponent, coefficient monomial) pairs
-    in canonical order; this is the coordinatization shared by all graded
-    linear algebra at a fixed order and degree.
-    """
-    omega = monomial_exponents(op.dim, op.order)
-    mons = monomial_exponents(op.dim, degree)
-    index = {mu: i for i, mu in enumerate(mons)}
-    vec = [Fraction(0)] * (len(omega) * len(mons))
-    for ai, a in enumerate(omega):
-        for mu, c in op.coefficient(a).terms():
-            if mu not in index:
-                raise ValueError(
-                    f"operator is not homogeneous of degree {degree}")
-            vec[ai * len(mons) + index[mu]] = c
-    return vec
 
 
 def _vector_to_operator(vec: dict[int, int], dim: int, order: int,
@@ -539,7 +523,6 @@ def _fast_filters(facts, order, audit, report):
     # product decomposition: recurse into the factors
     dec = facts.decomposition
     if dec.factor_count >= 2:
-        from .construct import product_basis  # local import to avoid a cycle
         audit.append(f"filter: decomposes into {dec.factor_count} factors")
         factor_bases: list[list[list[DiffOp]]] = []
         # equal factors are decided once; the key keeps the forms' order,

@@ -83,6 +83,7 @@ def is_member(op: DiffOp, arr: Arrangement) -> MembershipResult:
     return MembershipResult(True)
 
 
+# kept in the library: paper-suite and the benchmark's data script read it
 def shi2_order2_members() -> list[DiffOp]:
     """Six explicit order-2 members for the 3-dimensional coned Shi
     arrangement: the Euler operator plus five degree-4 operators.

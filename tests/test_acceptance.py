@@ -12,14 +12,13 @@ import time
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  make_named, make_shi, product)
 from arrdiff.construct import basis_rank_two, product_basis
-from arrdiff.graded import (FREE, NOT_FREE, decide_free, graded_dimension,
-                            operator_vector)
+from arrdiff.graded import FREE, NOT_FREE, decide_free, graded_dimension
 from arrdiff.linalg import RowBasis
 from arrdiff.membership import is_member, shi2_order2_members
 from arrdiff.qpoly import LinearForm, Poly, exact_divide, variables
 from arrdiff.saito import det_poly, saito_check, saito_counts
 from arrdiff.weyl import DiffOp, coefficient_matrix, euler_operator
-from tests.test_graded import sweep_steps
+from tests.test_graded import operator_vector, sweep_steps
 from tests.test_membership import (_random_member_pool,
                                    _random_operator_pool,
                                    is_member_bruteforce, random_poly)

@@ -174,14 +174,6 @@ def test_product_basis_command(capsys, tmp_path):
     assert payload["saito"]["verdict"] == "basis"
 
 
-def test_shi2_cert_command(capsys):
-    code, out, _ = run_cli(capsys, "shi2-cert")
-    payload = json.loads(out)
-    assert code == 0
-    assert payload["consistent"] is True
-    assert payload["graded_dimensions"] == [0, 0, 1, 3]
-
-
 def test_paper_suite_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "paper-suite")
     code2, out2, _ = run_cli(capsys, "paper-suite")
@@ -225,6 +217,19 @@ def test_paper_suite_golden_output_without_asserts():
         == (0, PAPER_SUITE_STDOUT, "")
 
 
+def test_paper_suite_rows_run_their_checks(capsys, monkeypatch):
+    # x^4 d_x^2 in place of the second published operator is no member
+    # and changes the determinant; the other rows do not read the operators
+    members = shi2_order2_members()
+    members[1] = DiffOp.single(3, (2, 0, 0), Poly.monomial(3, (4, 0, 0)))
+    monkeypatch.setattr("arrdiff.cli.shi2_order2_members", lambda: members)
+    code, out, err = run_cli(capsys, "paper-suite")
+    failed = [line.split()[1] for line in out.splitlines()
+              if line.startswith("FAIL")]
+    assert (code, failed, err) == (1, ["golden-det-shi2", "shi2-members"], "")
+    assert out.splitlines()[-1] == "10/12 checks passed"
+
+
 def test_closed_standard_output_exits_quietly():
     # as in `arrdiff gen holm-q1 | head -1`: the reader takes one line and
     # closes the pipe; no traceback, nothing on stderr.  The output is
@@ -242,14 +247,6 @@ def test_closed_standard_output_exits_quietly():
     err = child.stderr.read()
     assert child.wait(timeout=60) == 141
     assert err == b""
-
-
-def test_shi2_cert_golden_digest(capsys):
-    code, out, err = run_cli(capsys, "shi2-cert")
-    assert code == 0 and err == ""
-    assert len(out.encode()) == 18312
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "95bbd344fd4560a9732a1a7a99ab30c5b78c439fff4ebc44e7576dae7614a598")
 
 
 def output_digest(out: str) -> tuple[int, str]:

@@ -1,4 +1,4 @@
-"""Closed-form bases, product bases, localization transport, certificates."""
+"""Closed-form bases, product bases and localization transport."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  flat_closure, localize, make_shi, product)
 from arrdiff.construct import (basis_rank_two, find_flat_point,
-                               localize_basis, product_basis,
-                               shi2_nonfreeness_certificate)
+                               localize_basis, product_basis)
 from arrdiff.graded import FREE, NOT_FREE, decide_free
 from arrdiff.linalg import nullspace_basis
 from arrdiff.qpoly import Poly, monomial_exponents, variables
@@ -358,22 +357,3 @@ def test_localize_basis_names_a_zero_operator():
            DiffOp(2, 2)]
     with pytest.raises(ValueError, match="operator 2 is zero"):
         localize_basis(ops, RANK2, flat_closure(RANK2, [0]))
-
-
-# ---------------------------------------------------------------------------
-# the bundled refutation
-
-def test_shi2_certificate_consistent():
-    cert = shi2_nonfreeness_certificate()
-    assert cert.consistent
-    assert all(cert.memberships)
-    assert cert.determinant_matches
-    assert cert.graded_dimensions == (0, 0, 1, 3)
-    assert cert.euler_spans_degree_two
-    assert cert.decision.verdict == NOT_FREE
-    _, y, z = variables(3)
-    quotient = cert.determinant
-    q3 = make_shi(2).defining_polynomial() ** 3
-    assert quotient in (4 * (y - z) * q3, -4 * (y - z) * q3)
-    payload = cert.to_json()
-    assert payload["consistent"] is True

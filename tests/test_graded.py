@@ -24,7 +24,7 @@ from arrdiff.arrangement import (Arrangement, Decomposition,
                                  make_named, make_shi, product)
 from arrdiff.graded import (FREE, NOT_FREE, UNDECIDED, GradedBasis,
                             _localization_filter, decide_free, decide_orders,
-                            graded_dimension, operator_vector)
+                            graded_dimension)
 from arrdiff.linalg import RowBasis, nullspace_basis
 from arrdiff.membership import is_member
 from arrdiff.qpoly import (LinearForm, Poly, mi_add, mi_factorial, mi_unit,
@@ -37,6 +37,27 @@ from tests.test_linalg import reference_nullspace
 
 def arr_of(dim, *texts):
     return arrangement_from_json({"dim": dim, "forms": list(texts)})
+
+
+def operator_vector(op, degree):
+    """The dense coefficient vector of a degree-homogeneous operator.
+
+    The coefficient of x^mu at d^a goes to column ai * |mons| + mi, as in
+    the graded pieces' vectors, with ai and mi the indices of a and mu in
+    canonical order among the order-m exponents and the degree-d monomials
+    mons.
+    """
+    omega = monomial_exponents(op.dim, op.order)
+    mons = monomial_exponents(op.dim, degree)
+    index = {mu: i for i, mu in enumerate(mons)}
+    vec = [Fraction(0)] * (len(omega) * len(mons))
+    for ai, a in enumerate(omega):
+        for mu, c in op.coefficient(a).terms():
+            if mu not in index:
+                raise ValueError(
+                    f"operator is not homogeneous of degree {degree}")
+            vec[ai * len(mons) + index[mu]] = c
+    return vec
 
 
 RANK2 = arr_of(2, "x", "y", "x+y")
@@ -879,3 +900,66 @@ def test_decisions_do_not_depend_on_powers_kept_by_the_forms():
     for order in (1, 2, 3):
         assert decide_free(warm, order).to_json() \
             == decide_free(arrangement_from_json(data), order).to_json()
+
+
+def change_coordinates(arr, perm, signs, i, j, c):
+    """arr after permuting the coordinates by perm, flipping their signs
+    and shearing x_i -> x_i + c * x_j once; on a covector w the shear adds
+    c * w_i to w_j.  Each step is invertible, so the forms stay distinct."""
+    moved = []
+    for form in arr.forms:
+        w = [signs[k] * form.coefficients[perm[k]] for k in range(arr.dim)]
+        w[j] += c * w[i]
+        moved.append(LinearForm(w))
+    return Arrangement(arr.dim, moved)
+
+
+@st.composite
+def arrangements_in_two_coordinates(draw):
+    """(arrangement, order, the arrangement in other coordinates): dim 3
+    with at most six planes at order 1 or 2, or dim 4 at order 1, entries
+    in -2..2, under a random change_coordinates."""
+    dim, order = draw(st.sampled_from([(3, 1), (3, 2), (4, 1)]))
+    vectors = draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).filter(any),
+        min_size=1, max_size=6))
+    arr = Arrangement(dim, list(dict.fromkeys(LinearForm(v)
+                                              for v in vectors)))
+    perm = draw(st.permutations(range(dim)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=dim,
+                          max_size=dim))
+    i, j = draw(st.permutations(range(dim)))[:2]
+    c = draw(st.integers(-2, 2))
+    return arr, order, change_coordinates(arr, perm, signs, i, j, c)
+
+
+def coordinate_free_part(report):
+    """What a decision must keep under a coordinate change: the verdict,
+    exponents, records and certificate kind, and the whole certificate of
+    a refutation that names only degrees and counts."""
+    cert = report.certificate
+    whole = cert["kind"] in ("generator_overflow", "degree_sum_mismatch") \
+        or cert.get("reason") == "generic-below-threshold"
+    return (report.verdict, report.exponents, report.degrees_examined,
+            cert["kind"], cert.get("reason"), cert if whole else None)
+
+
+@given(arrangements_in_two_coordinates())
+@example((make_shi(2), 2, change_coordinates(make_shi(2), (1, 0, 2),
+                                             (1, -1, 1), 0, 2, 2)))
+@example((GENERIC3, 1, change_coordinates(GENERIC3, (0, 1, 2), (1, 1, 1),
+                                          0, 2, 1)))
+@example((make_shi(3), 2, change_coordinates(make_shi(3), (3, 1, 0, 2),
+                                             (1, 1, -1, 1), 1, 3, -1)))
+@example((make_named("holm-q1"), 1, change_coordinates(
+    make_named("holm-q1"), (2, 0, 3, 1), (-1, 1, 1, 1), 3, 0, 2)))
+@settings(max_examples=60, deadline=None)
+def test_decisions_do_not_depend_on_the_coordinates(case):
+    # verdict, exponents, records and refutations by counts are
+    # GL-invariant; the basis and a saito_basis constant are not
+    arr, order, moved = case
+    for fast_filters in (True, False):
+        assert coordinate_free_part(decide_free(moved, order,
+                                                fast_filters=fast_filters)) \
+            == coordinate_free_part(decide_free(arr, order,
+                                                fast_filters=fast_filters))

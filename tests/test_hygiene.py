@@ -54,6 +54,18 @@ def test_no_private_imports_across_modules():
     assert found == []
 
 
+def test_no_imports_inside_functions():
+    # every import runs at module level, so an import cycle between library
+    # modules fails at import time instead of being hidden in a function
+    found = sorted({f"{name}:{node.lineno}" for name, tree in modules()
+                    for func in ast.walk(tree)
+                    if isinstance(func, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))})
+    assert found == []
+
+
 def test_poly_storage_stays_inside_qpoly():
     # other modules read a polynomial's integer terms and denominator
     # through Poly.integer_terms, never through its private slots
