@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Sequence
 
 from .linalg import RowBasis, nullspace_basis
 from .qpoly import (LinearForm, Poly, as_fraction, json_array,
@@ -113,6 +114,24 @@ def flat_closure(arr: Arrangement, seed: Iterable[int]) -> FlatRef:
     members = frozenset(i for i, form in enumerate(arr.forms)
                         if span.contains(form.integral_coefficients))
     return FlatRef(generators=members, rank=rank)
+
+
+def restrict_rows(rows: Sequence[Sequence[int]], h: Sequence[int]
+                  ) -> list[tuple[int, ...]]:
+    """Integer rows mapped to the kernel of a nonzero form h: v goes to
+    (h_j v_k - h_k v_j for k != j), h_j the first nonzero entry of h, made
+    primitive with a positive lead.  Two rows not proportional to h map
+    alike exactly when their hyperplanes share a line with that of h."""
+    j = next(k for k, x in enumerate(h) if x)
+    hj, rest = h[j], [(k, x) for k, x in enumerate(h) if k != j]
+    images = []
+    for v in rows:
+        image = [hj * v[k] - x * v[j] for k, x in rest]
+        g = gcd(*image) or 1
+        if next(filter(None, image), 0) < 0:
+            g = -g
+        images.append(tuple([x // g for x in image]))
+    return images
 
 
 def localize(arr: Arrangement, flat: FlatRef) -> Arrangement:

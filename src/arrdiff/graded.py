@@ -41,6 +41,7 @@ are two or more.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -49,7 +50,7 @@ from math import lcm
 from typing import Iterator
 
 from .arrangement import (Arrangement, Decomposition, decompose,
-                          flat_closure, is_generic, localize)
+                          flat_closure, is_generic, localize, restrict_rows)
 from .construct import product_basis
 from .linalg import RowBasis, nullspace_basis
 from .qpoly import (MultiIndex, Poly, mi_add, mi_factorial, mi_unit,
@@ -580,44 +581,48 @@ def _localization_filter(arr: Arrangement) -> dict | None:
     localization of rank at most 2 is free, and one of rank 3 is a
     generic arrangement times an empty one, which is not free at order 1,
     exactly when it has at least four hyperplanes and no three of them
-    share a rank-2 flat.  Flats are tried in the order of their first
-    non-collinear hyperplane triple.
+    share a rank-2 flat; the one with the least three members refutes.
+    Restricting the normals by normal i (see :func:`restrict_rows`) maps
+    each line through H_i to one image.  Such a flat has two-hyperplane
+    lines only, so restricting again by k's image, for those lines {i, k}
+    alone, maps each rank-3 flat through them to one image.
     """
     if arr.dim <= 3:  # then no proper flat has rank 3
         return None
     n = len(arr)
-    # pair -> hyperplane count of the rank-2 flat it spans; a triple
-    # inside a closed flat spans that flat or a line, so none is closed twice
-    line_size: dict[tuple[int, ...], int] = {}
-    covered: set[tuple[int, ...]] = set()
-    for pair in combinations(range(n), 2):
-        if pair not in line_size:
-            line = sorted(flat_closure(arr, pair).generators)
-            line_size.update(dict.fromkeys(combinations(line, 2), len(line)))
-            covered.update(combinations(line, 3))
-    for triple in combinations(range(n), 3):
-        if triple in covered:
+    normals = [form.integral_coefficients for form in arr.forms]
+    restricted = [restrict_rows(normals, h) for h in normals]
+    # line_size[i][a]: the hyperplane count of the line of H_i and H_a
+    line_size = [[counts[image] + 1 for image in images]
+                 for images in restricted for counts in [Counter(images)]]
+    for i, k in combinations(range(n), 2):
+        if line_size[i][k] > 2:
             continue
-        flat = flat_closure(arr, triple)
-        members = sorted(flat.generators)
-        covered.update(combinations(members, 3))
-        if len(members) < 4 or len(members) == n or any(
-                line_size[pair] > 2 for pair in combinations(members, 2)):
-            continue
-        sub = localize(arr, flat)
-        factor = decompose(sub).factors[0]
-        return {
-            "kind": "fast_filter",
-            "reason": "localization-not-free",
-            "flat": members,
-            "flat_rank": flat.rank,
-            "localization_size": len(sub),
-            "detail": {
-                "rule": "product-factor-not-free",
-                "factor_forms": [str(f) for f in factor.forms],
-                "factor_dim": factor.dim,
-                "factor_size": len(factor),
-                "failing_order": 1,
-            },
-        }
+        # rank-3 flats through {i, k}, by their least members; i, k map to 0
+        planes: dict[tuple[int, ...], list[int]] = {}
+        images = restrict_rows(restricted[i], restricted[i][k])
+        for a, image in enumerate(images):
+            planes.setdefault(image, []).append(a)
+        for others in planes.values():
+            members = [i, k, *others]
+            if others[0] < k or not 4 <= len(members) < n or any(
+                    line_size[a][b] > 2 for a, b in combinations(members, 2)):
+                continue
+            flat = flat_closure(arr, members[:3])
+            sub = localize(arr, flat)
+            factor = decompose(sub).factors[0]
+            return {
+                "kind": "fast_filter",
+                "reason": "localization-not-free",
+                "flat": sorted(flat.generators),
+                "flat_rank": flat.rank,
+                "localization_size": len(sub),
+                "detail": {
+                    "rule": "product-factor-not-free",
+                    "factor_forms": [str(f) for f in factor.forms],
+                    "factor_dim": factor.dim,
+                    "factor_size": len(factor),
+                    "failing_order": 1,
+                },
+            }
     return None

@@ -15,7 +15,8 @@ residuals of the rows as they go in.
 Vectors go in as dense sequences or as sparse dicts from column to
 rational.  Integer rows are the native input: a vector whose entries are
 all ``int`` is taken as it is, and only one with another rational entry
-has its denominators cleared, once, where it enters.  Nullspace vectors
+has its denominators cleared, once, where it enters; a nullspace system
+of nonzero ``int`` dicts is checked as a whole instead.  Nullspace vectors
 come out sparse, as dicts from column to nonzero ``int``; inverses come
 out dense, as :class:`fractions.Fraction`.
 
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -91,14 +93,6 @@ def _int_row(vector: Sequence[Rational] | SparseRow, ncols: int
     scale = lcm(*(x.denominator for x in vec.values()))
     return {j: x.numerator * (scale // x.denominator)
             for j, x in vec.items()}, scale
-
-
-def _leading(row: Sequence[Rational] | SparseRow) -> int:
-    """The leading column of a row, to order rows by; for a dict, its least
-    key (a zero entry there misplaces the row, which costs only time)."""
-    if isinstance(row, dict):
-        return min(row, default=-1)
-    return next((j for j, x in enumerate(row) if x), -1)
 
 
 class RowBasis:
@@ -216,14 +210,26 @@ def nullspace_basis(rows: Iterable[Sequence[Rational] | SparseRow],
     lie in pivot columns before the free column, which is therefore its
     last nonzero column and holds a positive entry: a stored row is zero
     left of its pivot.  The vectors come in the order of their free
-    columns; the keys of one vector are not in column order.
+    columns; the keys of one vector are not in column order.  Rows that
+    are all nonempty dicts of nonzero ``int`` (every graded system) are
+    checked in a few passes over them all, other rows one by one.
     """
+    rows = list(rows)
+    if not (set(map(type, rows)) == {dict} and all(rows)
+            and all(map(all, map(dict.values, rows)))
+            and set(map(type, chain(*map(dict.values, rows)))) == {int}):
+        rows = list(filter(None, (_int_row(row, ncols)[0] for row in rows)))
+    elif min(map(min, rows)) < 0 or max(map(max, rows)) >= ncols:
+        raise ValueError("column index out of range")
     basis = RowBasis(ncols)
     # by descending leading column: a row whose leading column is no
     # stored pivot becomes a pivot left of every stored one, where the
     # stored rows are zero, so inserting it changes none of them
-    for row in sorted(rows, key=_leading, reverse=True):
-        basis.add(row)
+    for row in sorted(rows, key=min, reverse=True):
+        vec = row.copy()
+        basis._reduce(vec)
+        if vec:
+            basis._insert(vec)
     reduced = basis._rows
     vectors = {free: {free: 1} for free in range(ncols)
                if free not in reduced}

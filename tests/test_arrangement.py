@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  decompose, flat_closure, is_generic,
-                                 localize, make_named, make_shi, product)
+                                 localize, make_named, make_shi, product,
+                                 restrict_rows)
 from arrdiff.linalg import invert
 from arrdiff.qpoly import LinearForm, Poly, variables
 from tests.test_linalg import rank_of
@@ -170,6 +172,33 @@ def test_flat_closure_matches_fraction_rank_reference(case):
     assert flat.generators == {
         i for i, form in enumerate(arr.forms)
         if rank_of(rows + [list(form.coefficients)], arr.dim) == rank}
+
+
+@given(st.integers(3, 6).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).filter(any),
+    min_size=1, max_size=10)))
+@example([[int(c) for c in form.coefficients]
+          for form in make_named("holm-q1").forms])
+@settings(max_examples=100, deadline=None)
+def test_restriction_finds_the_lines_and_planes_of_flat_closure(vectors):
+    # restricting by normal i groups the hyperplanes by their line with
+    # H_i; restricting those images again by the image of k, for a
+    # two-hyperplane line {i, k}, groups them by their rank-3 flat
+    arr = Arrangement(len(vectors[0]),
+                      dict.fromkeys(LinearForm(v) for v in vectors))
+    n = len(arr)
+    normals = [form.integral_coefficients for form in arr.forms]
+    for i, k in permutations(range(n), 2):
+        images = restrict_rows(normals, normals[i])
+        line = {i} | {a for a in range(n) if a != i and images[a] == images[k]}
+        assert line == flat_closure(arr, (i, k)).generators
+        if len(line) > 2:
+            continue
+        again = restrict_rows(images, images[k])
+        for a in set(range(n)) - line:
+            plane = line | {b for b in set(range(n)) - line
+                            if again[b] == again[a]}
+            assert plane == flat_closure(arr, (i, k, a)).generators
 
 
 def test_localize_requires_closed_flat():

@@ -545,13 +545,6 @@ def test_decide_undecided_below_complete_bound():
     assert report.certificate["kind"] == "degree_bound_too_small"
 
 
-def test_decide_shi2_order1_free():
-    report = decide_free(make_shi(2), 1)
-    assert report.verdict == FREE
-    assert sum(report.exponents) == 7
-    assert report.exponents == (1, 3, 3)
-
-
 def test_decide_order_zero():
     report = decide_free(RANK2, 0)
     assert report.verdict == FREE
@@ -615,14 +608,6 @@ def test_decide_failing_product_check_raises(monkeypatch):
     monkeypatch.setattr(graded, "saito_check", failing)
     with pytest.raises(RuntimeError, match="product basis"):
         decide_free(target, 2)
-
-
-def test_decide_localization_filter_holm_q1():
-    arr = make_named("holm-q1-counterexample")
-    for order in (1, 2):
-        report = decide_free(arr, order)
-        assert report.verdict == NOT_FREE
-        assert report.certificate["reason"] == "localization-not-free"
 
 
 def test_holm_m_free_does_not_imply_next_order_free():
@@ -724,6 +709,8 @@ def arrangement_of_vectors(vectors):
     min_size=1, max_size=9)))
 @example(integer_vectors(make_named("holm-q1")))
 @example(integer_vectors(make_shi(3)))
+@example([[v[0], v[1] + 2 * v[0], *v[2:]]  # Shi-3 under x1 -> x1 + 2 x2
+          for v in integer_vectors(make_shi(3))])
 @example(integer_vectors(GENERIC3))  # a whole arrangement is no localization
 @example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
           [1, 1, 0, 0], [0, 1, 1, 0], [1, 1, 1, 1]])
@@ -738,18 +725,12 @@ def test_localization_filter_matches_brute_force(vectors):
 def test_localization_filter_closes_no_flat_in_dimension_three(
         monkeypatch):
     # in dimension 3 the only rank-3 flat is the origin, which holds every
-    # hyperplane, so the filter has nothing to close; the report is the
-    # one pinned before the filter returned early
-    calls = []
-    real = graded.flat_closure
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(graded, "flat_closure", counting)
+    # hyperplane, so the filter restricts no normal and closes no flat; the
+    # report is the one pinned before the filter returned early
+    closed = counting_calls(monkeypatch, "flat_closure")
+    restricted = counting_calls(monkeypatch, "restrict_rows")
     report = decide_free(make_shi(2), 2)
-    assert calls == []
+    assert closed == [] and restricted == []
     text = json.dumps(report.to_json(), sort_keys=True)
     assert len(text) == 407
     assert hashlib.sha256(text.encode()).hexdigest() \
@@ -771,14 +752,14 @@ def counting_calls(monkeypatch, name):
 
 def test_decide_orders_runs_the_filters_once_for_all_orders(monkeypatch):
     # the Shi-3 factor is decided at orders 1 and 2; its localization
-    # search closes flats once, as many as deciding Shi-3 at order 1 alone
-    calls = counting_calls(monkeypatch, "flat_closure")
+    # search runs once, as it does when deciding Shi-3 at order 1 alone
+    calls = counting_calls(monkeypatch, "_localization_filter")
     decide_free(make_shi(3), 1)
-    assert len(calls) == 73
+    assert len(calls) == 1
     calls.clear()
     report = decide_free(product(make_shi(3), make_named("empty", 1)), 2)
     assert report.verdict == NOT_FREE
-    assert len(calls) == 73
+    assert len(calls) == 1
 
 
 def test_equal_factors_are_decided_once(monkeypatch):

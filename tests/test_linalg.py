@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,21 @@ def test_nullspace_does_not_depend_on_row_order_or_form(case):
             == expected
 
 
+@given(sparse_matrices(entries=WIDE_ENTRIES))
+@settings(max_examples=100, deadline=None)
+def test_nullspace_of_int_dicts_matches_fraction_rows(case):
+    # rows of nonzero ints are checked once for the whole system, and any
+    # other rows one by one as they go in; both give the same vectors
+    ncols, rows = case
+    int_dicts = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        if any(row):  # a zero row constrains nothing
+            int_dicts.append({j: int(x * scale) for j, x in enumerate(row)
+                              if x})
+    assert nullspace_basis(int_dicts, ncols) == nullspace_basis(rows, ncols)
+
+
 @given(square_matrices())
 @settings(max_examples=100, deadline=None)
 def test_invert_matches_dense_reference(rows):
@@ -322,6 +338,13 @@ def test_nullspace_annihilates_and_counts():
         assert len(basis) == ncols - rank_of(rows, ncols)
         for vec in basis:
             assert not any(mat_vec(rows, vec))
+
+
+def test_nullspace_rejects_columns_out_of_range():
+    for rows in ([{0: 1}, {3: 1}], [{0: 1}, {-1: 2}], [{0: 1}, [0, 0, 0, 1]],
+                 [{0: Fraction(1, 2)}, {3: 1}]):
+        with pytest.raises(ValueError):
+            nullspace_basis(rows, 3)
 
 
 def test_nullspace_of_no_constraints():
