@@ -138,17 +138,11 @@ def product_basis(factor_bases: list[list[list[DiffOp]]]) -> list[DiffOp]:
     embedded = [[[embed(op, total, offset) for op in ops] for ops in bases]
                 for bases, offset in zip(factor_bases, offsets)]
 
-    def splits(count: int, order: int):
-        # orders of the first count factors summing to order, fold order
-        if count == 1:
-            yield (order,)
-            return
-        for last in range(order, -1, -1):
-            for head in splits(count - 1, order - last):
-                yield head + (last,)
-
+    # the factors' orders summing to top, in fold order: the canonical
+    # exponents read backwards, so the last factor's order varies slowest
+    splits = (c[::-1] for c in monomial_exponents(len(embedded), top))
     out: list[DiffOp] = []
-    for orders in splits(len(embedded), top):
+    for orders in splits:
         for ops in iter_product(*(bases[i]
                                   for bases, i in zip(embedded, orders))):
             out.append(reduce(block_product, ops))

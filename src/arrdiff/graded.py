@@ -131,11 +131,8 @@ def graded_dimension(arr: Arrangement, order: int, degree: int) -> GradedBasis:
     variable of the form precedes.  So in each block of columns the least
     column of the row for nu is (a, nu) itself, and the rows of one form
     lead at distinct columns, where the elimination finds them nearly in
-    echelon form.  Eliminating the first variable instead led each row at
-    its monomial heaviest in that variable, and the forms sharing it (all
-    of F4's x1 +- x2 +- x3 +- x4) piled their rows onto the same few
-    leading columns.  Either way each (form, b) block spans the same rows,
-    so only the fill changes, not the vectors.
+    echelon form.  Whichever variable is eliminated, each (form, b) block
+    spans the same rows, so only the fill changes, not the vectors.
 
     A coordinate hyperplane x_p builds no table and no rows.  Its rows
     say that x_p divides c_a whenever a_p >= 1, and each holds one entry:

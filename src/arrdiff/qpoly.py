@@ -29,6 +29,7 @@ import heapq
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial, gcd, lcm
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -104,14 +105,14 @@ def monomial_exponents(dim: int, degree: int) -> tuple[MultiIndex, ...]:
         raise ValueError("dimension must be nonnegative")
     if degree < 0:
         return ()
-    if dim == 0:
-        return ((),) if degree == 0 else ()
-    if dim == 1:
-        return ((degree,),)
+    # the variable picks come in ascending lex order, which is descending
+    # lex order of the exponents they count
     out = []
-    for first in range(degree, -1, -1):
-        for rest in monomial_exponents(dim - 1, degree - first):
-            out.append((first,) + rest)
+    for picks in combinations_with_replacement(range(dim), degree):
+        exponent = [0] * dim
+        for i in picks:
+            exponent[i] += 1
+        out.append(tuple(exponent))
     return tuple(out)
 
 

@@ -2,12 +2,11 @@
 10a-d and 11, each under a wall-clock budget and printing a PASS line.
 
 The paper's golden facts live in one place, the rows of
-`arrdiff.cli._suite_checks`; each row runs here once under its budget
-from `SUITE_BUDGETS`, either as the criterion test that kept its old
-name (1, 2, 3, 5, 7, 9) or as `test_paper_suite_row[<row>]`.  Run
-with `pytest -s tests/test_acceptance.py` to see the per-row and
-per-criterion lines.  Everything is exact; the only
-tolerances are wall-clock budgets.
+`arrdiff.cli._suite_checks`; each row runs here once, as
+`test_paper_suite_row[<row>]`, under its budget from `SUITE_BUDGETS`.
+Run with `pytest -s tests/test_acceptance.py` to see the per-row and
+per-criterion lines.  Everything is exact; the only tolerances are
+wall-clock budgets.
 """
 
 from __future__ import annotations
@@ -17,24 +16,16 @@ import time
 
 import pytest
 
-from arrdiff.arrangement import arrangement_from_json, make_shi
+from arrdiff.arrangement import make_shi
 from arrdiff.cli import _suite_checks
 from arrdiff.graded import FREE, decide_free
 from arrdiff.membership import is_member
 from arrdiff.qpoly import LinearForm, Poly, exact_divide
 from arrdiff.saito import det_poly, saito_counts
 from arrdiff.weyl import coefficient_matrix
-from tests.test_membership import (_random_member_pool,
-                                   _random_operator_pool,
-                                   is_member_bruteforce, random_poly)
-from tests.weyl_reference import commutator_with_form
-
-
-def arr_of(dim, *texts):
-    return arrangement_from_json({"dim": dim, "forms": list(texts)})
-
-
-RANK2 = arr_of(2, "x", "y", "x+y")
+from tests.reference import (RANK2, arr_of, commutator_with_form,
+                             is_member_bruteforce, random_member_pool,
+                             random_operator_pool, random_poly)
 
 
 class budget:
@@ -78,51 +69,16 @@ SUITE_BUDGETS = {
 
 SUITE_ROWS = dict(_suite_checks())
 
-# rows that keep the name of the acceptance criterion they replaced
-CRITERION_ROWS = ("golden-det-rank2", "golden-det-shi2", "shi2-graded-dims",
-                  "shi2-decide-m1", "product-exponents",
-                  "localization-pipeline")
-
-
-def run_row(name):
-    with budget(name, SUITE_BUDGETS[name]):
-        ok, detail = SUITE_ROWS[name]()
-        assert ok, detail
-
 
 def test_every_paper_suite_row_has_a_budget():
     assert sorted(SUITE_BUDGETS) == sorted(name for name, _ in _suite_checks())
-    assert set(CRITERION_ROWS) <= set(SUITE_ROWS)
 
 
-def test_criterion_1_golden_determinant_rank2():
-    run_row("golden-det-rank2")
-
-
-def test_criterion_2_golden_determinant_shi2():
-    run_row("golden-det-shi2")
-
-
-def test_criterion_3_graded_dimensions_shi2():
-    run_row("shi2-graded-dims")
-
-
-def test_criterion_5_shi2_order1_free():
-    run_row("shi2-decide-m1")
-
-
-def test_criterion_7_product_exponents():
-    run_row("product-exponents")
-
-
-def test_criterion_9_localization_pipeline():
-    run_row("localization-pipeline")
-
-
-@pytest.mark.parametrize(
-    "name", [name for name in SUITE_ROWS if name not in CRITERION_ROWS])
+@pytest.mark.parametrize("name", list(SUITE_ROWS))
 def test_paper_suite_row(name):
-    run_row(name)
+    with budget(name, SUITE_BUDGETS[name]):
+        ok, detail = SUITE_ROWS[name]()
+        assert ok, detail
 
 
 def test_criterion_10a_membership_oracle_equivalence():
@@ -133,14 +89,19 @@ def test_criterion_10a_membership_oracle_equivalence():
         checked = 0
         for arr in arrangements:
             for order in (1, 2):
-                pool = _random_operator_pool(rng, arr, order, 14)
-                pool += _random_member_pool(rng, arr, order, 7)
+                pool = random_operator_pool(rng, arr, order, 14)
+                pool += random_member_pool(rng, arr, order, 7)
                 for op in pool:
                     assert bool(is_member(op, arr)) \
                         == is_member_bruteforce(op, arr, order + 2)
                     checked += 1
         assert checked >= 200
         print(f"    oracle equivalence on {checked} cases", end=" ")
+
+
+# forms every member is also bracketed with: the random coefficients lie in
+# -2..2, so these reach beyond them
+FIXED_FORMS = {3: [LinearForm([1, -2, 3])]}
 
 
 def test_criterion_10b_commutator_closure():
@@ -150,7 +111,7 @@ def test_criterion_10b_commutator_closure():
         checked = 0
         for arr in arrangements:
             for order in (1, 2):
-                members = _random_member_pool(rng, arr, order, 12)
+                members = random_member_pool(rng, arr, order, 12)
                 for op in members:
                     assert is_member(op, arr)
                     for _ in range(3):
@@ -159,6 +120,9 @@ def test_criterion_10b_commutator_closure():
                             coeffs[0] = 1
                         bracket = commutator_with_form(op, LinearForm(coeffs))
                         assert is_member(bracket, arr)
+                        checked += 1
+                    for form in FIXED_FORMS.get(arr.dim, []):
+                        assert is_member(commutator_with_form(op, form), arr)
                         checked += 1
         assert checked >= 200
         print(f"    commutator closure on {checked} cases", end=" ")
@@ -173,7 +137,7 @@ def test_criterion_10c_determinant_divisibility():
             for order in (1, 2):
                 rank, exponent = saito_counts(2, order)
                 for _ in range(9):
-                    ops = _random_member_pool(rng, arr, order, rank)
+                    ops = random_member_pool(rng, arr, order, rank)
                     det = det_poly(coefficient_matrix(ops))
                     assert exact_divide(det, q ** exponent) is not None
                     checked += 1

@@ -21,16 +21,8 @@ from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  restrict_rows)
 from arrdiff.linalg import invert
 from arrdiff.qpoly import LinearForm, Poly, variables
-from tests.test_linalg import rank_of
-
-
-def arr_of(dim, *texts):
-    return arrangement_from_json({"dim": dim, "forms": list(texts)})
-
-
-def form_value(form, point):
-    """The value of a linear form at a point, on Fractions."""
-    return sum(c * Fraction(v) for c, v in zip(form.coefficients, point))
+from tests.reference import (GENERIC3, RANK2, arr_of, form_value, rank_of,
+                             row_times)
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +62,7 @@ def oracle_components(arr):
 
 def test_defining_polynomial_golden():
     x, y = variables(2)
-    assert arr_of(2, "x", "y", "x+y").defining_polynomial() == x * y * (x + y)
+    assert RANK2.defining_polynomial() == x * y * (x + y)
     assert Arrangement(3, ()).defining_polynomial() == Poly.one(3)
 
 
@@ -203,9 +195,8 @@ def test_restriction_finds_the_lines_and_planes_of_flat_closure(vectors):
 
 def test_localize_requires_closed_flat():
     from arrdiff.arrangement import FlatRef
-    arr = arr_of(2, "x", "y", "x+y")
     with pytest.raises(ValueError):
-        localize(arr, FlatRef(frozenset({0}), 2))
+        localize(RANK2, FlatRef(frozenset({0}), 2))
 
 
 def test_localize_holm_q1_flat():
@@ -228,9 +219,7 @@ def test_localize_at_origin_is_identity():
 # products
 
 def test_product_multiplies_defining_polynomials():
-    first = arr_of(2, "x", "y", "x+y")
-    second = arr_of(1, "x1")
-    combined = product(first, second)
+    combined = product(RANK2, arr_of(1, "x1"))
     assert combined.dim == 3 and len(combined) == 4
     x, y, z = variables(3)
     assert combined.defining_polynomial() == x * y * (x + y) * z
@@ -247,8 +236,8 @@ def test_product_with_empty_preserves_forms():
 # genericity and decomposition
 
 def test_is_generic():
-    assert is_generic(arr_of(3, "x", "y", "z", "x+y+z"))
-    assert not is_generic(arr_of(2, "x", "y", "x+y"))  # dimension too small
+    assert is_generic(GENERIC3)
+    assert not is_generic(RANK2)  # dimension too small
     assert not is_generic(make_shi(2))  # {x1, x2, x1-x2} is dependent
     assert not is_generic(arr_of(3, "x", "y", "z"))  # too few hyperplanes
 
@@ -283,7 +272,7 @@ def test_decompose_rank_deficient_generic():
 def test_decompose_oracle_on_small_arrangements():
     cases = [
         arr_of(2, "x", "y"),
-        arr_of(2, "x", "y", "x+y"),
+        RANK2,
         arr_of(3, "x", "y", "z", "x-y"),
         arr_of(3, "x", "x+y", "z"),
         arr_of(4, "x1", "x2", "x3", "x4", "x1+x2", "x3+x4"),
@@ -293,12 +282,6 @@ def test_decompose_oracle_on_small_arrangements():
         dec = decompose(arr)
         assert {frozenset(c) for c in dec.components} \
             == oracle_components(arr)
-
-
-def row_times(vector, rows):
-    """The product vector * rows of a row vector and a matrix."""
-    return [sum((Fraction(x) * row[j] for x, row in zip(vector, rows)),
-                Fraction(0)) for j in range(len(rows[0]))]
 
 
 def factor_blocks(dec):

@@ -20,18 +20,8 @@ from arrdiff.qpoly import Poly, monomial_exponents, variables
 from arrdiff.saito import (SaitoVerdict, point_constant, saito_check,
                            saito_counts)
 from arrdiff.weyl import DiffOp, block_product, embed, euler_operator
+from tests.reference import GENERIC3, RANK2, arr_of, form_value
 
-
-def arr_of(dim, *texts):
-    return arrangement_from_json({"dim": dim, "forms": list(texts)})
-
-
-def form_value(form, point):
-    """The value of a linear form at a point, on Fractions."""
-    return sum(c * v for c, v in zip(form.coefficients, point))
-
-
-RANK2 = arr_of(2, "x", "y", "x+y")
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +99,6 @@ def rank2_bases(top):
                                      for i in range(1, top + 1)]
 
 
-def test_product_basis_golden_exponents():
-    ops = product_basis([rank2_bases(2), line_bases(2)])
-    combined = product(RANK2, Arrangement(1, ()))
-    result = saito_check(ops, combined)
-    assert result
-    assert sorted(op.homogeneous_degree() for op in ops) == [0, 1, 2, 2, 2, 2]
-
-
 def test_product_exponents_follow_union_rule():
     top = 2
     first = rank2_bases(top)
@@ -190,12 +172,11 @@ def test_product_basis_needs_equal_orders():
 
 def test_product_freeness_equivalence():
     # a factor that is free only from order 2 on makes the product never free
-    generic = arr_of(3, "x", "y", "z", "x+y+z")
-    combined = product(RANK2, generic)
+    combined = product(RANK2, GENERIC3)
     for order in (1, 2):
         report = decide_free(combined, order)
         assert report.verdict == NOT_FREE
-        per_order = all(decide_free(generic, i).verdict == FREE
+        per_order = all(decide_free(GENERIC3, i).verdict == FREE
                         for i in range(1, order + 1))
         assert not per_order
     # both factors free at all orders <= m makes the product free
@@ -207,8 +188,7 @@ def test_product_freeness_equivalence():
 
 
 def test_generic_times_anything_never_free():
-    generic = arr_of(3, "x", "y", "z", "x+y+z")
-    combined = product(generic, Arrangement(1, ()))
+    combined = product(GENERIC3, Arrangement(1, ()))
     for order in (1, 2):
         assert decide_free(combined, order).verdict == NOT_FREE
         assert decide_free(combined, order,

@@ -32,11 +32,8 @@ from arrdiff.qpoly import (LinearForm, Poly, mi_add, mi_factorial, mi_unit,
 from arrdiff.saito import (SaitoResult, SaitoVerdict, saito_check,
                           saito_counts)
 from arrdiff.weyl import DiffOp, euler_operator
-from tests.test_linalg import reference_nullspace
-
-
-def arr_of(dim, *texts):
-    return arrangement_from_json({"dim": dim, "forms": list(texts)})
+from tests.reference import (GENERIC3, RANK2, arr_of, count_fractions,
+                             reference_nullspace)
 
 
 def operator_vector(op, degree):
@@ -60,8 +57,6 @@ def operator_vector(op, degree):
     return vec
 
 
-RANK2 = arr_of(2, "x", "y", "x+y")
-GENERIC3 = arr_of(3, "x", "y", "z", "x+y+z")
 B3 = arr_of(3, "x", "y", "z", "x+y", "x-y", "x+z", "x-z", "y+z", "y-z")
 
 
@@ -152,21 +147,15 @@ def test_graded_dimension_matches_dense_reference(arr, order, degree):
 # ---------------------------------------------------------------------------
 # graded dimensions
 
-def test_shi2_graded_dimensions():
-    shi = make_shi(2)
-    dims = [graded_dimension(shi, 2, d).dimension for d in range(4)]
-    assert dims == [0, 0, 1, 3]
-    piece = graded_dimension(shi, 2, 2)
-    span = RowBasis(len(operator_vector(piece.operators[0], 2)))
-    for op in piece.operators:
-        span.add(operator_vector(op, 2))
-    assert span.contains(operator_vector(euler_operator(3, 2), 2))
-
-
 def test_empty_arrangement_degree_zero():
     for dim, order in ((2, 2), (3, 1), (2, 3)):
         piece = graded_dimension(Arrangement(dim, ()), order, 0)
         assert piece.dimension == saito_counts(dim, order)[0]
+
+
+def test_graded_dimension_in_a_thousand_variables():
+    # one variable per level of recursion would overflow the stack
+    assert graded_dimension(Arrangement(1100, ()), 1, 0).dimension == 1100
 
 
 def test_rank2_dimensions_match_free_resolution():
@@ -431,14 +420,7 @@ def test_shi2_order2_sweep_builds_no_fraction(monkeypatch):
     # the graded vectors are integral from the elimination to the span,
     # and a refutation builds no operator
     arr = make_shi(2)
-    built = []
-    real = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return real(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    built = count_fractions(monkeypatch)
     report = decide_free(arr, 2, fast_filters=False)
     monkeypatch.undo()
     assert report.certificate["kind"] == "generator_overflow"

@@ -66,6 +66,23 @@ def test_no_imports_inside_functions():
     assert found == []
 
 
+def test_no_test_module_imports_another():
+    # helpers that several test modules share live in tests/reference.py,
+    # so a module that fails to collect takes no other module down with it
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[-1].startswith("test_")]
+    assert found == []
+
+
 def test_poly_storage_stays_inside_qpoly():
     # other modules read a polynomial's integer terms and denominator
     # through Poly.integer_terms, never through its private slots

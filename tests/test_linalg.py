@@ -1,8 +1,8 @@
 """Exact linear algebra helpers.
 
 The differential tests compare the sparse :class:`RowBasis` routines with
-a small dense Gauss-Jordan reference kept here, and determinants with a
-Laplace expansion.
+the dense Gauss-Jordan reference of :mod:`tests.reference`, and
+determinants with its Fraction elimination and Laplace expansion.
 """
 
 from __future__ import annotations
@@ -18,56 +18,17 @@ from hypothesis import strategies as st
 
 from arrdiff.linalg import RowBasis, determinant, invert, nullspace_basis
 from arrdiff.qpoly import Poly
-from tests.test_saito import cofactor_det
+from tests.reference import (cofactor_det, fraction_det, rank_of,
+                             reference_nullspace, reference_rref)
 
 
 def frac_rows(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
-# ---------------------------------------------------------------------------
-# dense reference
-
-def reference_rref(rows, ncols):
-    """Dense Gauss-Jordan; returns (nonzero reduced rows, pivot columns)."""
-    m = frac_rows(rows)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-    return m[:len(pivots)], pivots
-
-
-def rank_of(rows, ncols):
-    return len(reference_rref(rows, ncols)[1])
-
-
 def mat_vec(rows, vector):
     return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vector)),
                 Fraction(0)) for row in rows]
-
-
-def reference_nullspace(rows, ncols):
-    reduced, pivots = reference_rref(rows, ncols)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            vec[pc] = -row[free]
-        basis.append(tuple(vec))
-    return basis
 
 
 def dense(basis, ncols):
@@ -271,24 +232,6 @@ def with_zeros(draw, row):
         if not x and draw(st.booleans())}
 
 
-def gauss_determinant(rows):
-    """Fraction Gauss elimination with row swaps, each swap a sign."""
-    m = frac_rows(rows)
-    det = Fraction(1)
-    for c in range(len(m)):
-        r = next((i for i in range(c, len(m)) if m[i][c]), None)
-        if r is None:
-            return Fraction(0)
-        if r != c:
-            m[c], m[r] = m[r], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, len(m)):
-            factor = m[i][c] / m[c][c]
-            m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_kernel_short_cuts_match_fraction_reference(data):
@@ -305,7 +248,7 @@ def test_kernel_short_cuts_match_fraction_reference(data):
                                       for row in rows], ncols), ncols) \
         == reference_nullspace(rows, ncols)
     square = data.draw(unit_heavy_rows(ncols, ncols))
-    assert determinant(square) == gauss_determinant(square)
+    assert determinant(square) == fraction_det(square)
 
 
 # ---------------------------------------------------------------------------

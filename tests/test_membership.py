@@ -9,19 +9,16 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrdiff.arrangement import Arrangement, arrangement_from_json, make_shi
+from arrdiff.arrangement import Arrangement, make_shi
 from arrdiff.membership import (MembershipResult, MembershipWitness,
                                 is_member, shi2_order2_members)
-from arrdiff.qpoly import (LinearForm, Poly, exact_divide, mi_unit,
-                           monomial_exponents, variables)
+from arrdiff.qpoly import (LinearForm, Poly, mi_unit, monomial_exponents,
+                           variables)
 from arrdiff.weyl import DiffOp, euler_operator
-from tests.test_qpoly import (form_strategy, poly_strategy,
-                              reference_substitute)
-from tests.weyl_reference import commutator_with_form
+from tests.reference import (GENERIC3, RANK2, arr_of, form_strategy,
+                             is_member_bruteforce, poly_strategy,
+                             random_operator_pool, reference_substitute)
 
-
-# ---------------------------------------------------------------------------
-# reference implementations the library is checked against
 
 def is_member_reference(op: DiffOp, arr: Arrangement) -> MembershipResult:
     """The grid criterion by applying the operator to alpha_H * x^b for
@@ -40,42 +37,9 @@ def is_member_reference(op: DiffOp, arr: Arrangement) -> MembershipResult:
     return MembershipResult(True)
 
 
-def monomials_up_to(dim: int, bound: int):
-    """All exponent tuples of total degree <= bound, degree by degree."""
-    for d in range(bound + 1):
-        yield from monomial_exponents(dim, d)
-
-
-def is_member_bruteforce(op: DiffOp, arr: Arrangement,
-                         degree_bound: int) -> bool:
-    """Truncated scan of the defining property, an independent oracle.
-
-    Checks that the image of Q*x^c is divisible by Q for every monomial
-    x^c of degree at most the bound.  This under-approximates the real
-    membership condition and exists only to cross-check :func:`is_member`.
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
-    q = arr.defining_polynomial()
-    for c in monomials_up_to(arr.dim, degree_bound):
-        image = op.apply(q * Poly.monomial(arr.dim, c))
-        if image.is_zero():
-            continue
-        if exact_divide(image, q) is None:
-            return False
-    return True
-
-
-def arr_of(dim, *texts):
-    return arrangement_from_json({"dim": dim, "forms": list(texts)})
-
-
-RANK2 = arr_of(2, "x", "y", "x+y")
-
-
 def test_euler_is_member_everywhere():
     for arr, order in ((RANK2, 2), (make_shi(2), 2), (RANK2, 1),
-                       (arr_of(3, "x", "y", "z", "x+y+z"), 3)):
+                       (GENERIC3, 3)):
         assert is_member(euler_operator(arr.dim, order), arr)
 
 
@@ -151,41 +115,13 @@ def test_q_times_symbols_are_members():
 def test_intersection_law():
     # membership in the whole arrangement is membership in each hyperplane
     rng = random.Random(5)
-    ops = _random_operator_pool(rng, RANK2, 2, 12)
+    ops = random_operator_pool(rng, RANK2, 2, 12)
     for op in ops:
         whole = bool(is_member(op, RANK2))
         per_hyperplane = all(
             bool(is_member(op, Arrangement(2, [form])))
             for form in RANK2.forms)
         assert whole == per_hyperplane
-
-
-def test_commutator_closure_sample():
-    rng = random.Random(6)
-    shi = make_shi(2)
-    members = [op for op in _random_member_pool(rng, shi, 2, 10)]
-    forms = [LinearForm([1, 0, 0]), LinearForm([1, -2, 3]),
-             LinearForm([0, 1, -1])]
-    for op in members:
-        assert is_member(op, shi)
-        for form in forms:
-            assert is_member(commutator_with_form(op, form), shi)
-
-
-def test_oracle_agreement_sample():
-    rng = random.Random(7)
-    arrangements = [RANK2, arr_of(2, "x", "x+2y"), arr_of(3, "x", "y-z")]
-    checked = 0
-    for arr in arrangements:
-        for order in (1, 2):
-            pool = _random_operator_pool(rng, arr, order, 8)
-            pool += _random_member_pool(rng, arr, order, 4)
-            for op in pool:
-                direct = bool(is_member(op, arr))
-                brute = is_member_bruteforce(op, arr, order + 2)
-                assert direct == brute
-                checked += 1
-    assert checked >= 60
 
 
 @st.composite
@@ -297,47 +233,6 @@ def test_integer_reduction_matches_fraction_substitution(data):
     if failure is not None:
         assert (result.witness.hyperplane_index,
                 result.witness.exponent) == failure
-
-
-# ---------------------------------------------------------------------------
-# random generators shared with the acceptance suite
-
-def random_poly(rng: random.Random, dim: int, degree: int,
-                terms: int = 2) -> Poly:
-    picks = []
-    pool = monomial_exponents(dim, degree)
-    for _ in range(terms):
-        picks.append((rng.choice(pool), Fraction(rng.randint(-3, 3))))
-    return Poly(dim, picks)
-
-
-def _random_operator_pool(rng, arr, order, count):
-    ops = []
-    for _ in range(count):
-        terms = []
-        for a in monomial_exponents(arr.dim, order):
-            if rng.random() < 0.5:
-                terms.append((a, random_poly(rng, arr.dim,
-                                             rng.randint(0, 2))))
-        ops.append(DiffOp(arr.dim, order, terms))
-    return ops
-
-
-def _random_member_pool(rng, arr, order, count):
-    """Genuine members: monomial multiples of the Euler operator and of
-    Q d^a, plus sums of those."""
-    q = arr.defining_polynomial()
-    generators = [euler_operator(arr.dim, order)]
-    generators += [DiffOp.single(arr.dim, a, q)
-                   for a in monomial_exponents(arr.dim, order)]
-    ops = []
-    for _ in range(count):
-        total = DiffOp(arr.dim, order)
-        for gen in rng.sample(generators, k=min(2, len(generators))):
-            factor = random_poly(rng, arr.dim, rng.randint(0, 1), terms=1)
-            total = total + factor * gen
-        ops.append(total)
-    return ops
 
 
 @given(st.data())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product as iter_product
 from math import gcd, lcm
 
 import pytest
@@ -13,23 +14,12 @@ from arrdiff.qpoly import (LinearForm, Poly, exact_divide, format_fraction,
                            format_poly, linear_combination, mi_unit,
                            monomial_exponents, parse_linear_form,
                            poly_from_json, substituter, variables)
-
-
-def poly_strategy(dim: int, max_degree: int = 3, max_terms: int = 4):
-    exponent = st.tuples(*[st.integers(0, max_degree)] * dim)
-    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    term = st.tuples(exponent, coeff)
-    return st.lists(term, max_size=max_terms).map(lambda ts: Poly(dim, ts))
+from tests.reference import (form_strategy, fraction_terms, poly_strategy,
+                             reference_mul, reference_substitute)
 
 
 def nonzero_poly(dim: int):
     return poly_strategy(dim).filter(lambda p: not p.is_zero())
-
-
-def form_strategy(dim: int):
-    """Nonzero forms whose normalised coefficients have denominators."""
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    return st.tuples(*[coeff] * dim).filter(any).map(LinearForm)
 
 
 def reduce_terms(form, terms) -> dict:
@@ -161,6 +151,12 @@ def test_monomial_exponents_order():
     assert monomial_exponents(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert monomial_exponents(2, -1) == ()
     assert len(monomial_exponents(3, 2)) == 6
+    for dim in range(6):
+        for degree in range(-1, 7):
+            box = iter_product(range(degree + 1), repeat=dim)
+            expected = sorted((e for e in box if sum(e) == degree),
+                              reverse=True)
+            assert list(monomial_exponents(dim, degree)) == expected
 
 
 def test_format_fraction():
@@ -343,29 +339,6 @@ def test_reduce_matches_pivot_substitution(data):
 # ---------------------------------------------------------------------------
 # the integer kernels against plain-Fraction references
 
-def fraction_terms(p: Poly) -> dict:
-    """The terms as Fractions (never int or float), after checking that the
-    stored form is in lowest terms: nonzero int terms over a den >= 1
-    that shares no factor with all of them."""
-    ints, den = p.integer_terms()
-    assert type(den) is int and den >= 1
-    assert all(type(c) is int and c for c in ints.values())
-    assert gcd(den, *ints.values()) == 1
-    terms = dict(p.terms())
-    assert all(type(c) is Fraction for c in terms.values())
-    assert terms == {a: Fraction(c, den) for a, c in ints.items()}
-    return terms
-
-
-def reference_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for a, c in p.items():
-        for b, d in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, Fraction(0)) + c * d
-    return {a: c for a, c in out.items() if c}
-
-
 def reference_divide(p: dict, q: dict) -> dict | None:
     """Long division by leading terms, on Fractions throughout."""
     lq = max(q, key=lambda a: (sum(a), a))
@@ -385,20 +358,6 @@ def reference_divide(p: dict, q: dict) -> dict | None:
             else:
                 remainder.pop(key, None)
     return quotient
-
-
-def reference_substitute(p: dict, images: list, dim: int) -> dict:
-    powers = [[{(0,) * dim: Fraction(1)}] for _ in images]
-    out: dict = {}
-    for a, c in p.items():
-        term = {(0,) * dim: c}
-        for image, image_powers, e in zip(images, powers, a):
-            while len(image_powers) <= e:
-                image_powers.append(reference_mul(image_powers[-1], image))
-            term = reference_mul(term, image_powers[e])
-        for key, value in term.items():
-            out[key] = out.get(key, Fraction(0)) + value
-    return {a: c for a, c in out.items() if c}
 
 
 def reference_evaluate(p: dict, point: list) -> Fraction:

@@ -24,9 +24,9 @@ from arrdiff.saito import (SaitoResult, SaitoVerdict, det_poly, point_constant,
                            saito_check, saito_counts)
 from arrdiff.weyl import (DiffOp, change_variables, coefficient_matrix,
                           euler_operator)
-from tests.test_membership import arr_of, random_poly
-
-RANK2 = arr_of(2, "x", "y", "x+y")
+from tests.reference import (GENERIC3, RANK2, arr_of, cofactor_det,
+                             count_fractions, form_value, fraction_det,
+                             mixed_order_tuples, random_poly, row_times)
 
 
 def rank2_triple():
@@ -46,20 +46,6 @@ def test_saito_counts():
     for ell in range(1, 5):
         for order in range(1, 5):
             assert saito_counts(ell, order)[1] == saito_counts(ell, order - 1)[0]
-
-
-def test_det_golden_rank2():
-    det = det_poly(coefficient_matrix(rank2_triple()))
-    q2 = RANK2.defining_polynomial() ** 2
-    assert det in (2 * q2, -2 * q2)
-
-
-def test_det_golden_shi2():
-    shi = make_shi(2)
-    det = det_poly(coefficient_matrix(shi2_order2_members()))
-    _, y, z = variables(3)
-    expected = 4 * (y - z) * shi.defining_polynomial() ** 3
-    assert det in (expected, -expected)
 
 
 def test_det_repeated_column_vanishes():
@@ -93,18 +79,6 @@ def test_det_multilinear_and_alternating_random():
         doubled = [list(r) for r in rows]
         doubled[1] = doubled[0]
         assert det_poly(doubled).is_zero()
-
-
-def cofactor_det(rows):
-    """Reference determinant: Laplace expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = Poly.zero(rows[0][0].dim)
-    for j, entry in enumerate(rows[0]):
-        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-        term = entry * cofactor_det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def test_bareiss_matches_cofactor_on_larger_matrices():
@@ -296,15 +270,6 @@ def test_saito_check_wrong_count():
         saito_check(rank2_triple()[:2], RANK2)
 
 
-def mixed_order_tuples():
-    """Three operators of order 2 and 1 on RANK2: the first tuple holds a
-    non-member, the second only members."""
-    theta_2 = rank2_triple()[2]
-    return [[DiffOp.single(2, (2, 0), Poly.one(2)), euler_operator(2, 1),
-             euler_operator(2, 2)],
-            [euler_operator(2, 2), euler_operator(2, 1), theta_2]]
-
-
 def test_saito_check_rejects_mixed_orders_before_membership():
     for ops in mixed_order_tuples():
         with pytest.raises(ValueError, match="share dimension and order"):
@@ -340,24 +305,6 @@ def test_point_constant_off_the_degree_form():
         point_constant([euler_operator(2, 1), theta_1, theta_2], RANK2)
 
 
-def fraction_det(matrix):
-    """Gaussian elimination on Fractions, with row swaps."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for k in range(len(rows)):
-        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            det = -det
-        det *= rows[k][k]
-        for i in range(k + 1, len(rows)):
-            factor = rows[i][k] / rows[k][k]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[k])]
-    return det
-
-
 def reference_point_constant(ops, arr):
     """det M(p) / Q(p)^t on Fractions, at the first point (1, s, s^2, ...)
     off every hyperplane."""
@@ -365,8 +312,7 @@ def reference_point_constant(ops, arr):
     _, exponent = saito_counts(arr.dim, order)
     for s in count(1):
         point = [Fraction(s) ** i for i in range(arr.dim)]
-        values = [sum((c * v for c, v in zip(form.coefficients, point)),
-                      Fraction(0)) for form in arr.forms]
+        values = [form_value(form, point) for form in arr.forms]
         if all(values):
             break
     matrix = [[sum((c * prod(v ** e for v, e in zip(point, mu))
@@ -429,14 +375,7 @@ def test_point_constant_builds_few_fractions(monkeypatch):
     arr = make_shi(2)
     basis = list(decide_free(arr, 3).basis)
     rank, _ = saito_counts(arr.dim, 3)
-    built = []
-    real = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return real(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    built = count_fractions(monkeypatch)
     constant = point_constant(basis, arr)
     monkeypatch.undo()
     assert constant == reference_point_constant(basis, arr) == 162
@@ -447,16 +386,6 @@ def test_basis_implies_degree_sum():
     # one direction of the degree criterion, on a verified basis
     result = saito_check(rank2_triple(), RANK2)
     assert result and point_constant(rank2_triple(), RANK2) == result.constant
-
-
-def test_member_determinants_divisible_by_qt_sample():
-    rng = random.Random(19)
-    from tests.test_membership import _random_member_pool
-    q = RANK2.defining_polynomial()
-    for _ in range(8):
-        ops = _random_member_pool(rng, RANK2, 2, 3)
-        det = det_poly(coefficient_matrix(ops))
-        assert exact_divide(det, q ** 2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +411,9 @@ def golden_bases():
             arr_of(1, "x1")
     yield ([DiffOp.single(2, a, Poly.one(2))
             for a in ((2, 0), (1, 1), (0, 2))], Arrangement(2, ()))
-    generic = arr_of(3, "x", "y", "z", "x+y+z")
     for arr, order in ((RANK2, 0), (RANK2, 1), (RANK2, 2),
                        (arr_of(2, "x", "y"), 3), (make_shi(2), 1),
-                       (generic, 2)):
+                       (GENERIC3, 2)):
         yield list(decide_free(arr, order).basis), arr
 
 
@@ -504,12 +432,6 @@ def test_point_certificate_matches_symbolic_on_golden_bases():
 
 
 LINES = [(0, 1)] + [(1, s) for s in range(-3, 4)] + [(2, -1), (2, 3), (3, 1)]
-
-
-def row_times(vector, rows):
-    """The product vector * rows of a row vector and a matrix."""
-    return [sum((Fraction(x) * row[j] for x, row in zip(vector, rows)),
-                Fraction(0)) for j in range(len(rows[0]))]
 
 
 @given(st.data())

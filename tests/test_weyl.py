@@ -18,9 +18,8 @@ from arrdiff.qpoly import (LinearForm, Poly, mi_factorial, monomial_exponents,
 from arrdiff.weyl import (DiffOp, block_product, change_variables,
                           coefficient_matrix, diffop_from_json,
                           directional_power, embed, euler_operator)
-from tests.test_qpoly import (fraction_terms, poly_strategy,
-                              reference_substitute)
-from tests.weyl_reference import commutator_with_form
+from tests.reference import (commutator_with_form, fraction_terms,
+                             poly_strategy, reference_substitute)
 
 
 def op_strategy(dim: int, order: int, max_terms: int = 3):
@@ -31,13 +30,6 @@ def op_strategy(dim: int, order: int, max_terms: int = 3):
 
 # ---------------------------------------------------------------------------
 # action
-
-def test_apply_golden_rank2():
-    x, y = variables(2)
-    theta1 = DiffOp.single(2, (2, 0), x * (x + y))
-    assert theta1.apply(x * x) == 2 * x * (x + y)
-    assert theta1.apply(x * y).is_zero()
-
 
 def test_euler_rescales_degree_m():
     # the Euler operator multiplies any monomial of its order's degree by m!
