@@ -17,7 +17,7 @@ from .saito import (SaitoResult, SaitoVerdict, det_poly, point_constant,
                     saito_check, saito_counts)
 from .weyl import (DiffOp, block_product, change_variables,
                    coefficient_matrix, diffop_from_json, directional_power,
-                   embed, euler_operator)
+                   euler_operator)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

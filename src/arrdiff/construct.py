@@ -12,7 +12,6 @@ construction), transported bases by the full ``saito_check``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import product as iter_product
 from math import lcm
 from operator import mul
@@ -23,7 +22,7 @@ from .qpoly import Poly, monomial_exponents, substituter, variables
 # det_poly is not called here: the benchmark's tracer wraps this binding
 from .saito import det_poly, point_constant, saito_check, saito_counts
 from .weyl import (DiffOp, block_product, change_variables, directional_power,
-                   embed, euler_operator)
+                   euler_operator)
 
 
 def basis_rank_two(arr: Arrangement, order: int) -> list[DiffOp]:
@@ -112,12 +111,11 @@ def product_basis(factor_bases: list[list[list[DiffOp]]]) -> list[DiffOp]:
 
     Takes per-order bases 0..m for each factor (the order-0 basis is the
     identity operator) and returns the block products of one operator per
-    factor whose orders sum to m, each factor embedded on its own variable
-    block of the product space.  The order is that of folding the factors
-    pairwise from the left: the outermost loop runs over the last factor's
-    order, descending, and the earlier factors' orders split the rest the
-    same way, recursively; within one split of the orders the operators
-    vary with the first factor outermost.
+    factor whose orders sum to m, each factor on its own variable block of
+    the product space, in factor order.  The outermost loop runs over the
+    last factor's order, descending, and the earlier factors' orders split
+    the rest the same way, recursively; within one split of the orders the
+    operators vary with the first factor outermost.
     """
     if not factor_bases or not factor_bases[0] or any(
             len(bases) != len(factor_bases[0]) for bases in factor_bases):
@@ -133,20 +131,13 @@ def product_basis(factor_bases: list[list[list[DiffOp]]]) -> list[DiffOp]:
             for op in ops:
                 if op.dim != dim or op.order != i:
                     raise ValueError("inconsistent factor basis")
-    total = sum(dims)
-    offsets = [sum(dims[:f]) for f in range(len(dims))]
-    embedded = [[[embed(op, total, offset) for op in ops] for ops in bases]
-                for bases, offset in zip(factor_bases, offsets)]
-
-    # the factors' orders summing to top, in fold order: the canonical
-    # exponents read backwards, so the last factor's order varies slowest
-    splits = (c[::-1] for c in monomial_exponents(len(embedded), top))
-    out: list[DiffOp] = []
-    for orders in splits:
-        for ops in iter_product(*(bases[i]
-                                  for bases, i in zip(embedded, orders))):
-            out.append(reduce(block_product, ops))
-    if len(out) != saito_counts(total, top)[0]:
+    # the factors' orders summing to top: the canonical exponents read
+    # backwards, so the last factor's order varies slowest
+    splits = (c[::-1] for c in monomial_exponents(len(factor_bases), top))
+    out = [block_product(ops) for orders in splits
+           for ops in iter_product(*(bases[i] for bases, i
+                                     in zip(factor_bases, orders)))]
+    if len(out) != saito_counts(sum(dims), top)[0]:
         raise RuntimeError("product basis has the wrong operator count")
     return out
 
@@ -237,25 +228,33 @@ def localize_basis(ops: list[DiffOp], arr: Arrangement,
         min_rest[i] = min_rest[i + 1] + min(degrees)
         max_rest[i] = max_rest[i + 1] + max(degrees)
 
-    selection: list[DiffOp] = []
-
-    def search(i: int, degree_sum: int) -> bool:
-        if i == len(components):
-            # the pieces are homogeneous members of degree sum t * |A_X|
-            return bool(point_constant(selection, sub))
+    def choices(i: int, degree_sum: int):
+        # (degree sum, piece) for operator i, while the target is reachable
         for degree, piece in components[i]:
             total = degree_sum + degree
             if total + min_rest[i + 1] > target:
                 break
-            if total + max_rest[i + 1] < target:
-                continue
-            selection.append(piece)
-            if search(i + 1, total):
-                return True
-            selection.pop()
-        return False
+            if total + max_rest[i + 1] >= target:
+                yield total, piece
 
-    if not search(0, 0):
+    # depth first on a stack: levels[i] yields operator i's choices
+    selection: list[DiffOp] = []
+    levels = [choices(0, 0)]
+    while levels:
+        step = next(levels[-1], None)
+        if step is None:  # backtrack
+            levels.pop()
+            if selection:
+                selection.pop()
+            continue
+        selection.append(step[1])
+        if len(selection) < len(components):
+            levels.append(choices(len(selection), step[0]))
+        elif point_constant(selection, sub):
+            break  # homogeneous members of degree sum t * |A_X|
+        else:
+            selection.pop()
+    else:
         raise RuntimeError("component selection failed; transported basis "
                            "did not yield the expected determinant")
     result = list(selection)

@@ -10,13 +10,14 @@ disjoint variable blocks, and linear changes of coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import chain, product as iter_product
+from math import factorial, prod
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import invert
 from .qpoly import (MultiIndex, Poly, Rational, as_fraction,
                     exponent_from_json, format_poly, json_array,
-                    linear_combination, mi_add, mi_degree, mi_factorial,
+                    linear_combination, mi_degree, mi_factorial,
                     monomial_exponents, poly_from_json, substituter,
                     term_order_key)
 
@@ -234,40 +235,28 @@ def coefficient_matrix(ops: Sequence[DiffOp]
     return tuple(tuple(op.coefficient(a) for op in ops) for a in exponents)
 
 
-def embed(op: DiffOp, total_dim: int, offset: int) -> DiffOp:
-    """Reinterpret an operator inside a larger variable space.
+def block_product(ops: Sequence[DiffOp]) -> DiffOp:
+    """The product of operators acting on consecutive variable blocks.
 
-    Variable i becomes variable offset+i; coefficients and derivative
-    exponents are padded with zeros elsewhere.
+    Operator i acts on its own block of variables, after the blocks of the
+    operators before it.  Each term of the product is one term from each
+    factor: the derivative and coefficient exponents concatenated, the
+    integer coefficients multiplied over the product of the denominators.
+    No two choices give the same exponent, so nothing is summed.
     """
-    if offset < 0 or offset + op.dim > total_dim:
-        raise ValueError("embedding block out of range")
-    left = (0,) * offset
-    right = (0,) * (total_dim - offset - op.dim)
-
-    def pad(a: MultiIndex) -> MultiIndex:
-        return left + a + right
-
-    coeffs = {}
-    for a, p in op.terms():
-        terms, den = p.integer_terms()
-        padded = Poly(total_dim, {pad(b): c for b, c in terms.items()})
-        coeffs[pad(a)] = padded * Fraction(1, den) if den != 1 else padded
-    return DiffOp(total_dim, op.order, coeffs)
-
-
-def block_product(first: DiffOp, second: DiffOp) -> DiffOp:
-    """Compose two operators that live on disjoint variable blocks.
-
-    Because neither the coefficients nor the derivatives of one factor
-    touch the variables of the other, the composition is commutative and
-    its terms are simply the pairwise products.
-    """
-    if first.dim != second.dim:
-        raise ValueError("operators must live in the same variable space")
-    return DiffOp(first.dim, first.order + second.order,
-                  [(mi_add(a, b), p * q) for a, p in first.terms()
-                   for b, q in second.terms()])
+    if not ops:
+        raise ValueError("need at least one operator")
+    dim = sum(op.dim for op in ops)
+    coeffs = []
+    for choice in iter_product(*(op.terms() for op in ops)):
+        integer = [p.integer_terms() for _, p in choice]
+        coeff = Poly(dim, [(tuple(chain.from_iterable(b for b, _ in picks)),
+                            prod(c for _, c in picks)) for picks
+                           in iter_product(*(t.items() for t, _ in integer))])
+        den = prod(d for _, d in integer)
+        coeffs.append((tuple(chain.from_iterable(a for a, _ in choice)),
+                       coeff * Fraction(1, den) if den != 1 else coeff))
+    return DiffOp(dim, sum(op.order for op in ops), coeffs)
 
 
 def change_variables(ops: Sequence[DiffOp],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrdiff import construct
 from arrdiff.arrangement import (Arrangement, arrangement_from_json,
                                  flat_closure, localize, make_shi, product)
 from arrdiff.construct import (basis_rank_two, find_flat_point,
@@ -19,7 +21,7 @@ from arrdiff.linalg import nullspace_basis
 from arrdiff.qpoly import Poly, monomial_exponents, variables
 from arrdiff.saito import (SaitoVerdict, point_constant, saito_check,
                            saito_counts)
-from arrdiff.weyl import DiffOp, block_product, embed, euler_operator
+from arrdiff.weyl import DiffOp, block_product, euler_operator
 from tests.reference import GENERIC3, RANK2, arr_of, form_value
 
 
@@ -127,10 +129,7 @@ def test_product_basis_validates_counts():
 def two_factor_product(first, second):
     """Per-order bases 0..m of a product of two factors: at order i, theta
     * eta for theta in first[j] and eta in second[i - j], j ascending."""
-    dim_first = first[0][0].dim
-    total = dim_first + second[0][0].dim
-    return [[block_product(embed(theta, total, 0),
-                           embed(eta, total, dim_first))
+    return [[block_product([theta, eta])
              for j in range(i + 1)
              for theta in first[j] for eta in second[i - j]]
             for i in range(len(first))]
@@ -160,6 +159,19 @@ def factor_bases(draw, top):
 @settings(max_examples=60, deadline=None)
 def test_product_basis_equals_pairwise_fold(bases):
     assert product_basis(bases) == reduce(two_factor_product, bases)[-1]
+
+
+def test_product_basis_builds_each_operator_in_one_pass(monkeypatch):
+    # six lines at m=2: one call per output operator, not 5 pairwise ones
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return block_product(*args)
+
+    monkeypatch.setattr(construct, "block_product", counting)
+    assert len(product_basis([line_bases(2)] * 6)) == 21
+    assert len(calls) == 21
 
 
 def test_product_basis_needs_equal_orders():
@@ -311,6 +323,23 @@ def test_localize_basis_to_whole_space():
     transported = localize_basis(basis, RANK2, flat)
     assert all(op.homogeneous_degree() == 0 for op in transported)
     assert saito_check(transported, localize(RANK2, flat))
+
+
+def test_localize_basis_does_not_recurse_per_operator():
+    # 250 operators under a recursion limit only 200 frames above the caller
+    dim = 250
+    arr = Arrangement(dim, ())
+    ops = [DiffOp.single(dim, unit) for unit in monomial_exponents(dim, 1)]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 200)
+    try:
+        transported = localize_basis(ops, arr, flat_closure(arr, []))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert transported == ops
 
 
 def test_localize_basis_shi2_order1():

@@ -17,7 +17,7 @@ from arrdiff.qpoly import (LinearForm, Poly, mi_factorial, monomial_exponents,
                            substituter, variables)
 from arrdiff.weyl import (DiffOp, block_product, change_variables,
                           coefficient_matrix, diffop_from_json,
-                          directional_power, embed, euler_operator)
+                          directional_power, euler_operator)
 from tests.reference import (commutator_with_form, fraction_terms,
                              poly_strategy, reference_substitute)
 
@@ -193,17 +193,31 @@ def test_matrix_entries_reconstruct_operator(data):
 # ---------------------------------------------------------------------------
 # block structure and transport
 
-def test_embed_and_block_product():
+def test_block_product():
+    # (x+y) d_x in dim 2 times z d_z^2 in dim 1
     x, y = variables(2)
     op1 = DiffOp.single(2, (1, 0), x + y)
     op2 = DiffOp.single(1, (2,), Poly.variable(1, 0))
-    lifted1 = embed(op1, 3, 0)
-    lifted2 = embed(op2, 3, 2)
-    prod = block_product(lifted1, lifted2)
     x3, y3, z3 = variables(3)
-    assert prod == DiffOp.single(3, (1, 0, 2), (x3 + y3) * z3)
-    f = x3 * x3 * z3 * z3
-    assert prod.apply(f) == lifted1.apply(lifted2.apply(f))
+    assert block_product([op1, op2]) == DiffOp.single(3, (1, 0, 2),
+                                                      (x3 + y3) * z3)
+
+
+def any_op():
+    return st.tuples(st.integers(1, 2), st.integers(0, 2)).flatmap(
+        lambda shape: op_strategy(*shape))
+
+
+@given(any_op(), any_op(), any_op(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_product_acts_blockwise_and_nests(a, b, c, data):
+    # the product acts as a on its block after b on the other
+    f = data.draw(poly_strategy(a.dim + b.dim, max_degree=3))
+    first = block_product([a, DiffOp.identity(b.dim)])
+    second = block_product([DiffOp.identity(a.dim), b])
+    assert block_product([a, b]).apply(f) == first.apply(second.apply(f))
+    assert (block_product([block_product([a, b]), c])
+            == block_product([a, b, c]))
 
 
 def linear_images(matrix):
